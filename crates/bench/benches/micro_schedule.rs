@@ -1,11 +1,11 @@
-//! Cost-aware scheduling — morsel work-claiming vs static chunks.
+//! Cost-aware scheduling — `Auto`'s cost-cut morsel claiming vs static
+//! chunks.
 //!
-//! The executor's historical launch path cuts a grid into one contiguous
-//! chunk per worker; a front-loaded grid then serialises most of the work
-//! on worker 0. The dynamic schedules (`Schedule::Morsel`/`Guided`/`Auto`)
-//! decompose the grid into worker-count-independent morsels claimed from a
-//! shared cursor, and the weighted launches cut morsel boundaries at equal
-//! summed cost. This bench measures both effects on adversarially skewed
+//! `Schedule::Static` cuts a grid into one contiguous chunk per worker; a
+//! front-loaded grid then serialises most of the work on worker 0.
+//! `Schedule::Auto` decomposes a weighted launch into worker-count
+//! independent morsels cut at equal summed cost and claimed from a shared
+//! cursor. This bench measures the difference on adversarially skewed
 //! grids where the per-item cost model is exact (the kernel burns work
 //! proportional to the declared cost).
 //!
@@ -14,18 +14,18 @@
 //! * Default: harness timings (`schedule/<grid>/<schedule>`) plus a sweep
 //!   over grid shape × schedule saved as `schedule.json` (wall clock,
 //!   speedup over static, morsel and balance counters).
-//! * `GMC_PERF_GATE=1`: CI gate. On the front-loaded grid the morsel
-//!   schedule must beat static chunking by ≥1.3×; on the uniform grid it
-//!   must stay within 1.05× (claiming overhead in the noise); and with a
-//!   dynamic schedule installed, launches on grids at or below the
-//!   sequential-inline limit must keep the zero-overhead inline path —
-//!   the added cost is gated at <1% of a pooled 10k exclusive scan.
+//! * `GMC_PERF_GATE=1`: CI gate. On the front-loaded grid `Auto` must beat
+//!   static chunking by ≥1.3×; on the uniform grid it must stay within
+//!   1.05× (claiming overhead in the noise); and with `Auto` installed,
+//!   weighted launches on grids at or below the sequential-inline limit
+//!   must keep the zero-overhead inline path — the added cost is gated at
+//!   <1% of a pooled 10k exclusive scan.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use gmc_bench::{impl_to_json, print_table, save_json, BenchEnv};
-use gmc_dpp::{Executor, Schedule};
+use gmc_dpp::{Executor, Launch, Schedule};
 
 /// Grid size: well past the sequential-inline limit, so every launch takes
 /// the worker pool.
@@ -66,13 +66,8 @@ fn grids() -> Vec<(&'static str, Vec<u64>)> {
     ]
 }
 
-fn schedules() -> [(&'static str, Schedule); 4] {
-    [
-        ("static", Schedule::Static),
-        ("morsel", Schedule::Morsel { grain: 64 }),
-        ("guided", Schedule::Guided),
-        ("auto", Schedule::Auto),
-    ]
+fn schedules() -> [(&'static str, Schedule); 2] {
+    [("static", Schedule::Static), ("auto", Schedule::Auto)]
 }
 
 /// Worker count for timing: at least two so the pool (and the imbalance)
@@ -85,7 +80,9 @@ fn gate_workers() -> usize {
 }
 
 fn run_weighted(exec: &Executor, costs: &[u64]) {
-    exec.for_each_weighted(costs.len(), |i| costs[i], |i| burn(costs[i]));
+    let cost = |i: usize| costs[i];
+    let launch = Launch::new("schedule_grid", costs.len()).weighted(&cost);
+    exec.run(launch, |i| burn(costs[i]));
 }
 
 /// Minimum wall-clock milliseconds over `samples` interleaved batches, one
@@ -214,22 +211,24 @@ fn bench() {
     harness.finish();
 }
 
-/// Paired per-launch nanoseconds `(static, morsel)` for an inline-sized
-/// unweighted launch — both sides must take the sequential path, so a
-/// dynamic schedule may not add anything measurable.
+/// Paired per-launch nanoseconds `(static, auto)` for an inline-sized
+/// weighted launch — both sides must take the sequential path, so `Auto`
+/// may not add anything measurable (no cost planning, no claiming).
 fn paired_inline_ns(samples: usize) -> (f64, f64) {
     let static_exec = Executor::new(gate_workers());
     static_exec.set_schedule(Schedule::Static);
-    let morsel_exec = Executor::new(gate_workers());
-    morsel_exec.set_schedule(Schedule::Morsel { grain: 64 });
+    let auto_exec = Executor::new(gate_workers());
+    auto_exec.set_schedule(Schedule::Auto);
+    let cost = |i: usize| (i % 7) as u64;
     let run = |exec: &Executor| {
-        exec.for_each_indexed(INLINE_GRID, |i| {
+        let launch = Launch::new("inline_probe", INLINE_GRID).weighted(&cost);
+        exec.run(launch, |i| {
             std::hint::black_box(i);
         });
     };
     let start = Instant::now();
     run(&static_exec);
-    run(&morsel_exec);
+    run(&auto_exec);
     let per_iter = (start.elapsed().as_secs_f64() / 2.0).max(1e-9);
     let iters = ((0.020 / per_iter).ceil() as usize).clamp(1, 1_000_000);
     for _ in 0..2 * iters {
@@ -237,7 +236,7 @@ fn paired_inline_ns(samples: usize) -> (f64, f64) {
     }
     let mut best = [f64::INFINITY; 2];
     for _ in 0..samples.max(1) {
-        for (slot, exec) in [(0, &static_exec), (1, &morsel_exec)] {
+        for (slot, exec) in [(0, &static_exec), (1, &auto_exec)] {
             let start = Instant::now();
             for _ in 0..iters {
                 run(exec);
@@ -269,7 +268,7 @@ fn gate() -> ExitCode {
     let workers = gate_workers();
     let mut failed = false;
 
-    println!("-- Perf gate: dynamic scheduling vs static chunks ({workers} workers) --");
+    println!("-- Perf gate: auto scheduling vs static chunks ({workers} workers) --");
     let rows = sweep(samples, workers);
     print_sweep(&rows);
     let wall = |grid: &str, schedule: &str| {
@@ -279,18 +278,19 @@ fn gate() -> ExitCode {
             .expect("sweep covers every cell")
     };
 
-    // 1. Front-loaded grid: claiming must actually rebalance. The static
-    //    side serialises ~90% of the work, so even two workers give ~1.8×.
+    // 1. Front-loaded grid: cost-cut claiming must actually rebalance. The
+    //    static side serialises ~90% of the work, so even two workers give
+    //    ~1.8×.
     //    On a single hardware thread every schedule timeshares identically
     //    and no speedup is physically possible, so the check needs ≥2 cores.
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     if cores >= 2 {
-        let speedup = wall("skewed_front", "static") / wall("skewed_front", "morsel");
+        let speedup = wall("skewed_front", "static") / wall("skewed_front", "auto");
         let skew_ok = speedup >= 1.3;
         println!(
-            "\nskewed_front: morsel {speedup:.2}× over static (gate ≥1.3×) {}",
+            "\nskewed_front: auto {speedup:.2}× over static (gate ≥1.3×) {}",
             if skew_ok { "ok" } else { "FAIL" }
         );
         failed |= !skew_ok;
@@ -299,24 +299,24 @@ fn gate() -> ExitCode {
     }
 
     // 2. Uniform grid: claiming overhead must stay in the noise band.
-    let ratio = wall("uniform", "morsel") / wall("uniform", "static");
+    let ratio = wall("uniform", "auto") / wall("uniform", "static");
     let uniform_ok = ratio <= 1.05;
     println!(
-        "uniform: morsel {ratio:.3}× static (gate ≤1.05×) {}",
+        "uniform: auto {ratio:.3}× static (gate ≤1.05×) {}",
         if uniform_ok { "ok" } else { "FAIL" }
     );
     failed |= !uniform_ok;
 
     // 3. Inline path: grids at or below the sequential limit never touch
-    //    the schedule, so installing a dynamic one may add at most 1% of a
-    //    pooled 10k scan to the launch.
-    let (static_ns, morsel_ns) = paired_inline_ns(samples);
+    //    the schedule, so installing `Auto` may add at most 1% of a pooled
+    //    10k scan to a weighted launch.
+    let (static_ns, auto_ns) = paired_inline_ns(samples);
     let scan_ns = pooled_scan_ns(samples);
-    let added_pct = 100.0 * (morsel_ns - static_ns) / scan_ns;
+    let added_pct = 100.0 * (auto_ns - static_ns) / scan_ns;
     let inline_ok = added_pct < 1.0;
     println!(
-        "inline {INLINE_GRID}-item launch: static {static_ns:.0} ns, morsel-installed \
-         {morsel_ns:.0} ns — adds {added_pct:+.3}% of a pooled 10k scan (gate <1%) {}",
+        "inline {INLINE_GRID}-item weighted launch: static {static_ns:.0} ns, auto-installed \
+         {auto_ns:.0} ns — adds {added_pct:+.3}% of a pooled 10k scan (gate <1%) {}",
         if inline_ok { "ok" } else { "FAIL" }
     );
     failed |= !inline_ok;

@@ -282,7 +282,7 @@ fn render_core_bits(out: &mut String, value: &Json) {
 fn render_schedule(out: &mut String, value: &Json) {
     let _ = writeln!(
         out,
-        "## Scheduling — morsel work-claiming vs static chunks\n"
+        "## Scheduling — auto's cost-cut morsel claiming vs static chunks\n"
     );
     let _ = writeln!(
         out,
@@ -511,13 +511,13 @@ mod tests {
             dir.join("schedule.json"),
             r#"[{"grid":"skewed_front","schedule":"static","wall_ms":10.0,
                  "speedup_vs_static":1.0,"morsels":8,"max_worker_morsels":1,"imbalance":7.2},
-                {"grid":"skewed_front","schedule":"morsel","wall_ms":2.5,
+                {"grid":"skewed_front","schedule":"auto","wall_ms":2.5,
                  "speedup_vs_static":4.0,"morsels":98,"max_worker_morsels":40,"imbalance":1.1}]"#,
         )
         .unwrap();
         let report = render_report(&dir);
         assert!(
-            report.contains("| skewed_front | morsel | 2.500 | 4.00× | 98 | 40 | 1.10 |"),
+            report.contains("| skewed_front | auto | 2.500 | 4.00× | 98 | 40 | 1.10 |"),
             "{report}"
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -10,7 +10,7 @@
 
 use gmc_bench::json::{self, Json};
 use gmc_corpus::{by_name, Tier};
-use gmc_dpp::{Device, Executor, Schedule};
+use gmc_dpp::{Device, Executor, Launch, Schedule};
 use gmc_mce::{LocalBitsMode, MaxCliqueSolver};
 
 /// A counter may regress by at most 10% against its committed value.
@@ -151,44 +151,37 @@ fn local_bitmap_probe_counters_have_not_regressed() {
 
 #[test]
 fn schedule_decomposition_counters_match_the_committed_record() {
-    // The morsel decomposition is a pure function of the grid size and the
-    // schedule grain — worker-count independent by design. Re-run the bench's
-    // grid at a *different* worker count than the committed record and
-    // require the dynamic schedules' morsel counts to match exactly.
+    // `Auto`'s morsel decomposition is a pure function of the grid size —
+    // worker-count independent by design. Re-run the bench's grid at a
+    // *different* worker count than the committed record and require the
+    // morsel count to match exactly.
     let doc = committed("BENCH_schedule.json");
     let grid = 8192usize; // micro_schedule's GRID
     let cost = |i: usize| if i < grid / 8 { 63u64 } else { 1 };
-    let workers = 4usize;
-    for (name, schedule) in [
-        ("morsel", Schedule::Morsel { grain: 64 }),
-        ("guided", Schedule::Guided),
-        ("auto", Schedule::Auto),
-    ] {
-        let exec = Executor::new(workers);
-        exec.set_schedule(schedule);
-        let before = exec.schedule_stats();
-        exec.for_each_weighted(grid, cost, |i| {
-            std::hint::black_box(i);
-        });
-        let delta = exec.schedule_stats().since(&before);
-        let expected = doc
-            .as_array()
-            .expect("array")
-            .iter()
-            .find(|r| {
-                r["grid"].as_str() == Some("skewed_front") && r["schedule"].as_str() == Some(name)
-            })
-            .unwrap_or_else(|| panic!("schedule {name} missing from committed record"))["morsels"]
-            .as_u64()
-            .expect("morsels is an integer");
-        assert_eq!(
-            delta.morsels, expected,
-            "{name}: morsel decomposition changed (committed at a different worker count — \
-             the decomposition must not depend on workers)"
-        );
-        assert_eq!(delta.dynamic_launches, 1, "{name}");
-        assert_eq!(delta.weighted_launches, 1, "{name}");
-    }
+    let exec = Executor::new(4);
+    exec.set_schedule(Schedule::Auto);
+    let before = exec.schedule_stats();
+    exec.run(Launch::new("schedule_grid", grid).weighted(&cost), |i| {
+        std::hint::black_box(i);
+    });
+    let delta = exec.schedule_stats().since(&before);
+    let expected = doc
+        .as_array()
+        .expect("array")
+        .iter()
+        .find(|r| {
+            r["grid"].as_str() == Some("skewed_front") && r["schedule"].as_str() == Some("auto")
+        })
+        .expect("auto missing from committed record")["morsels"]
+        .as_u64()
+        .expect("morsels is an integer");
+    assert_eq!(
+        delta.morsels, expected,
+        "auto: morsel decomposition changed (committed at a different worker count — \
+         the decomposition must not depend on workers)"
+    );
+    assert_eq!(delta.dynamic_launches, 1);
+    assert_eq!(delta.weighted_launches, 1);
 }
 
 #[test]
@@ -213,7 +206,7 @@ fn committed_schedule_record_is_internally_consistent() {
             workers,
             "{grid}: static chunking is one chunk per worker"
         );
-        for schedule in ["static", "morsel", "guided", "auto"] {
+        for schedule in ["static", "auto"] {
             let row = cell(schedule);
             let wall = row["wall_ms"].as_f64().expect("wall_ms");
             let speedup = row["speedup_vs_static"].as_f64().expect("speedup");

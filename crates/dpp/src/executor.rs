@@ -3,16 +3,12 @@ use crate::fault::{FaultInjector, LaunchError};
 use crate::sched::{self, Schedule};
 use crate::stats::{LaunchStats, ScheduleCells, ScheduleStats, StatsCells};
 use gmc_trace::{SpanGuard, Tracer};
+use std::ops::Range;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// Kernel name charged for launches issued through the un-named entry
-/// points ([`Executor::for_each_indexed`] and friends). Call the `_named`
-/// variants to attribute launches in [`LaunchStats::per_kernel`] and traces.
-pub const DEFAULT_KERNEL_NAME: &str = "unnamed";
 
 /// Default for [`Executor::sequential_grid_limit`]: launches below this
 /// element count run inline on the calling thread. Real GPU launches have a
@@ -90,9 +86,9 @@ struct BalanceSlot {
 const WEIGHT_PLAN_PARALLEL_THRESHOLD: usize = 1 << 16;
 
 /// A launch's morsel decomposition, as consumed by the dynamic claim loop.
-/// Uniform decompositions stay implicit (no allocation); guided and
-/// cost-cut decompositions carry explicit boundaries where
-/// `bounds[m]..bounds[m + 1]` is morsel `m`.
+/// The uniform fallback stays implicit (no allocation); cost-cut
+/// decompositions carry explicit boundaries where `bounds[m]..bounds[m + 1]`
+/// is morsel `m`.
 enum Boundaries<'a> {
     Uniform { grain: usize, count: usize },
     Explicit(&'a [usize]),
@@ -108,7 +104,7 @@ impl Boundaries<'_> {
     }
 
     #[inline]
-    fn range(&self, m: usize, n: usize) -> std::ops::Range<usize> {
+    fn range(&self, m: usize, n: usize) -> Range<usize> {
         match self {
             Boundaries::Uniform { grain, .. } => {
                 let start = m * grain;
@@ -119,28 +115,65 @@ impl Boundaries<'_> {
     }
 }
 
-/// Encoding of [`Schedule`] into two lock-free cells so the pooled dispatch
-/// path pays only relaxed loads (no enum behind a lock).
-const SCHED_STATIC: u8 = 0;
-const SCHED_MORSEL: u8 = 1;
-const SCHED_GUIDED: u8 = 2;
-const SCHED_AUTO: u8 = 3;
-
-fn encode_schedule(schedule: Schedule) -> (u8, usize) {
-    match schedule {
-        Schedule::Static => (SCHED_STATIC, sched::DEFAULT_MORSEL_GRAIN),
-        Schedule::Morsel { grain } => (SCHED_MORSEL, grain.max(1)),
-        Schedule::Guided => (SCHED_GUIDED, sched::DEFAULT_MORSEL_GRAIN),
-        Schedule::Auto => (SCHED_AUTO, sched::DEFAULT_MORSEL_GRAIN),
-    }
+/// One bulk-synchronous kernel launch, as handed to [`Executor::run`] and
+/// the other entry points: the kernel name (the key of its
+/// [`LaunchStats::per_kernel`] row and of its trace span), the grid size
+/// `n`, a fused flag, and optional per-index cost hints.
+///
+/// ```
+/// use gmc_dpp::{Executor, Launch};
+///
+/// let exec = Executor::new(2);
+/// let lens = [3u64, 0, 7, 1];
+/// let cost = |i: usize| lens[i];
+/// let launch = Launch::new("double_lens", lens.len()).weighted(&cost);
+/// assert_eq!(exec.map(launch, |i| 2 * lens[i]), [6, 0, 14, 2]);
+/// assert_eq!(exec.stats().kernel("double_lens").launches, 1);
+/// ```
+#[derive(Clone, Copy)]
+pub struct Launch<'a> {
+    name: &'static str,
+    n: usize,
+    fused: bool,
+    cost: Option<&'a (dyn Fn(usize) -> u64 + Sync)>,
 }
 
-fn decode_schedule(mode: u8, grain: usize) -> Schedule {
-    match mode {
-        SCHED_STATIC => Schedule::Static,
-        SCHED_MORSEL => Schedule::Morsel { grain },
-        SCHED_GUIDED => Schedule::Guided,
-        _ => Schedule::Auto,
+impl<'a> Launch<'a> {
+    /// A launch of `n` virtual threads of kernel `name`, unfused and
+    /// unweighted.
+    pub fn new(name: &'static str, n: usize) -> Self {
+        Self {
+            name,
+            n,
+            fused: false,
+            cost: None,
+        }
+    }
+
+    /// Marks the launch as *fused* — a kernel that folds the work of
+    /// several logical pipeline stages (e.g. count + emit) into one launch —
+    /// so it is also counted in [`LaunchStats::fused_launches`]. Dispatch is
+    /// unchanged.
+    pub fn fused(self) -> Self {
+        Self {
+            fused: true,
+            ..self
+        }
+    }
+
+    /// Attaches per-index cost hints: `cost(i)` is the relative expense of
+    /// virtual thread `i` (candidate-list length, CSR degree, …). It may be
+    /// called more than once per index and must be cheap and pure. Under
+    /// [`Schedule::Auto`] a pooled weighted launch cuts its morsels where
+    /// the summed cost crosses equal fractions of the total, so one
+    /// expensive stretch of indices spreads over many claimable morsels
+    /// instead of serialising one worker. Results are bit-identical to the
+    /// unweighted launch under every schedule and worker count.
+    pub fn weighted(self, cost: &'a (dyn Fn(usize) -> u64 + Sync)) -> Self {
+        Self {
+            cost: Some(cost),
+            ..self
+        }
     }
 }
 
@@ -149,10 +182,10 @@ struct ExecutorInner {
     workers: Vec<JoinHandle<()>>,
     num_workers: usize,
     stats: StatsCells,
-    /// Active [`Schedule`], split into a mode tag and a morsel grain so the
-    /// dispatch fast path is two relaxed loads (see [`Executor::schedule`]).
-    schedule_mode: AtomicU8,
-    schedule_grain: AtomicUsize,
+    /// Whether the active [`Schedule`] is [`Schedule::Static`], a lock-free
+    /// cell so the dispatch fast path is one relaxed load (see
+    /// [`Executor::schedule`]).
+    schedule_static: AtomicBool,
     /// Scheduling/balance counters (see [`Executor::schedule_stats`]).
     sched_stats: ScheduleCells,
     /// One balance slot per worker, reused across launches (launches never
@@ -171,7 +204,7 @@ struct ExecutorInner {
     trace_on: AtomicBool,
     /// Armed fault injector (see [`Executor::set_fault_injector`]);
     /// `fault_on` caches whether it can fail launches so the fault-free
-    /// path of the `try_*` wrappers is one relaxed load and a branch.
+    /// path of [`Executor::try_run`] is one relaxed load and a branch.
     fault: RwLock<Option<FaultInjector>>,
     fault_on: AtomicBool,
     /// Installed cancellation token (see [`Executor::set_cancel_token`]);
@@ -219,15 +252,13 @@ impl Executor {
                     .expect("failed to spawn dpp worker thread")
             })
             .collect();
-        let initial_schedule = Schedule::from_env();
         Self {
             inner: Arc::new(ExecutorInner {
                 shared,
                 workers,
                 num_workers,
                 stats: StatsCells::default(),
-                schedule_mode: AtomicU8::new(encode_schedule(initial_schedule).0),
-                schedule_grain: AtomicUsize::new(encode_schedule(initial_schedule).1),
+                schedule_static: AtomicBool::new(Schedule::from_env() == Schedule::Static),
                 sched_stats: ScheduleCells::default(),
                 balance: (0..num_workers).map(|_| BalanceSlot::default()).collect(),
                 launch_overhead_ns: std::sync::atomic::AtomicU64::new(0),
@@ -278,20 +309,20 @@ impl Executor {
     /// schedule — the inline check precedes the schedule load, so small
     /// grids never pay any scheduling cost.
     pub fn set_schedule(&self, schedule: Schedule) {
-        let (mode, grain) = encode_schedule(schedule);
-        self.inner.schedule_mode.store(mode, Ordering::Relaxed);
-        self.inner.schedule_grain.store(grain, Ordering::Relaxed);
+        self.inner
+            .schedule_static
+            .store(schedule == Schedule::Static, Ordering::Relaxed);
     }
 
-    /// The active launch schedule — the exact pair of relaxed loads the
-    /// pooled dispatch path pays per launch (probed by the
-    /// `GMC_PERF_GATE=1` micro bench).
+    /// The active launch schedule — the one relaxed load the pooled
+    /// dispatch path pays per launch.
     #[inline]
     pub fn schedule(&self) -> Schedule {
-        decode_schedule(
-            self.inner.schedule_mode.load(Ordering::Relaxed),
-            self.inner.schedule_grain.load(Ordering::Relaxed),
-        )
+        if self.inner.schedule_static.load(Ordering::Relaxed) {
+            Schedule::Static
+        } else {
+            Schedule::Auto
+        }
     }
 
     /// Snapshot of scheduling and load-balance counters accumulated so far
@@ -321,11 +352,12 @@ impl Executor {
     }
 
     /// Arms (or with `None` disarms) fault injection for the fallible
-    /// `try_*` launch wrappers: each such launch first rolls the injector's
-    /// launch fault and returns [`LaunchError`] — without running the
-    /// kernel — when it fires. The infallible wrappers never consult the
-    /// injector, so unplumbed call sites cannot panic while faults are
-    /// armed; fault coverage is exactly the sites converted to `try_*`.
+    /// launches [`Executor::try_run`] and [`Executor::try_map`]: each first
+    /// rolls the injector's launch fault and returns [`LaunchError`] —
+    /// without running the kernel — when it fires. The infallible entry
+    /// points never consult the injector, so unplumbed call sites cannot
+    /// panic while faults are armed; fault coverage is exactly the sites
+    /// that call a `try_` entry point.
     pub fn set_fault_injector(&self, injector: Option<FaultInjector>) {
         let on = injector
             .as_ref()
@@ -341,8 +373,8 @@ impl Executor {
     }
 
     /// Whether a launch-faulting injector is armed — the exact relaxed load
-    /// the `try_*` wrappers pay per launch when faults are disabled (probed
-    /// by the `GMC_PERF_GATE=1` micro bench).
+    /// the `try_` entry points pay per launch when faults are disabled
+    /// (probed by the `GMC_PERF_GATE=1` micro bench).
     #[inline]
     pub fn fault_armed(&self) -> bool {
         self.inner.fault_on.load(Ordering::Relaxed)
@@ -394,10 +426,10 @@ impl Executor {
     }
 
     /// Rolls one launch fault for `name`; `Err` means the launch must not
-    /// run. The disabled path is one relaxed load and a branch. The `try_*`
-    /// wrappers call this per launch; composite primitives (scan, select)
-    /// call it once up front so a faulted call fails before mutating its
-    /// output.
+    /// run. The disabled path is one relaxed load and a branch. The `try_`
+    /// entry points call this per launch; composite primitives (scan,
+    /// select) call it once up front so a faulted call fails before mutating
+    /// its output.
     #[inline]
     pub fn check_launch_fault(&self, name: &'static str) -> Result<(), LaunchError> {
         if !self.inner.fault_on.load(Ordering::Relaxed) {
@@ -406,7 +438,7 @@ impl Executor {
         self.roll_injected_launch(name)
     }
 
-    /// Injected-launch slow path, out of line so the fault-free `try_*`
+    /// Injected-launch slow path, out of line so the fault-free `try_`
     /// launch stays one relaxed load and a branch.
     #[cold]
     fn roll_injected_launch(&self, name: &'static str) -> Result<(), LaunchError> {
@@ -419,55 +451,6 @@ impl Executor {
             tracer.instant("fault_launch_injected", &[("step", step as i64)]);
         }
         Err(LaunchError { kernel: name, step })
-    }
-
-    /// Opens the per-launch span, or `None` on the disabled fast path. The
-    /// chunk count is computed lazily so the traced-off path never pays for
-    /// a morsel-count computation.
-    #[inline]
-    fn launch_span(
-        &self,
-        name: &'static str,
-        n: usize,
-        chunks: impl FnOnce() -> usize,
-    ) -> Option<SpanGuard> {
-        if !self.inner.trace_on.load(Ordering::Relaxed) {
-            return None;
-        }
-        let tracer = self.inner.tracer.read().unwrap();
-        if !tracer.is_enabled() {
-            return None;
-        }
-        let chunks = chunks();
-        Some(tracer.span_with(
-            name,
-            &[
-                ("n", n as i64),
-                ("chunks", chunks as i64),
-                ("inline", i64::from(chunks == 1)),
-            ],
-        ))
-    }
-
-    /// Number of work units the active schedule will decompose an `n`-index
-    /// launch into: `1` on the inline path, the worker count for static
-    /// mappings, and the (worker-count-independent) morsel count for
-    /// dynamic ones. Trace-span metadata only; [`Executor::num_chunks`]
-    /// stays the contract for [`Executor::for_each_chunk`], which is always
-    /// static (see the `crate::sched` module docs).
-    fn planned_chunks(&self, n: usize, weighted: bool) -> usize {
-        if n <= self.sequential_grid_limit() || self.inner.num_workers == 1 {
-            return 1;
-        }
-        let schedule = self.schedule();
-        match (schedule, weighted) {
-            (Schedule::Static, _) | (Schedule::Auto, false) => self.inner.num_workers,
-            (Schedule::Morsel { grain }, _) => sched::uniform_morsels(n, grain).1,
-            (Schedule::Guided, false) => sched::guided_morsel_count(n),
-            (Schedule::Guided | Schedule::Auto, true) => {
-                sched::uniform_morsels(n, schedule.grain()).1
-            }
-        }
     }
 
     /// Models a fixed per-launch cost (CUDA kernel launch + synchronisation
@@ -520,331 +503,177 @@ impl Executor {
         }
     }
 
-    /// Launches a grid of `n` virtual threads; virtual thread `i` runs
-    /// `kernel(i)`. Blocks until all virtual threads complete (the kernel
-    /// boundary barrier). The launch is attributed to
-    /// [`DEFAULT_KERNEL_NAME`]; prefer [`Executor::for_each_indexed_named`]
-    /// so stats and traces can tell kernels apart.
-    pub fn for_each_indexed<F>(&self, n: usize, kernel: F)
+    /// Runs `launch`: virtual thread `i` runs `kernel(i)` for every `i` in
+    /// `0..n`, and the call blocks until all of them complete (the kernel
+    /// boundary barrier).
+    pub fn run<F>(&self, launch: Launch<'_>, kernel: F)
     where
         F: Fn(usize) + Sync,
     {
-        self.for_each_indexed_named(DEFAULT_KERNEL_NAME, n, kernel);
+        let _span = self.begin(&launch, || self.planned_chunks(&launch));
+        self.dispatch(&launch, &kernel);
     }
 
-    /// [`Executor::for_each_indexed`] with a kernel name for the per-kernel
-    /// launch-stats breakdown and the trace span.
-    pub fn for_each_indexed_named<F>(&self, name: &'static str, n: usize, kernel: F)
+    /// Fallible [`Executor::run`]: rolls the armed fault injector exactly
+    /// once — before any cost planning — and returns [`LaunchError`], with
+    /// the kernel not run and nothing recorded, when it fires. Production
+    /// pipeline launch sites call this so injected launch faults surface as
+    /// errors the solver recovers from instead of panics.
+    pub fn try_run<F>(&self, launch: Launch<'_>, kernel: F) -> Result<(), LaunchError>
     where
         F: Fn(usize) + Sync,
     {
-        self.inner.stats.record_launch(name, n);
-        let _span = self.launch_span(name, n, || self.planned_chunks(n, false));
-        self.dispatch_indexed(n, kernel);
-    }
-
-    /// Like [`Executor::for_each_indexed`] but records the launch as a
-    /// *fused* one in [`LaunchStats::fused_launches`]: a kernel that folds
-    /// the work of several logical pipeline stages (e.g. count + emit) into
-    /// a single launch. Dispatch semantics are identical.
-    pub fn for_each_indexed_fused<F>(&self, n: usize, kernel: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.for_each_indexed_fused_named(DEFAULT_KERNEL_NAME, n, kernel);
-    }
-
-    /// [`Executor::for_each_indexed_fused`] with a kernel name for the
-    /// per-kernel launch-stats breakdown and the trace span.
-    pub fn for_each_indexed_fused_named<F>(&self, name: &'static str, n: usize, kernel: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.inner.stats.record_fused_launch(name, n);
-        let _span = self.launch_span(name, n, || self.planned_chunks(n, false));
-        self.dispatch_indexed(n, kernel);
-    }
-
-    /// Fallible [`Executor::for_each_indexed_named`]: rolls the armed fault
-    /// injector first and returns [`LaunchError`] — with the kernel not run
-    /// and nothing recorded — when it fires. Production pipeline launch
-    /// sites call this so injected launch faults surface as errors the
-    /// solver recovers from instead of panics.
-    pub fn try_for_each_indexed_named<F>(
-        &self,
-        name: &'static str,
-        n: usize,
-        kernel: F,
-    ) -> Result<(), LaunchError>
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.check_launch_fault(name)?;
-        self.for_each_indexed_named(name, n, kernel);
+        self.check_launch_fault(launch.name)?;
+        self.run(launch, kernel);
         Ok(())
     }
 
-    /// Fallible [`Executor::for_each_indexed_fused_named`]; see
-    /// [`Executor::try_for_each_indexed_named`].
-    pub fn try_for_each_indexed_fused_named<F>(
-        &self,
-        name: &'static str,
-        n: usize,
-        kernel: F,
-    ) -> Result<(), LaunchError>
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.check_launch_fault(name)?;
-        self.for_each_indexed_fused_named(name, n, kernel);
-        Ok(())
-    }
-
-    /// Fallible [`Executor::for_each_chunk_named`]; see
-    /// [`Executor::try_for_each_indexed_named`].
-    pub fn try_for_each_chunk_named<F>(
-        &self,
-        name: &'static str,
-        n: usize,
-        body: F,
-    ) -> Result<(), LaunchError>
-    where
-        F: Fn(usize, std::ops::Range<usize>) + Sync,
-    {
-        self.check_launch_fault(name)?;
-        self.for_each_chunk_named(name, n, body);
-        Ok(())
-    }
-
-    /// Fallible [`Executor::fill_indexed_named`]; see
-    /// [`Executor::try_for_each_indexed_named`]. On `Err` the output slice
-    /// is untouched.
-    pub fn try_fill_indexed_named<T, F>(
-        &self,
-        name: &'static str,
-        out: &mut [T],
-        kernel: F,
-    ) -> Result<(), LaunchError>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.check_launch_fault(name)?;
-        self.fill_indexed_named(name, out, kernel);
-        Ok(())
-    }
-
-    /// Fallible [`Executor::map_indexed_named`]; see
-    /// [`Executor::try_for_each_indexed_named`].
-    pub fn try_map_indexed_named<T, F>(
-        &self,
-        name: &'static str,
-        n: usize,
-        kernel: F,
-    ) -> Result<Vec<T>, LaunchError>
+    /// [`Executor::run`] collecting `v[i] = kernel(i)` into a new vector of
+    /// length `n`.
+    pub fn map<T, F>(&self, launch: Launch<'_>, kernel: F) -> Vec<T>
     where
         T: Send + Copy + Default,
         F: Fn(usize) -> T + Sync,
     {
-        self.check_launch_fault(name)?;
-        Ok(self.map_indexed_named(name, n, kernel))
+        let mut out = vec![T::default(); launch.n];
+        let shared = crate::SharedSlice::new(&mut out);
+        self.run(launch, |i| {
+            // SAFETY: each virtual thread writes exactly its own index.
+            unsafe { shared.write(i, kernel(i)) };
+        });
+        out
     }
 
-    /// [`Executor::for_each_indexed`] with per-entry cost hints: under a
-    /// dynamic [`Schedule`] (including the default [`Schedule::Auto`]),
-    /// morsel boundaries are cut where the summed cost crosses equal
-    /// fractions of the total, so one expensive stretch of indices spreads
-    /// over many claimable morsels instead of serialising one worker.
-    ///
-    /// `cost(i)` is a *hint* for virtual thread `i`'s relative expense
-    /// (candidate-list length, CSR degree, …); it may be called more than
-    /// once per index and must be cheap and pure. Results are bit-identical
-    /// to the unweighted launch under every schedule and worker count — the
-    /// decomposition is a pure function of `(n, grain, costs)`.
-    pub fn for_each_weighted<C, F>(&self, n: usize, cost: C, kernel: F)
+    /// Fallible [`Executor::map`]; see [`Executor::try_run`].
+    pub fn try_map<T, F>(&self, launch: Launch<'_>, kernel: F) -> Result<Vec<T>, LaunchError>
     where
-        C: Fn(usize) -> u64 + Sync,
-        F: Fn(usize) + Sync,
+        T: Send + Copy + Default,
+        F: Fn(usize) -> T + Sync,
     {
-        self.for_each_weighted_named(DEFAULT_KERNEL_NAME, n, cost, kernel);
+        self.check_launch_fault(launch.name)?;
+        Ok(self.map(launch, kernel))
     }
 
-    /// [`Executor::for_each_weighted`] with a kernel name for the
-    /// per-kernel launch-stats breakdown and the trace span.
-    pub fn for_each_weighted_named<C, F>(&self, name: &'static str, n: usize, cost: C, kernel: F)
+    /// Partitions `0..n` into [`Executor::num_chunks`] contiguous ranges,
+    /// one per worker, and runs `body(chunk_id, range)` on each, all chunks
+    /// at once. Never scheduled dynamically: primitives that index per-chunk
+    /// partials — and the look-back scan, whose chunks spin on their
+    /// predecessors — rely on this static mapping.
+    pub fn run_chunks<F>(&self, name: &'static str, n: usize, body: F)
     where
-        C: Fn(usize) -> u64 + Sync,
-        F: Fn(usize) + Sync,
+        F: Fn(usize, Range<usize>) + Sync,
     {
-        self.inner.stats.record_launch(name, n);
-        let _span = self.launch_span(name, n, || self.planned_chunks(n, true));
-        self.dispatch_weighted(n, &cost, kernel);
-    }
-
-    /// Fused-kernel variant of [`Executor::for_each_weighted_named`] (see
-    /// [`Executor::for_each_indexed_fused`] for what "fused" counts).
-    pub fn for_each_weighted_fused_named<C, F>(
-        &self,
-        name: &'static str,
-        n: usize,
-        cost: C,
-        kernel: F,
-    ) where
-        C: Fn(usize) -> u64 + Sync,
-        F: Fn(usize) + Sync,
-    {
-        self.inner.stats.record_fused_launch(name, n);
-        let _span = self.launch_span(name, n, || self.planned_chunks(n, true));
-        self.dispatch_weighted(n, &cost, kernel);
-    }
-
-    /// Fallible [`Executor::for_each_weighted_named`]; see
-    /// [`Executor::try_for_each_indexed_named`]. Rolls the fault injector
-    /// exactly once, before any planning pass runs — weighted launches
-    /// consume the same number of fault steps as unweighted ones.
-    pub fn try_for_each_weighted_named<C, F>(
-        &self,
-        name: &'static str,
-        n: usize,
-        cost: C,
-        kernel: F,
-    ) -> Result<(), LaunchError>
-    where
-        C: Fn(usize) -> u64 + Sync,
-        F: Fn(usize) + Sync,
-    {
-        self.check_launch_fault(name)?;
-        self.for_each_weighted_named(name, n, cost, kernel);
-        Ok(())
-    }
-
-    /// Fallible [`Executor::for_each_weighted_fused_named`]; see
-    /// [`Executor::try_for_each_weighted_named`].
-    pub fn try_for_each_weighted_fused_named<C, F>(
-        &self,
-        name: &'static str,
-        n: usize,
-        cost: C,
-        kernel: F,
-    ) -> Result<(), LaunchError>
-    where
-        C: Fn(usize) -> u64 + Sync,
-        F: Fn(usize) + Sync,
-    {
-        self.check_launch_fault(name)?;
-        self.for_each_weighted_fused_named(name, n, cost, kernel);
-        Ok(())
-    }
-
-    /// [`Executor::for_each_weighted_named`] over a CSR-style segmented
-    /// layout: launches `offsets.len() - 1` virtual threads where entry
-    /// `i`'s cost is its segment length `offsets[i + 1] - offsets[i]`.
-    pub fn for_each_segmented_cost_named<F>(&self, name: &'static str, offsets: &[usize], kernel: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let n = offsets.len().saturating_sub(1);
-        self.for_each_weighted_named(name, n, |i| (offsets[i + 1] - offsets[i]) as u64, kernel);
-    }
-
-    /// Fallible [`Executor::for_each_segmented_cost_named`]; see
-    /// [`Executor::try_for_each_weighted_named`].
-    pub fn try_for_each_segmented_cost_named<F>(
-        &self,
-        name: &'static str,
-        offsets: &[usize],
-        kernel: F,
-    ) -> Result<(), LaunchError>
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.check_launch_fault(name)?;
-        self.for_each_segmented_cost_named(name, offsets, kernel);
-        Ok(())
-    }
-
-    fn dispatch_indexed<F>(&self, n: usize, kernel: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.pay_launch_overhead();
+        let _span = self.begin(&Launch::new(name, n), || self.num_chunks(n));
         if n == 0 {
             return;
         }
-        // The inline check runs before the schedule is even loaded: grids
-        // at or below the sequential limit pay zero scheduling cost no
-        // matter which `Schedule` is active.
-        if n <= self.sequential_grid_limit() || self.inner.num_workers == 1 {
+        if self.num_chunks(n) == 1 {
+            body(0, 0..n);
+        } else {
+            self.static_chunks(n, &body);
+        }
+    }
+
+    /// The prologue every launch shares: the per-kernel stats record, the
+    /// trace span (returned so it closes after the kernel), and the
+    /// simulated launch overhead. The chunk count is computed lazily so the
+    /// untraced path never pays for a morsel-count computation.
+    fn begin(&self, launch: &Launch<'_>, chunks: impl FnOnce() -> usize) -> Option<SpanGuard> {
+        self.inner.stats.record(launch.name, launch.n, launch.fused);
+        let span = if self.inner.trace_on.load(Ordering::Relaxed) {
+            let tracer = self
+                .inner
+                .tracer
+                .read()
+                .expect("no thread panics while holding the tracer lock");
+            tracer.is_enabled().then(|| {
+                let chunks = chunks();
+                tracer.span_with(
+                    launch.name,
+                    &[
+                        ("n", launch.n as i64),
+                        ("chunks", chunks as i64),
+                        ("inline", i64::from(chunks == 1)),
+                    ],
+                )
+            })
+        } else {
+            None
+        };
+        self.pay_launch_overhead();
+        span
+    }
+
+    /// Number of work units `launch` will be decomposed into: `1` on the
+    /// inline path, the morsel count for a weighted launch under
+    /// [`Schedule::Auto`], and the worker count otherwise. Trace-span
+    /// metadata only.
+    fn planned_chunks(&self, launch: &Launch<'_>) -> usize {
+        let chunks = self.num_chunks(launch.n);
+        if chunks > 1 && launch.cost.is_some() && self.schedule() == Schedule::Auto {
+            sched::uniform_morsels(launch.n, sched::DEFAULT_MORSEL_GRAIN).1
+        } else {
+            chunks
+        }
+    }
+
+    /// The one dispatcher. Grids at or below the sequential limit run inline
+    /// before the schedule is even loaded, so they pay zero scheduling cost.
+    /// A weighted launch under [`Schedule::Auto`] is cut into morsels of
+    /// approximately equal cost — their *count* taken from the uniform
+    /// decomposition at [`sched::DEFAULT_MORSEL_GRAIN`], so it stays a pure
+    /// function of `n` — and claimed dynamically. Everything else takes the
+    /// static mapping: [`Schedule::Static`] ignores cost hints, and `Auto`
+    /// without hints has no reason to pay claim traffic.
+    fn dispatch<F>(&self, launch: &Launch<'_>, kernel: &F)
+    where
+        F: Fn(usize) + Sync,
+    {
+        let n = launch.n;
+        if self.num_chunks(n) == 1 {
             for i in 0..n {
                 kernel(i);
             }
             return;
         }
-        match self.schedule() {
-            // `Auto` without cost hints has no reason to pay claim traffic.
-            Schedule::Static | Schedule::Auto => self.run_static(n, &kernel),
-            Schedule::Morsel { grain } => {
-                let (grain, count) = sched::uniform_morsels(n, grain);
-                self.run_dynamic(n, Boundaries::Uniform { grain, count }, false, &kernel);
+        match launch.cost {
+            Some(cost) if self.schedule() == Schedule::Auto => {
+                let (grain, count) = sched::uniform_morsels(n, sched::DEFAULT_MORSEL_GRAIN);
+                match self.cost_boundaries(n, count, cost) {
+                    Some(bounds) => self.run_dynamic(n, Boundaries::Explicit(&bounds), kernel),
+                    // All-zero costs carry no balance information: fall back
+                    // to the uniform decomposition at the same grain.
+                    None => self.run_dynamic(n, Boundaries::Uniform { grain, count }, kernel),
+                }
             }
-            Schedule::Guided => {
-                let bounds = sched::guided_boundaries(n);
-                self.run_dynamic(n, Boundaries::Explicit(&bounds), false, &kernel);
-            }
+            _ => self.run_static(n, kernel),
         }
     }
 
-    fn dispatch_weighted<F, C>(&self, n: usize, cost: &C, kernel: F)
-    where
-        F: Fn(usize) + Sync,
-        C: Fn(usize) -> u64 + Sync,
-    {
-        self.pay_launch_overhead();
-        if n == 0 {
-            return;
-        }
-        if n <= self.sequential_grid_limit() || self.inner.num_workers == 1 {
-            for i in 0..n {
-                kernel(i);
+    /// Runs `body(chunk_id, range)` on the pool over one contiguous range
+    /// of `0..n` per worker and returns how many ranges were non-empty;
+    /// workers whose range starts past `n` stay idle.
+    fn static_chunks(&self, n: usize, body: &(dyn Fn(usize, Range<usize>) + Sync)) -> usize {
+        let chunk = n.div_ceil(self.inner.num_workers);
+        self.run_on_pool(&|worker_id: usize| {
+            let start = worker_id * chunk;
+            if start < n {
+                body(worker_id, start..(start + chunk).min(n));
             }
-            return;
-        }
-        let schedule = self.schedule();
-        if schedule == Schedule::Static {
-            // Static ignores cost hints entirely (the ablation baseline).
-            self.run_static(n, &kernel);
-            return;
-        }
-        // Every dynamic mode — `Auto` included — cuts morsel boundaries at
-        // approximately equal cost, with the morsel *count* taken from the
-        // uniform decomposition at the schedule's grain so it stays a pure
-        // function of `(n, grain)`.
-        let (grain, count) = sched::uniform_morsels(n, schedule.grain());
-        match self.cost_boundaries(n, count, cost) {
-            Some(bounds) => self.run_dynamic(n, Boundaries::Explicit(&bounds), true, &kernel),
-            // All-zero costs carry no balance information: fall back to the
-            // uniform decomposition at the same grain.
-            None => self.run_dynamic(n, Boundaries::Uniform { grain, count }, true, &kernel),
-        }
+        });
+        n.div_ceil(chunk)
     }
 
-    /// The historical one-contiguous-chunk-per-worker mapping, plus the
-    /// per-worker balance measurement every pooled launch records.
+    /// The static mapping, plus the per-worker balance measurement every
+    /// pooled launch records.
     fn run_static<F>(&self, n: usize, kernel: &F)
     where
         F: Fn(usize) + Sync,
     {
-        let workers = self.inner.num_workers;
-        let chunk = n.div_ceil(workers);
         self.reset_balance();
-        self.run_on_pool(&|worker_id: usize| {
-            let start = worker_id * chunk;
-            if start >= n {
-                return;
-            }
+        let chunks = self.static_chunks(n, &|worker_id, range| {
             let began = Instant::now();
-            let end = (start + chunk).min(n);
-            for i in start..end {
+            for i in range {
                 kernel(i);
             }
             let slot = &self.inner.balance[worker_id];
@@ -852,14 +681,14 @@ impl Executor {
             slot.busy_ns
                 .store(began.elapsed().as_nanos() as u64, Ordering::Relaxed);
         });
-        self.record_balance(false, false, n.div_ceil(chunk));
+        self.record_balance(false, chunks);
     }
 
     /// Dynamic morsel claiming: workers pull morsel indices from a shared
     /// cursor until it runs past the (deterministic, worker-count
     /// independent) decomposition. Kernels write disjoint index ranges, so
     /// any claim order produces identical memory at the closing barrier.
-    fn run_dynamic<F>(&self, n: usize, boundaries: Boundaries<'_>, weighted: bool, kernel: &F)
+    fn run_dynamic<F>(&self, n: usize, boundaries: Boundaries<'_>, kernel: &F)
     where
         F: Fn(usize) + Sync,
     {
@@ -886,7 +715,7 @@ impl Executor {
                     .store(began.elapsed().as_nanos() as u64, Ordering::Relaxed);
             }
         });
-        self.record_balance(true, weighted, count);
+        self.record_balance(true, count);
     }
 
     /// Clears the per-worker balance slots before a pooled launch (launches
@@ -901,7 +730,7 @@ impl Executor {
     /// Aggregates the balance slots of the launch that just completed into
     /// [`ScheduleStats`] and — when tracing — a `sched_balance` instant plus
     /// a `sched_imbalance_x100` counter track.
-    fn record_balance(&self, dynamic: bool, weighted: bool, morsels: usize) {
+    fn record_balance(&self, dynamic: bool, morsels: usize) {
         let mut max_claims = 0u64;
         let mut makespan = 0u64;
         let mut busy_total = 0u64;
@@ -918,14 +747,9 @@ impl Executor {
             engaged += 1;
         }
         let mean = busy_total.checked_div(engaged).unwrap_or(0);
-        self.inner.sched_stats.record(
-            dynamic,
-            weighted,
-            morsels as u64,
-            max_claims,
-            makespan,
-            mean,
-        );
+        self.inner
+            .sched_stats
+            .record(dynamic, morsels as u64, max_claims, makespan, mean);
         if self.inner.trace_on.load(Ordering::Relaxed) {
             let tracer = self.inner.tracer.read().unwrap();
             if tracer.is_enabled() {
@@ -955,14 +779,16 @@ impl Executor {
     /// [`WEIGHT_PLAN_PARALLEL_THRESHOLD`]) produce bit-identical cuts for
     /// every worker count.
     ///
-    /// The planner passes run through raw [`Executor::run_on_pool`]: they
-    /// are internal to the launch, so they record no stats, open no spans,
-    /// and never roll fault injection — `GMC_FAULTS` step counting is
-    /// identical under every schedule.
-    fn cost_boundaries<C>(&self, n: usize, morsels: usize, cost: &C) -> Option<Vec<usize>>
-    where
-        C: Fn(usize) -> u64 + Sync,
-    {
+    /// The planner passes run straight on the pool: they are internal to
+    /// the launch, so they record no stats, open no spans, and never roll
+    /// fault injection — `GMC_FAULTS` step counting is identical under both
+    /// schedules.
+    fn cost_boundaries(
+        &self,
+        n: usize,
+        morsels: usize,
+        cost: &(dyn Fn(usize) -> u64 + Sync),
+    ) -> Option<Vec<usize>> {
         if morsels <= 1 {
             return None;
         }
@@ -1002,31 +828,24 @@ impl Executor {
         // per-chunk crossing walk. Interior boundary `k` is written by
         // exactly one chunk (the one whose prefix range straddles
         // `k/morsels` of the total), so the writes are disjoint.
-        let workers = self.inner.num_workers;
-        let chunk = n.div_ceil(workers);
-        let chunks = n.div_ceil(chunk);
-        let mut partials = vec![0u64; chunks];
+        let mut partials = vec![0u64; self.inner.num_workers];
         {
             let shared = crate::SharedSlice::new(&mut partials);
-            self.run_on_pool(&|worker_id: usize| {
-                let start = worker_id * chunk;
-                if start >= n {
-                    return;
-                }
-                let end = (start + chunk).min(n);
+            self.static_chunks(n, &|chunk_id, range| {
                 let mut sum = 0u64;
-                for i in start..end {
+                for i in range {
                     sum = sum.saturating_add(cost(i));
                 }
-                // SAFETY: each worker writes exactly its own chunk slot.
-                unsafe { shared.write(worker_id, sum) };
+                // SAFETY: each chunk writes exactly its own slot.
+                unsafe { shared.write(chunk_id, sum) };
             });
         }
-        let mut chunk_prefix = vec![0u64; chunks];
+        let mut chunk_prefix = partials;
         let mut total = 0u64;
-        for (slot, partial) in chunk_prefix.iter_mut().zip(&partials) {
+        for slot in &mut chunk_prefix {
+            let partial = *slot;
             *slot = total;
-            total = total.saturating_add(*partial);
+            total = total.saturating_add(partial);
         }
         if total == 0 {
             return None;
@@ -1036,15 +855,10 @@ impl Executor {
         {
             let shared = crate::SharedSlice::new(&mut bounds);
             let total_wide = u128::from(total);
-            self.run_on_pool(&|worker_id: usize| {
-                let start = worker_id * chunk;
-                if start >= n {
-                    return;
-                }
-                let end = (start + chunk).min(n);
-                let mut prefix = chunk_prefix[worker_id];
+            self.static_chunks(n, &|chunk_id, range| {
+                let mut prefix = chunk_prefix[chunk_id];
                 let mut next_k = sched::first_crossing_k(morsels, total_wide, prefix);
-                for i in start..end {
+                for i in range {
                     if next_k >= morsels {
                         break;
                     }
@@ -1067,95 +881,16 @@ impl Executor {
         Some(bounds)
     }
 
-    /// Partitions `0..n` into one contiguous range per worker and runs
-    /// `body(range)` on each. Used by primitives that need per-chunk partial
-    /// results; `num_chunks(n)` gives the number of ranges produced.
-    pub fn for_each_chunk<F>(&self, n: usize, body: F)
-    where
-        F: Fn(usize, std::ops::Range<usize>) + Sync,
-    {
-        self.for_each_chunk_named(DEFAULT_KERNEL_NAME, n, body);
-    }
-
-    /// [`Executor::for_each_chunk`] with a kernel name for the per-kernel
-    /// launch-stats breakdown and the trace span.
-    pub fn for_each_chunk_named<F>(&self, name: &'static str, n: usize, body: F)
-    where
-        F: Fn(usize, std::ops::Range<usize>) + Sync,
-    {
-        self.inner.stats.record_launch(name, n);
-        let _span = self.launch_span(name, n, || self.num_chunks(n));
-        self.pay_launch_overhead();
-        if n == 0 {
-            return;
-        }
-        let chunks = self.num_chunks(n);
-        if chunks == 1 {
-            body(0, 0..n);
-            return;
-        }
-        let chunk = n.div_ceil(chunks);
-        self.run_on_pool(&|worker_id: usize| {
-            let start = worker_id * chunk;
-            if start < n {
-                let end = (start + chunk).min(n);
-                body(worker_id, start..end);
-            }
-        });
-    }
-
-    /// The number of chunks [`Executor::for_each_chunk`] will produce for an
-    /// `n`-element problem.
+    /// The number of chunks [`Executor::run_chunks`] will produce for an
+    /// `n`-element problem: `1` when the grid runs inline (at or below
+    /// [`Executor::sequential_grid_limit`], or a single-worker executor),
+    /// the worker count otherwise.
     pub fn num_chunks(&self, n: usize) -> usize {
         if n <= self.sequential_grid_limit() || self.inner.num_workers == 1 {
             1
         } else {
             self.inner.num_workers
         }
-    }
-
-    /// Fills `out[i] = kernel(i)` for every `i`.
-    pub fn fill_indexed<T, F>(&self, out: &mut [T], kernel: F)
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.fill_indexed_named(DEFAULT_KERNEL_NAME, out, kernel);
-    }
-
-    /// [`Executor::fill_indexed`] with a kernel name for the per-kernel
-    /// launch-stats breakdown and the trace span.
-    pub fn fill_indexed_named<T, F>(&self, name: &'static str, out: &mut [T], kernel: F)
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let shared = crate::SharedSlice::new(out);
-        self.for_each_indexed_named(name, shared.len(), |i| {
-            // SAFETY: each virtual thread writes exactly its own index.
-            unsafe { shared.write(i, kernel(i)) };
-        });
-    }
-
-    /// Allocates a vector of length `n` with `v[i] = kernel(i)`.
-    pub fn map_indexed<T, F>(&self, n: usize, kernel: F) -> Vec<T>
-    where
-        T: Send + Copy + Default,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.map_indexed_named(DEFAULT_KERNEL_NAME, n, kernel)
-    }
-
-    /// [`Executor::map_indexed`] with a kernel name for the per-kernel
-    /// launch-stats breakdown and the trace span.
-    pub fn map_indexed_named<T, F>(&self, name: &'static str, n: usize, kernel: F) -> Vec<T>
-    where
-        T: Send + Copy + Default,
-        F: Fn(usize) -> T + Sync,
-    {
-        let mut out = vec![T::default(); n];
-        self.fill_indexed_named(name, &mut out, kernel);
-        out
     }
 
     fn run_on_pool(&self, task: &(dyn Fn(usize) + Sync)) {
@@ -1246,25 +981,231 @@ fn worker_loop(shared: &PoolShared, worker_id: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use crate::fault::{FaultInjector, FaultPlan};
+    use crate::stats::KernelStats;
 
-    #[test]
-    fn for_each_visits_every_index_once() {
-        let exec = Executor::new(4);
-        let n = 100_000;
-        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        exec.for_each_indexed(n, |i| {
+    fn counters(n: usize) -> Vec<AtomicU64> {
+        (0..n).map(|_| AtomicU64::new(0)).collect()
+    }
+
+    fn all_equal(hits: &[AtomicU64], want: u64) -> bool {
+        hits.iter().all(|h| h.load(Ordering::Relaxed) == want)
+    }
+
+    /// Every way a call site can describe a launch, crossed by
+    /// [`launch_table`] with both schedules and several worker counts.
+    #[derive(Clone, Copy, Debug)]
+    enum Shape {
+        Plain,
+        Fused,
+        /// One stretch of indices carries almost all of the cost.
+        Weighted,
+        FusedWeighted,
+        /// All-zero costs: Auto falls back to uniform morsels.
+        ZeroCost,
+        /// Every cost `u64::MAX`: the planner's sums saturate.
+        SaturatedCost,
+        /// CSR segment lengths as costs, including empty segments.
+        Segments,
+        Map,
+        Chunks,
+    }
+
+    impl Shape {
+        const ALL: [Shape; 9] = [
+            Shape::Plain,
+            Shape::Fused,
+            Shape::Weighted,
+            Shape::FusedWeighted,
+            Shape::ZeroCost,
+            Shape::SaturatedCost,
+            Shape::Segments,
+            Shape::Map,
+            Shape::Chunks,
+        ];
+
+        fn kernel(self) -> &'static str {
+            match self {
+                Shape::Plain => "table_plain",
+                Shape::Fused => "table_fused",
+                Shape::Weighted => "table_weighted",
+                Shape::FusedWeighted => "table_fused_weighted",
+                Shape::ZeroCost => "table_zero_cost",
+                Shape::SaturatedCost => "table_saturated_cost",
+                Shape::Segments => "table_segments",
+                Shape::Map => "table_map",
+                Shape::Chunks => "table_chunks",
+            }
+        }
+    }
+
+    /// Sends `launch` through the entry point `shape` stands for — the
+    /// `try_` one when `fallible` — counting every virtual thread in `hits`.
+    fn send(
+        exec: &Executor,
+        shape: Shape,
+        launch: Launch<'_>,
+        hits: &[AtomicU64],
+        fallible: bool,
+    ) -> Result<(), LaunchError> {
+        let hit = |i: usize| {
             hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        };
+        let check_map = |out: Vec<u64>| {
+            assert!(out.iter().enumerate().all(|(i, &v)| v == 3 * i as u64));
+        };
+        match (shape, fallible) {
+            (Shape::Chunks, _) => {
+                let chunks = exec.num_chunks(launch.n);
+                exec.run_chunks(launch.name, launch.n, |chunk_id, range| {
+                    assert!(chunk_id < chunks, "chunk {chunk_id} of {chunks}");
+                    range.for_each(hit);
+                });
+                Ok(())
+            }
+            (Shape::Map, false) => {
+                check_map(exec.map(launch, |i| {
+                    hit(i);
+                    3 * i as u64
+                }));
+                Ok(())
+            }
+            (Shape::Map, true) => exec
+                .try_map(launch, |i| {
+                    hit(i);
+                    3 * i as u64
+                })
+                .map(check_map),
+            (_, false) => {
+                exec.run(launch, hit);
+                Ok(())
+            }
+            (_, true) => exec.try_run(launch, hit),
+        }
     }
 
     #[test]
-    fn map_indexed_matches_sequential() {
-        let exec = Executor::new(3);
-        let out = exec.map_indexed(50_000, |i| (i * i) as u64);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, (i * i) as u64);
+    fn launch_table() {
+        let skewed = |i: usize| if i < 500 { 10_000u64 } else { 1 };
+        let zero = |_: usize| 0u64;
+        let saturated = |_: usize| u64::MAX;
+        // One grid per cost planner: sequential below the threshold,
+        // chunk-parallel above it.
+        let grids = [10_000usize, 100_000];
+        assert!(grids[0] < WEIGHT_PLAN_PARALLEL_THRESHOLD);
+        assert!(grids[1] >= WEIGHT_PLAN_PARALLEL_THRESHOLD);
+        for n in grids {
+            let mut offsets = vec![0usize; n + 1];
+            for i in 0..n {
+                offsets[i + 1] = offsets[i] + i % 17;
+            }
+            let segment = |i: usize| (offsets[i + 1] - offsets[i]) as u64;
+            for workers in [1, 2, 8] {
+                let exec = Executor::new(workers);
+                for schedule in [Schedule::Static, Schedule::Auto] {
+                    exec.set_schedule(schedule);
+                    for shape in Shape::ALL {
+                        let ctx = format!("{shape:?}, n {n}, {schedule}, {workers} workers");
+                        let name = shape.kernel();
+                        let (launch, weighted) = match shape {
+                            Shape::Plain | Shape::Map | Shape::Chunks => {
+                                (Launch::new(name, n), false)
+                            }
+                            Shape::Fused => (Launch::new(name, n).fused(), false),
+                            Shape::Weighted => (Launch::new(name, n).weighted(&skewed), true),
+                            Shape::FusedWeighted => {
+                                (Launch::new(name, n).fused().weighted(&skewed), true)
+                            }
+                            Shape::ZeroCost => (Launch::new(name, n).weighted(&zero), true),
+                            Shape::SaturatedCost => {
+                                (Launch::new(name, n).weighted(&saturated), true)
+                            }
+                            Shape::Segments => (
+                                Launch::new(name, offsets.len() - 1).weighted(&segment),
+                                true,
+                            ),
+                        };
+                        let fused = u64::from(launch.fused);
+
+                        // Expected counters: one launch of `n` virtual
+                        // threads on this kernel's row, and the balance
+                        // record of the mapping the dispatcher picks.
+                        let launch_stats = LaunchStats {
+                            launches: 1,
+                            virtual_threads: n as u64,
+                            fused_launches: fused,
+                            per_kernel: vec![(
+                                name,
+                                KernelStats {
+                                    launches: 1,
+                                    virtual_threads: n as u64,
+                                    fused_launches: fused,
+                                },
+                            )],
+                        };
+                        let pooled = workers > 1 && !matches!(shape, Shape::Chunks);
+                        let dynamic = pooled && weighted && schedule == Schedule::Auto;
+                        let morsels = if dynamic {
+                            sched::uniform_morsels(n, sched::DEFAULT_MORSEL_GRAIN).1
+                        } else {
+                            n.div_ceil(n.div_ceil(workers))
+                        } as u64;
+
+                        // Infallible, then unarmed `try_`: both run every
+                        // index exactly once and record the same counters.
+                        for fallible in [false, true] {
+                            if fallible && matches!(shape, Shape::Chunks) {
+                                continue;
+                            }
+                            let before = exec.stats();
+                            let sched_before = exec.schedule_stats();
+                            let hits = counters(n);
+                            send(&exec, shape, launch, &hits, fallible).unwrap();
+                            assert!(all_equal(&hits, 1), "{ctx}: coverage");
+                            assert_eq!(exec.stats().since(&before), launch_stats, "{ctx}");
+                            let s = exec.schedule_stats().since(&sched_before);
+                            assert_eq!(s.pool_launches, u64::from(pooled), "{ctx}");
+                            assert_eq!(s.dynamic_launches, u64::from(dynamic), "{ctx}");
+                            assert_eq!(s.weighted_launches, u64::from(dynamic), "{ctx}");
+                            if pooled {
+                                assert_eq!(s.morsels, morsels, "{ctx}");
+                                assert!(
+                                    s.max_worker_morsels >= morsels.div_ceil(workers as u64),
+                                    "{ctx}: {s:?}"
+                                );
+                                assert!(s.makespan_ns >= s.mean_chunk_ns, "{ctx}: {s:?}");
+                            } else {
+                                assert_eq!(s, ScheduleStats::default(), "{ctx}");
+                            }
+                        }
+
+                        // Armed `try_`: fails before running, records
+                        // nothing, and consumes exactly one fault step —
+                        // the cost planner never rolls.
+                        if matches!(shape, Shape::Chunks) {
+                            continue;
+                        }
+                        let injector = FaultInjector::new("launch=1".parse().unwrap());
+                        exec.set_fault_injector(Some(injector.clone()));
+                        let before = exec.stats();
+                        let sched_before = exec.schedule_stats();
+                        let hits = counters(n);
+                        let err = send(&exec, shape, launch, &hits, true).unwrap_err();
+                        exec.set_fault_injector(None);
+                        assert_eq!(err.kernel, name, "{ctx}");
+                        assert!(all_equal(&hits, 0), "{ctx}: the kernel must not run");
+                        assert_eq!(exec.stats().since(&before), LaunchStats::default(), "{ctx}");
+                        assert_eq!(
+                            exec.schedule_stats().since(&sched_before),
+                            ScheduleStats::default(),
+                            "{ctx}"
+                        );
+                        let faults = injector.stats();
+                        assert_eq!(faults.injected_launches, 1, "{ctx}");
+                        assert_eq!(faults.steps, 1, "{ctx}");
+                    }
+                }
+            }
         }
     }
 
@@ -1272,7 +1213,7 @@ mod tests {
     fn small_grids_run_inline() {
         let exec = Executor::new(8);
         let before = exec.stats();
-        let out = exec.map_indexed(10, |i| i as u32);
+        let out = exec.map(Launch::new("small", 10), |i| i as u32);
         assert_eq!(out, (0..10u32).collect::<Vec<_>>());
         let after = exec.stats();
         assert_eq!(after.since(&before).launches, 1);
@@ -1283,38 +1224,24 @@ mod tests {
     fn repeated_launches_are_stable() {
         let exec = Executor::new(4);
         for round in 0..50 {
-            let out = exec.map_indexed(10_000, |i| (i + round) as u64);
+            let out = exec.map(Launch::new("repeat", 10_000), |i| (i + round) as u64);
             assert_eq!(out[0], round as u64);
             assert_eq!(out[9999], (9999 + round) as u64);
         }
     }
 
     #[test]
-    fn single_worker_executor_works() {
-        let exec = Executor::new(1);
-        let out = exec.map_indexed(5000, |i| i as u32 * 2);
-        assert_eq!(out[4999], 9998);
-    }
-
-    #[test]
-    fn chunks_cover_range_disjointly() {
-        let exec = Executor::new(4);
-        let n = 100_000;
-        let covered: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        exec.for_each_chunk(n, |_, range| {
-            for i in range {
-                covered[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(covered.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
     fn executor_clone_shares_stats() {
         let exec = Executor::new(2);
         let clone = exec.clone();
-        exec.for_each_indexed(10, |_| {});
+        exec.run(Launch::new("shared", 10), |_| {});
         assert_eq!(clone.stats().launches, 1);
+        exec.set_schedule(Schedule::Static);
+        exec.run(Launch::new("shared", 100_000), |_| {});
+        assert_eq!(clone.schedule_stats().pool_launches, 1);
+        clone.reset_stats();
+        assert_eq!(exec.stats(), LaunchStats::default());
+        assert_eq!(exec.schedule_stats(), ScheduleStats::default());
     }
 
     #[test]
@@ -1327,7 +1254,7 @@ mod tests {
         );
         let start = std::time::Instant::now();
         for _ in 0..50 {
-            exec.for_each_indexed(1, |_| {});
+            exec.run(Launch::new("overhead", 1), |_| {});
         }
         let elapsed = start.elapsed();
         assert!(
@@ -1339,7 +1266,7 @@ mod tests {
 
     #[test]
     fn launch_boundaries_are_barriers() {
-        // The kernel-boundary contract `for_each_indexed` guarantees: every
+        // The kernel-boundary contract `run` guarantees: every
         // write from launch k is visible to every virtual thread of launch
         // k+1, no matter how virtual threads map onto workers. A ping-pong
         // chain of dependent launches detects any missing barrier — a
@@ -1352,7 +1279,7 @@ mod tests {
             for _ in 0..8 {
                 let src = crate::SharedSlice::new(&mut a);
                 let dst = crate::SharedSlice::new(&mut b);
-                exec.for_each_indexed(n, |i| {
+                exec.run(Launch::new("ping_pong", n), |i| {
                     // Each element reads two locations written by the
                     // *previous* launch.
                     let left = unsafe { src.read(i) };
@@ -1381,7 +1308,9 @@ mod tests {
         // threads — the scoped-thread semantics the executor stands in for.
         let n = 60_000;
         let exec = Executor::new(4);
-        let pool_out = exec.map_indexed(n, |i| (i as u64).wrapping_mul(0x9E3779B97F4A7C15));
+        let pool_out = exec.map(Launch::new("golden", n), |i| {
+            (i as u64).wrapping_mul(0x9E3779B97F4A7C15)
+        });
 
         let mut scoped_out = vec![0u64; n];
         let chunk = n.div_ceil(4);
@@ -1411,36 +1340,9 @@ mod tests {
         // Results stay correct at both extremes.
         for limit in [0, usize::MAX] {
             exec.set_sequential_grid_limit(limit);
-            let out = exec.map_indexed(10_000, |i| i as u32 + 1);
+            let out = exec.map(Launch::new("limit", 10_000), |i| i as u32 + 1);
             assert_eq!(out[9999], 10_000);
         }
-    }
-
-    #[test]
-    fn fused_launches_are_counted_separately() {
-        let exec = Executor::new(2);
-        let before = exec.stats();
-        exec.for_each_indexed(100, |_| {});
-        exec.for_each_indexed_fused(100, |_| {});
-        exec.for_each_indexed_fused(100, |_| {});
-        let delta = exec.stats().since(&before);
-        assert_eq!(delta.launches, 3);
-        assert_eq!(delta.fused_launches, 2);
-        assert_eq!(delta.virtual_threads, 300);
-    }
-
-    #[test]
-    fn named_launches_break_down_per_kernel() {
-        let exec = Executor::new(2);
-        let before = exec.stats();
-        exec.for_each_indexed_named("alpha", 100, |_| {});
-        exec.for_each_indexed_fused_named("beta", 50, |_| {});
-        exec.for_each_indexed(25, |_| {});
-        let delta = exec.stats().since(&before);
-        assert_eq!(delta.kernel("alpha").launches, 1);
-        assert_eq!(delta.kernel("alpha").virtual_threads, 100);
-        assert_eq!(delta.kernel("beta").fused_launches, 1);
-        assert_eq!(delta.kernel(DEFAULT_KERNEL_NAME).virtual_threads, 25);
     }
 
     #[test]
@@ -1448,10 +1350,13 @@ mod tests {
         let session = gmc_trace::TraceSession::new();
         let exec = Executor::new(2);
         exec.set_tracer(session.tracer());
-        exec.for_each_indexed_named("traced_kernel", 100, |_| {});
-        exec.for_each_indexed_named("traced_kernel", 1 << 14, |_| {});
+        exec.run(Launch::new("traced_kernel", 100), |_| {});
+        exec.run(Launch::new("traced_kernel", 1 << 14), |_| {});
+        let cost = |_: usize| 1u64;
+        let weighted = Launch::new("traced_weighted", 1 << 14).weighted(&cost);
+        exec.run(weighted, |_| {});
         exec.set_tracer(Tracer::disabled());
-        exec.for_each_indexed_named("untraced_kernel", 10, |_| {});
+        exec.run(Launch::new("untraced_kernel", 10), |_| {});
         let timeline = session.finish();
         let spans: Vec<_> = timeline
             .spans
@@ -1469,6 +1374,15 @@ mod tests {
             spans[1].args.contains(&("inline", 0)),
             "big grid uses the pool"
         );
+        let weighted = timeline
+            .spans
+            .iter()
+            .find(|s| s.name == "traced_weighted")
+            .expect("weighted launch span");
+        assert!(
+            weighted.args.contains(&("chunks", 16)),
+            "Auto cuts 16k weighted indices into 16 morsels"
+        );
         assert!(
             !timeline.spans.iter().any(|s| s.name == "untraced_kernel"),
             "no spans after the tracer is removed"
@@ -1476,77 +1390,13 @@ mod tests {
     }
 
     #[test]
-    fn fused_dispatch_matches_plain_dispatch() {
-        let exec = Executor::new(4);
-        let n = 50_000;
-        let mut out = vec![0u64; n];
-        let shared = crate::SharedSlice::new(&mut out);
-        exec.for_each_indexed_fused(n, |i| unsafe { shared.write(i, (i * 3) as u64) });
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, (i * 3) as u64);
-        }
-    }
-
-    #[test]
-    fn armed_try_launches_fail_without_running_or_recording() {
-        let exec = Executor::new(2);
-        let plan: crate::fault::FaultPlan = "launch=1".parse().unwrap();
-        let injector = crate::fault::FaultInjector::new(plan);
-        exec.set_fault_injector(Some(injector.clone()));
-        assert!(exec.fault_armed());
-        let before = exec.stats();
-        let ran = AtomicU64::new(0);
-        let err = exec
-            .try_for_each_indexed_named("faulted_kernel", 100, |_| {
-                ran.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap_err();
-        assert_eq!(err.kernel, "faulted_kernel");
-        assert_eq!(ran.load(Ordering::Relaxed), 0, "kernel must not run");
-        assert_eq!(
-            exec.stats().since(&before).launches,
-            0,
-            "a failed launch is not a launch"
-        );
-        assert_eq!(injector.stats().injected_launches, 1);
-        exec.set_fault_injector(None);
-        assert!(!exec.fault_armed());
-        assert!(exec.try_for_each_indexed_named("ok", 10, |_| {}).is_ok());
-    }
-
-    #[test]
-    fn unarmed_try_launches_match_infallible_ones() {
-        let exec = Executor::new(3);
-        let mapped = exec
-            .try_map_indexed_named("try_map", 10_000, |i| i as u64 * 3)
-            .unwrap();
-        assert_eq!(mapped[9999], 29_997);
-        let mut filled = vec![0u32; 5000];
-        exec.try_fill_indexed_named("try_fill", &mut filled, |i| i as u32)
-            .unwrap();
-        assert_eq!(filled[4999], 4999);
-        let hits: Vec<AtomicU64> = (0..5000).map(|_| AtomicU64::new(0)).collect();
-        exec.try_for_each_chunk_named("try_chunk", 5000, |_, range| {
-            for i in range {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        })
-        .unwrap();
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        exec.try_for_each_indexed_fused_named("try_fused", 100, |_| {})
-            .unwrap();
-    }
-
-    #[test]
     fn alloc_only_plans_do_not_arm_the_executor() {
         let exec = Executor::new(2);
-        let plan: crate::fault::FaultPlan = "alloc=1".parse().unwrap();
-        exec.set_fault_injector(Some(crate::fault::FaultInjector::new(plan)));
+        let plan: FaultPlan = "alloc=1".parse().unwrap();
+        exec.set_fault_injector(Some(FaultInjector::new(plan)));
         assert!(!exec.fault_armed());
         for _ in 0..50 {
-            assert!(exec
-                .try_for_each_indexed_named("never_fails", 8, |_| {})
-                .is_ok());
+            assert!(exec.try_run(Launch::new("never_fails", 8), |_| {}).is_ok());
         }
         assert!(
             exec.fault_injector().is_some(),
@@ -1557,86 +1407,9 @@ mod tests {
     #[test]
     fn schedule_round_trips_through_accessor() {
         let exec = Executor::new(2);
-        for schedule in [
-            Schedule::Static,
-            Schedule::Morsel { grain: 512 },
-            Schedule::Morsel {
-                grain: sched::DEFAULT_MORSEL_GRAIN,
-            },
-            Schedule::Guided,
-            Schedule::Auto,
-        ] {
+        for schedule in [Schedule::Static, Schedule::Auto] {
             exec.set_schedule(schedule);
             assert_eq!(exec.schedule(), schedule);
-        }
-        exec.set_schedule(Schedule::Auto);
-    }
-
-    #[test]
-    fn every_schedule_visits_every_index_once() {
-        let n = 100_000;
-        for workers in [1, 2, 8] {
-            let exec = Executor::new(workers);
-            for schedule in [
-                Schedule::Static,
-                Schedule::Morsel { grain: 777 },
-                Schedule::Guided,
-                Schedule::Auto,
-            ] {
-                exec.set_schedule(schedule);
-                let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-                exec.for_each_indexed(n, |i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                });
-                assert!(
-                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                    "workers {workers}, schedule {schedule}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn weighted_launches_visit_every_index_once_under_every_schedule() {
-        let n = 60_000;
-        // Adversarial skew: one stretch of indices carries almost all cost.
-        let cost = |i: usize| if i < 500 { 10_000u64 } else { 1 };
-        for workers in [1, 2, 8] {
-            let exec = Executor::new(workers);
-            for schedule in [
-                Schedule::Static,
-                Schedule::Morsel { grain: 1024 },
-                Schedule::Guided,
-                Schedule::Auto,
-            ] {
-                exec.set_schedule(schedule);
-                let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-                exec.for_each_weighted(n, cost, |i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                });
-                assert!(
-                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                    "workers {workers}, schedule {schedule}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn zero_and_degenerate_cost_weighted_launches_cover_the_grid() {
-        let exec = Executor::new(4);
-        exec.set_schedule(Schedule::Morsel { grain: 512 });
-        for cost_fn in [
-            (|_| 0u64) as fn(usize) -> u64,
-            |_| u64::MAX,
-            |i| i as u64 % 3,
-        ] {
-            let n = 50_000;
-            let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            exec.for_each_weighted(n, cost_fn, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         }
     }
 
@@ -1670,131 +1443,30 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_schedules_take_the_inline_path_on_small_grids() {
+    fn auto_takes_the_inline_path_on_small_grids() {
         let exec = Executor::new(8);
-        exec.set_schedule(Schedule::Morsel { grain: 16 });
+        exec.set_schedule(Schedule::Auto);
         let before = exec.schedule_stats();
-        let out = exec.map_indexed(DEFAULT_SEQUENTIAL_GRID_LIMIT, |i| i as u32);
+        let cost = |_: usize| 1u64;
+        let launch = Launch::new("at_limit", DEFAULT_SEQUENTIAL_GRID_LIMIT).weighted(&cost);
+        let out = exec.map(launch, |i| i as u32);
         assert_eq!(out[100], 100);
-        exec.for_each_weighted(64, |_| 1, |_| {});
+        exec.run(Launch::new("tiny", 64).weighted(&cost), |_| {});
         let delta = exec.schedule_stats().since(&before);
         assert_eq!(delta.pool_launches, 0, "small grids never touch the pool");
-        exec.set_schedule(Schedule::Auto);
-    }
-
-    #[test]
-    fn schedule_stats_classify_launches() {
-        let n = 100_000;
-        let exec = Executor::new(4);
-        exec.set_schedule(Schedule::Static);
-        let before = exec.schedule_stats();
-        exec.for_each_indexed(n, |_| {});
-        let after_static = exec.schedule_stats().since(&before);
-        assert_eq!(after_static.pool_launches, 1);
-        assert_eq!(after_static.dynamic_launches, 0);
-        assert_eq!(after_static.morsels, 4, "one chunk per worker");
-
-        exec.set_schedule(Schedule::Morsel { grain: 1024 });
-        let before = exec.schedule_stats();
-        exec.for_each_indexed(n, |_| {});
-        let dynamic = exec.schedule_stats().since(&before);
-        assert_eq!(dynamic.pool_launches, 1);
-        assert_eq!(dynamic.dynamic_launches, 1);
-        assert_eq!(dynamic.weighted_launches, 0);
-        assert_eq!(
-            dynamic.morsels, 98,
-            "100k at grain 1024, worker-independent"
-        );
-        assert!(dynamic.max_worker_morsels >= dynamic.morsels.div_ceil(4));
-        assert!(dynamic.makespan_ns >= dynamic.mean_chunk_ns);
-        assert!(dynamic.imbalance() >= 1.0);
-
-        let before = exec.schedule_stats();
-        exec.for_each_weighted(n, |i| i as u64, |_| {});
-        let weighted = exec.schedule_stats().since(&before);
-        assert_eq!(weighted.dynamic_launches, 1);
-        assert_eq!(weighted.weighted_launches, 1);
-        assert_eq!(weighted.morsels, 98, "cost cut keeps the uniform count");
-
-        exec.reset_stats();
-        assert_eq!(exec.schedule_stats(), ScheduleStats::default());
-        exec.set_schedule(Schedule::Auto);
-    }
-
-    #[test]
-    fn auto_schedule_is_static_for_unweighted_and_dynamic_for_weighted() {
-        let n = 100_000;
-        let exec = Executor::new(4);
-        assert_eq!(exec.schedule(), Schedule::Auto);
-        let before = exec.schedule_stats();
-        exec.for_each_indexed(n, |_| {});
-        exec.for_each_weighted(n, |_| 1, |_| {});
-        let delta = exec.schedule_stats().since(&before);
-        assert_eq!(delta.pool_launches, 2);
-        assert_eq!(delta.dynamic_launches, 1, "only the weighted launch claims");
-        assert_eq!(delta.weighted_launches, 1);
-    }
-
-    #[test]
-    fn armed_weighted_try_launches_roll_exactly_one_fault_step() {
-        let exec = Executor::new(2);
-        let plan: crate::fault::FaultPlan = "launch=1".parse().unwrap();
-        let injector = crate::fault::FaultInjector::new(plan);
-        exec.set_fault_injector(Some(injector.clone()));
-        let ran = AtomicU64::new(0);
-        let err = exec
-            .try_for_each_weighted_named(
-                "weighted_faulted",
-                100_000,
-                |_| 1,
-                |_| {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                },
-            )
-            .unwrap_err();
-        assert_eq!(err.kernel, "weighted_faulted");
-        assert_eq!(ran.load(Ordering::Relaxed), 0, "kernel must not run");
-        assert_eq!(injector.stats().injected_launches, 1);
-        // The cost planner never rolls: an unarmed-rate injector sees the
-        // same step count whether the launch is weighted or not.
-        exec.set_fault_injector(None);
-        exec.try_for_each_weighted_named("weighted_ok", 100_000, |i| i as u64, |_| {})
-            .unwrap();
-        exec.try_for_each_segmented_cost_named("seg_ok", &[0, 4, 9, 9, 20], |_| {})
-            .unwrap();
-    }
-
-    #[test]
-    fn segmented_cost_launch_covers_all_segments() {
-        let exec = Executor::new(3);
-        exec.set_schedule(Schedule::Morsel { grain: 64 });
-        exec.set_sequential_grid_limit(0);
-        let n = 10_000usize;
-        // Skewed CSR-style offsets: segment i has length i % 17.
-        let mut offsets = vec![0usize; n + 1];
-        for i in 0..n {
-            offsets[i + 1] = offsets[i] + i % 17;
-        }
-        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        exec.for_each_segmented_cost_named("segments", &offsets, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        exec.set_sequential_grid_limit(DEFAULT_SEQUENTIAL_GRID_LIMIT);
-        exec.set_schedule(Schedule::Auto);
     }
 
     #[test]
     fn worker_panic_propagates() {
         let exec = Executor::new(2);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            exec.for_each_indexed(100_000, |i| {
+            exec.run(Launch::new("boom", 100_000), |i| {
                 assert!(i < 50_000, "boom");
             });
         }));
         assert!(result.is_err());
         // The pool must still be usable afterwards.
-        let out = exec.map_indexed(10_000, |i| i as u32);
+        let out = exec.map(Launch::new("after_boom", 10_000), |i| i as u32);
         assert_eq!(out[123], 123);
     }
 }

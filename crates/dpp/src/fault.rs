@@ -5,8 +5,12 @@
 //! window shrink, bitmap→scalar fallback) only stays honest if those
 //! failures are *exercised*, so this module provides a seeded
 //! [`FaultInjector`] that makes [`DeviceMemory`](crate::DeviceMemory)
-//! charges fail at a configured rate and makes the executor's `try_*`
-//! launch wrappers return [`LaunchError`] instead of running the kernel.
+//! charges fail at a configured rate and makes the executor's fallible
+//! launches ([`Executor::try_run`], [`Executor::try_map`]) return
+//! [`LaunchError`] instead of running the kernel.
+//!
+//! [`Executor::try_run`]: crate::Executor::try_run
+//! [`Executor::try_map`]: crate::Executor::try_map
 //!
 //! Determinism: every fault decision is a pure function of the plan's seed
 //! and a shared atomic step counter (each roll consumes one step). A
@@ -45,7 +49,7 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Probability in `[0, 1]` that a device-memory charge fails.
     pub alloc_rate: f64,
-    /// Probability in `[0, 1]` that a fallible launch wrapper fails.
+    /// Probability in `[0, 1]` that a fallible launch fails.
     pub launch_rate: f64,
     /// Retry cap for each recovery loop before the solver surfaces a typed
     /// error.
@@ -289,7 +293,7 @@ impl std::fmt::Debug for FaultInjector {
     }
 }
 
-/// Error returned by the executor's fallible launch wrappers when the fault
+/// Error returned by the executor's fallible launches when the fault
 /// injector fails the launch — the reproduction's analogue of a transient
 /// `cudaErrorLaunchFailure`. The kernel body has *not* run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

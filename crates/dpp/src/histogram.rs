@@ -15,7 +15,7 @@ pub fn histogram_u32(exec: &Executor, data: &[u32], num_bins: usize) -> Vec<u64>
     }
     {
         let partial_shared = SharedSlice::new(&mut partial);
-        exec.for_each_chunk_named("histogram_partials", n, |chunk_id, range| {
+        exec.run_chunks("histogram_partials", n, |chunk_id, range| {
             let mut local = vec![0u64; num_bins];
             for &v in &data[range] {
                 if (v as usize) < num_bins {

@@ -7,10 +7,10 @@
 //! CPU:
 //!
 //! * [`Executor`] — a bulk-synchronous parallel executor backed by a
-//!   persistent worker pool. Each [`Executor::for_each_indexed`] call is the
-//!   analogue of one kernel launch: one *virtual thread* per element, a
-//!   barrier at the end, and deterministic results regardless of worker
-//!   count.
+//!   persistent worker pool. Each [`Executor::run`] of a [`Launch`]
+//!   descriptor is the analogue of one kernel launch: one *virtual thread*
+//!   per element, a barrier at the end, and deterministic results
+//!   regardless of worker count.
 //! * [`exclusive_scan`], [`select_if`], [`segmented_argmax_by_key`],
 //!   [`sort_pairs_u32`], [`histogram_u32`], [`run_length_encode`] — the
 //!   CUB-style primitives the paper's Algorithms 1 and 2 are built from.
@@ -28,13 +28,13 @@
 //!   bounded shrinking) behind the repo's property suites (no external
 //!   `proptest`).
 //! * [`fault`] — deterministic fault injection: a seeded [`FaultPlan`] that
-//!   fails device-memory charges and `try_*` launches at a configured rate,
+//!   fails device-memory charges and `try_` launches at a configured rate,
 //!   so the solver's recovery paths are continuously exercised
 //!   (`GMC_FAULTS`, chaos CI).
-//! * [`Schedule`] — cost-aware launch scheduling: dynamic morsel
-//!   work-claiming and weighted launches
-//!   ([`Executor::for_each_weighted`]) that cut morsel boundaries at equal
-//!   summed cost, so skewed grids no longer serialise on one worker
+//! * [`Schedule`] — cost-aware launch scheduling: the default `Auto` cuts
+//!   weighted launches ([`Launch::weighted`]) into morsels of equal summed
+//!   cost that idle workers claim dynamically, so skewed grids no longer
+//!   serialise on one worker; `Static` keeps one chunk per worker
 //!   (`GMC_SCHED`, [`ScheduleStats`]).
 //!
 //! Determinism: every primitive in this crate returns byte-identical output
@@ -61,7 +61,7 @@ mod sort;
 mod stats;
 
 pub use cancel::{CancelToken, Cancelled};
-pub use executor::{Executor, DEFAULT_KERNEL_NAME, DEFAULT_SEQUENTIAL_GRID_LIMIT};
+pub use executor::{Executor, Launch, DEFAULT_SEQUENTIAL_GRID_LIMIT};
 pub use fault::{DeviceError, FaultInjector, FaultPlan, FaultStats, LaunchError};
 pub use histogram::histogram_u32;
 pub use memory::{DeviceBuffer, DeviceMemory, DeviceOom, MemoryGuard};

@@ -4,7 +4,7 @@
 //! run detection is how GPU code finds sublist boundaries (the paper's
 //! window-snapping kernel is a run-boundary scan with an `atomicMin`).
 
-use crate::executor::Executor;
+use crate::executor::{Executor, Launch};
 use crate::fault::LaunchError;
 use crate::select::{select_indices, try_select_indices};
 
@@ -24,9 +24,10 @@ pub fn try_run_starts(exec: &Executor, values: &[u32]) -> Result<Vec<usize>, Lau
 /// order of appearance.
 pub fn run_length_encode(exec: &Executor, values: &[u32]) -> (Vec<u32>, Vec<usize>) {
     let starts = run_starts(exec, values);
-    let uniques: Vec<u32> =
-        exec.map_indexed_named("rle_uniques", starts.len(), |r| values[starts[r]]);
-    let lengths: Vec<usize> = exec.map_indexed_named("rle_lengths", starts.len(), |r| {
+    let uniques: Vec<u32> = exec.map(Launch::new("rle_uniques", starts.len()), |r| {
+        values[starts[r]]
+    });
+    let lengths: Vec<usize> = exec.map(Launch::new("rle_lengths", starts.len()), |r| {
         let end = starts.get(r + 1).copied().unwrap_or(values.len());
         end - starts[r]
     });

@@ -80,7 +80,7 @@ where
     let mut partials = vec![identity; chunks];
     {
         let partials_shared = SharedSlice::new(&mut partials);
-        exec.for_each_chunk_named("scan_partials", n, |chunk_id, range| {
+        exec.run_chunks("scan_partials", n, |chunk_id, range| {
             let mut acc = identity;
             for &v in &input[range] {
                 acc = op(acc, v);
@@ -99,7 +99,7 @@ where
     }
 
     // Phase 2: write final prefixes straight into the spare capacity.
-    exec.for_each_chunk_named("scan_write_prefixes", n, |chunk_id, range| {
+    exec.run_chunks("scan_write_prefixes", n, |chunk_id, range| {
         let mut acc = chunk_offsets[chunk_id];
         for i in range {
             // SAFETY: chunks are disjoint index ranges; each index is
@@ -150,7 +150,7 @@ const VALUE_MASK: u64 = FLAG_AGG - 1;
 /// predecessors' published entries (spinning on not-yet-published ones),
 /// publishes the inclusive prefix for its successors, and adds the resolved
 /// prefix to its own output range. Safe on this executor because
-/// [`Executor::for_each_chunk`] runs all active chunks concurrently, so a
+/// [`Executor::run_chunks`] runs all active chunks concurrently, so a
 /// spinning chunk never waits on work that has not been scheduled.
 ///
 /// `out` is cleared and overwritten, reusing its capacity. Values are
@@ -189,7 +189,7 @@ pub fn exclusive_scan_into(exec: &Executor, input: &[usize], out: &mut Vec<usize
         .then(|| tracer.span_with("exclusive_scan_single_pass", &[("n", n as i64)]));
     let count_steps = scan_span.is_some();
     let lookback_steps = AtomicU64::new(0);
-    exec.for_each_chunk_named("scan_lookback", n, |chunk_id, range| {
+    exec.run_chunks("scan_lookback", n, |chunk_id, range| {
         // Local exclusive scan into the output; `acc` ends as the aggregate.
         let mut acc = 0usize;
         for i in range.clone() {
@@ -290,7 +290,7 @@ where
     let mut partials = vec![identity; chunks];
     {
         let partials_shared = SharedSlice::new(&mut partials);
-        exec.for_each_chunk_named("reduce_partials", n, |chunk_id, range| {
+        exec.run_chunks("reduce_partials", n, |chunk_id, range| {
             let mut acc = identity;
             for &v in &input[range] {
                 acc = op(acc, v);

@@ -3,34 +3,35 @@
 //!
 //! The paper's kernels are highly skewed per virtual thread — a count/emit
 //! entry's work is proportional to its candidate-list length and vertex
-//! degree — so the executor's historical mapping (one static contiguous
-//! chunk per worker) lets a single heavy chunk serialise a whole launch.
-//! [`Schedule`] adds *morsel-driven* dynamic modes: the grid is decomposed
-//! into a fixed, worker-count-independent set of contiguous morsels, and
-//! idle workers claim morsel indices from a shared atomic cursor.
+//! degree — so the executor's static mapping (one contiguous chunk per
+//! worker) lets a single heavy chunk serialise a whole launch.
+//! [`Schedule::Auto`] therefore runs *weighted* launches (a
+//! [`Launch`](crate::Launch) with per-index cost hints) morsel-driven: the
+//! grid is cut into a fixed, worker-count-independent set of contiguous
+//! morsels of roughly equal summed cost, and idle workers claim morsel
+//! indices from a shared atomic cursor.
 //!
 //! Two invariants make this safe for a solver that promises bit-identical
 //! output across worker counts and fault replays:
 //!
 //! * **Decomposition is deterministic.** Morsel boundaries are a pure
-//!   function of `(n, grain)` — or of `(n, grain, costs)` for weighted
-//!   launches — never of the worker count or of timing. Only the
-//!   *assignment* of morsels to workers is dynamic.
+//!   function of `(n, costs)`, never of the worker count or of timing.
+//!   Only the *assignment* of morsels to workers is dynamic.
 //! * **Kernels write disjoint index ranges.** Every launch body in this
 //!   repo writes only locations owned by its index, so executing the same
 //!   index set under any morsel-to-worker assignment produces identical
 //!   memory contents at the launch's closing barrier.
 //!
-//! Note that [`Executor::for_each_chunk`] is *not* scheduled: primitives
-//! built on it (the two-phase and decoupled look-back scans) index their
-//! partials by chunk id and — for the look-back scan — spin on predecessor
-//! chunks, which requires all chunks resident on distinct workers at once.
-//! Chunked launches always keep the static one-chunk-per-worker mapping.
+//! Note that [`Executor::run_chunks`] is *not* scheduled: primitives built
+//! on it (the two-phase and decoupled look-back scans) index their partials
+//! by chunk id and — for the look-back scan — spin on predecessor chunks,
+//! which requires all chunks resident on distinct workers at once. Chunked
+//! launches always keep the static one-chunk-per-worker mapping.
 //!
-//! [`Executor::for_each_chunk`]: crate::Executor::for_each_chunk
+//! [`Executor::run_chunks`]: crate::Executor::run_chunks
 
-/// Default morsel size (indices) for [`Schedule::Morsel`] when no grain is
-/// given (`GMC_SCHED=morsel`). Small enough that a skewed 10k-entry grid
+/// Morsel size (indices) from which [`Schedule::Auto`] derives the morsel
+/// count of a weighted launch. Small enough that a skewed 10k-entry grid
 /// decomposes into ~10 claimable units, large enough that the shared-cursor
 /// `fetch_add` amortises to noise for any kernel worth pooling.
 pub const DEFAULT_MORSEL_GRAIN: usize = 1024;
@@ -40,41 +41,21 @@ pub const DEFAULT_MORSEL_GRAIN: usize = 1024;
 /// units, each ≥ 24k indices). Worker-count independent by construction.
 pub const MAX_MORSELS: usize = 4096;
 
-/// Guided decomposition carves `remaining / GUIDED_DIVISOR` indices per
-/// morsel: early morsels are big (low claim traffic), late morsels shrink
-/// geometrically so stragglers level out. The divisor is fixed — *not*
-/// derived from the worker count — to keep boundaries machine-independent.
-const GUIDED_DIVISOR: usize = 16;
-
-/// Floor for guided morsel sizes: once `remaining / GUIDED_DIVISOR` drops
-/// below this, the tail is carved into flat `GUIDED_MIN_GRAIN` morsels.
-const GUIDED_MIN_GRAIN: usize = 256;
-
 /// How an [`Executor`](crate::Executor) maps a launch's virtual threads
 /// onto its worker pool. Selected per executor via
 /// [`Executor::set_schedule`](crate::Executor::set_schedule), at
 /// construction via the `GMC_SCHED` environment variable, or per solve via
 /// `SolverConfig::schedule` in `gmc-mce`.
 ///
-/// Output is bit-identical across all variants and worker counts; the
-/// variants trade dispatch overhead against load balance on skewed grids.
+/// Output is bit-identical under both variants and every worker count; they
+/// trade dispatch overhead against load balance on skewed grids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Schedule {
-    /// One contiguous chunk per worker (the historical mapping). Zero
-    /// scheduling overhead; a single heavy chunk serialises the launch.
+    /// One contiguous chunk per worker for every launch, cost hints
+    /// ignored. Zero scheduling overhead; a single heavy chunk serialises
+    /// the launch. The reference the tests and perf gates compare against.
+    /// `GMC_SCHED=static`.
     Static,
-    /// Fixed-size morsels of `grain` indices claimed dynamically by idle
-    /// workers from a shared atomic cursor. `GMC_SCHED=morsel` or
-    /// `GMC_SCHED=morsel:<grain>`.
-    Morsel {
-        /// Morsel size in indices (defaults to [`DEFAULT_MORSEL_GRAIN`]).
-        grain: usize,
-    },
-    /// Decreasing-size morsels (OpenMP-`guided`-style, but with a fixed
-    /// divisor so the decomposition stays worker-count independent): big
-    /// head morsels amortise claim traffic, geometrically shrinking tail
-    /// morsels level out stragglers.
-    Guided,
     /// The default policy: *weighted* launches — where the caller supplied
     /// per-entry cost hints — use cost-balanced morsel claiming, while
     /// unweighted launches keep the static mapping (no cost information
@@ -84,19 +65,11 @@ pub enum Schedule {
 }
 
 impl Schedule {
-    /// Reads `GMC_SCHED` (`static`/`morsel[:grain]`/`guided`/`auto`),
-    /// defaulting to [`Auto`](Schedule::Auto) when unset and panicking
-    /// loudly on a typo (fail-loud policy of [`gmc_trace::env`]).
+    /// Reads `GMC_SCHED` (`static`/`auto`), defaulting to
+    /// [`Auto`](Schedule::Auto) when unset and panicking loudly on any other
+    /// value (fail-loud policy of [`gmc_trace::env`]).
     pub fn from_env() -> Self {
         gmc_trace::env::parse_or("GMC_SCHED", Schedule::Auto)
-    }
-
-    /// The morsel grain this schedule implies (dynamic modes only).
-    pub(crate) fn grain(self) -> usize {
-        match self {
-            Schedule::Morsel { grain } => grain.max(1),
-            _ => DEFAULT_MORSEL_GRAIN,
-        }
     }
 }
 
@@ -104,33 +77,20 @@ impl std::str::FromStr for Schedule {
     type Err = ();
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let lower = s.to_ascii_lowercase();
-        match lower.as_str() {
+        match s.to_ascii_lowercase().as_str() {
             "static" => Ok(Schedule::Static),
-            "morsel" => Ok(Schedule::Morsel {
-                grain: DEFAULT_MORSEL_GRAIN,
-            }),
-            "guided" => Ok(Schedule::Guided),
             "auto" => Ok(Schedule::Auto),
-            _ => match lower.strip_prefix("morsel:") {
-                Some(grain) => match grain.parse::<usize>() {
-                    Ok(grain) if grain > 0 => Ok(Schedule::Morsel { grain }),
-                    _ => Err(()),
-                },
-                None => Err(()),
-            },
+            _ => Err(()),
         }
     }
 }
 
 impl std::fmt::Display for Schedule {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Schedule::Static => f.write_str("static"),
-            Schedule::Morsel { grain } => write!(f, "morsel:{grain}"),
-            Schedule::Guided => f.write_str("guided"),
-            Schedule::Auto => f.write_str("auto"),
-        }
+        f.write_str(match self {
+            Schedule::Static => "static",
+            Schedule::Auto => "auto",
+        })
     }
 }
 
@@ -144,41 +104,6 @@ pub(crate) fn uniform_morsels(n: usize, grain: usize) -> (usize, usize) {
     let count = n.div_ceil(grain).clamp(1, MAX_MORSELS);
     let grain = n.div_ceil(count);
     (grain, n.div_ceil(grain))
-}
-
-/// Guided decomposition boundaries: `boundaries[m]..boundaries[m + 1]` is
-/// morsel `m`. Starts at `0`, ends at `n`, strictly increasing. A pure
-/// function of `n`.
-pub(crate) fn guided_boundaries(n: usize) -> Vec<usize> {
-    debug_assert!(n > 0);
-    let mut boundaries = Vec::with_capacity(guided_morsel_count(n) + 1);
-    boundaries.push(0usize);
-    let mut start = 0usize;
-    while start < n {
-        let remaining = n - start;
-        let size = (remaining / GUIDED_DIVISOR)
-            .max(GUIDED_MIN_GRAIN)
-            .min(remaining);
-        start += size;
-        boundaries.push(start);
-    }
-    boundaries
-}
-
-/// Number of morsels [`guided_boundaries`] will produce, without building
-/// the vector (used for trace span args on the disabled-allocation path).
-pub(crate) fn guided_morsel_count(n: usize) -> usize {
-    let mut count = 0usize;
-    let mut start = 0usize;
-    while start < n {
-        let remaining = n - start;
-        let size = (remaining / GUIDED_DIVISOR)
-            .max(GUIDED_MIN_GRAIN)
-            .min(remaining);
-        start += size;
-        count += 1;
-    }
-    count
 }
 
 /// Exact cost-cut rule shared by the sequential and chunk-parallel weighted
@@ -227,21 +152,15 @@ mod tests {
         for (raw, want) in [
             ("static", Schedule::Static),
             ("STATIC", Schedule::Static),
-            (
-                "morsel",
-                Schedule::Morsel {
-                    grain: DEFAULT_MORSEL_GRAIN,
-                },
-            ),
-            ("morsel:512", Schedule::Morsel { grain: 512 }),
-            ("guided", Schedule::Guided),
             ("auto", Schedule::Auto),
         ] {
             assert_eq!(Schedule::from_str(raw), Ok(want), "{raw}");
             // Display round-trips through FromStr.
             assert_eq!(Schedule::from_str(&want.to_string()), Ok(want));
         }
-        for bad in ["banana", "morsel:", "morsel:0", "morsel:x", "guided:4"] {
+        // The removed dynamic spellings fail instead of silently mapping
+        // onto a surviving schedule.
+        for bad in ["banana", "morsel", "morsel:64", "guided", "dynamic", ""] {
             assert!(Schedule::from_str(bad).is_err(), "{bad}");
         }
     }
@@ -264,19 +183,5 @@ mod tests {
         let (g, count) = uniform_morsels(100_000_000, 1);
         assert_eq!(count, MAX_MORSELS);
         assert!(g * count >= 100_000_000);
-    }
-
-    #[test]
-    fn guided_boundaries_are_strictly_increasing_and_cover() {
-        for n in [1usize, 255, 256, 4096, 100_000, 1 << 22] {
-            let b = guided_boundaries(n);
-            assert_eq!(b[0], 0);
-            assert_eq!(*b.last().unwrap(), n);
-            assert!(b.windows(2).all(|w| w[0] < w[1]), "n={n}");
-            assert_eq!(b.len() - 1, guided_morsel_count(n), "n={n}");
-            // Sizes never grow as the sweep progresses.
-            let sizes: Vec<usize> = b.windows(2).map(|w| w[1] - w[0]).collect();
-            assert!(sizes.windows(2).all(|w| w[0] >= w[1]), "n={n}: {sizes:?}");
-        }
     }
 }

@@ -7,7 +7,7 @@
 //! a segmented arg-max, a flagged select, and an offset rebuild per
 //! iteration.
 
-use crate::executor::Executor;
+use crate::executor::{Executor, Launch};
 use crate::scan::exclusive_scan;
 use crate::shared::SharedSlice;
 
@@ -29,7 +29,7 @@ where
     let mut out = vec![None; num_segments];
     {
         let out_shared = SharedSlice::new(&mut out);
-        exec.for_each_indexed_named("segmented_argmax", num_segments, |s| {
+        exec.run(Launch::new("segmented_argmax", num_segments), |s| {
             let (start, end) = (offsets[s], offsets[s + 1]);
             let mut best: Option<(K, usize)> = None;
             for i in start..end {
@@ -56,7 +56,7 @@ pub fn segmented_sum(exec: &Executor, values: &[usize], offsets: &[usize]) -> Ve
     let mut out = vec![0usize; num_segments];
     {
         let out_shared = SharedSlice::new(&mut out);
-        exec.for_each_indexed_named("segmented_sum", num_segments, |s| {
+        exec.run(Launch::new("segmented_sum", num_segments), |s| {
             let sum: usize = values[offsets[s]..offsets[s + 1]].iter().sum();
             // SAFETY: one write per segment index.
             unsafe { out_shared.write(s, sum) };
@@ -69,7 +69,7 @@ pub fn segmented_sum(exec: &Executor, values: &[usize], offsets: &[usize]) -> Ve
 pub fn segment_lengths(exec: &Executor, offsets: &[usize]) -> Vec<usize> {
     assert!(!offsets.is_empty(), "offsets must have at least one entry");
     let num_segments = offsets.len() - 1;
-    exec.map_indexed_named("segment_lengths", num_segments, |s| {
+    exec.map(Launch::new("segment_lengths", num_segments), |s| {
         offsets[s + 1] - offsets[s]
     })
 }
@@ -83,10 +83,8 @@ pub fn remove_empty_segments(exec: &Executor, offsets: &[usize]) -> (Vec<usize>,
     assert!(!offsets.is_empty(), "offsets must have at least one entry");
     let lengths = segment_lengths(exec, offsets);
     let survivors = crate::select::select_indices(exec, &lengths, |_, len| len > 0);
-    let surviving_lengths: Vec<usize> =
-        exec.map_indexed_named("surviving_segment_lengths", survivors.len(), |i| {
-            lengths[survivors[i]]
-        });
+    let launch = Launch::new("surviving_segment_lengths", survivors.len());
+    let surviving_lengths: Vec<usize> = exec.map(launch, |i| lengths[survivors[i]]);
     let (mut new_offsets, total) = exclusive_scan(exec, &surviving_lengths);
     new_offsets.push(total);
     (new_offsets, survivors)

@@ -59,7 +59,7 @@ where
     let counts = per_chunk_counts(exec, data, &pred);
     let (offsets, total) = exclusive_scan(exec, &counts);
     let dst = UninitSlice::for_vec(out, total);
-    exec.for_each_chunk_named("select_emit", n, |chunk_id, range| {
+    exec.run_chunks("select_emit", n, |chunk_id, range| {
         let mut cursor = offsets[chunk_id];
         for i in range {
             if pred(i, data[i]) {
@@ -90,7 +90,7 @@ where
     let mut out = vec![0usize; total];
     {
         let out_shared = SharedSlice::new(&mut out);
-        exec.for_each_chunk_named("select_emit_indices", n, |chunk_id, range| {
+        exec.run_chunks("select_emit_indices", n, |chunk_id, range| {
             let mut cursor = offsets[chunk_id];
             for i in range {
                 if pred(i, data[i]) {
@@ -129,7 +129,7 @@ where
     let chunks = exec.num_chunks(n);
     let mut counts = vec![0usize; chunks];
     let counts_shared = SharedSlice::new(&mut counts);
-    exec.for_each_chunk_named("select_count", n, |chunk_id, range| {
+    exec.run_chunks("select_count", n, |chunk_id, range| {
         let mut c = 0usize;
         for i in range {
             if pred(i, data[i]) {

@@ -9,7 +9,7 @@
 //! The sort is stable, which the clique-list setup relies on when ordering
 //! candidates by (degree, index).
 
-use crate::executor::Executor;
+use crate::executor::{Executor, Launch};
 use crate::shared::SharedSlice;
 
 const RADIX_BITS: u32 = 8;
@@ -24,7 +24,7 @@ pub fn sort_u32(exec: &Executor, keys: &[u32]) -> Vec<u32> {
 /// Sorts `keys` descending, returning a new vector.
 pub fn sort_u32_desc(exec: &Executor, keys: &[u32]) -> Vec<u32> {
     // Descending stable sort via bitwise complement of the key.
-    let flipped: Vec<u32> = exec.map_indexed_named("sort_flip_keys", keys.len(), |i| !keys[i]);
+    let flipped: Vec<u32> = exec.map(Launch::new("sort_flip_keys", keys.len()), |i| !keys[i]);
     let (sorted, _) = radix_sort(exec, &flipped, None);
     sorted.into_iter().map(|k| !k).collect()
 }
@@ -60,7 +60,7 @@ fn radix_sort(
         {
             let hist_shared = SharedSlice::new(&mut hist);
             let src = &src_keys;
-            exec.for_each_chunk_named("sort_digit_histogram", n, |chunk_id, range| {
+            exec.run_chunks("sort_digit_histogram", n, |chunk_id, range| {
                 let mut local = [0usize; BINS];
                 for &k in &src[range] {
                     local[((k >> shift) & (BINS as u32 - 1)) as usize] += 1;
@@ -96,7 +96,7 @@ fn radix_sort(
             let dst_vals_shared = SharedSlice::new(&mut dst_vals);
             let src = &src_keys;
             let src_v = &src_vals;
-            exec.for_each_chunk_named("sort_scatter", n, |chunk_id, range| {
+            exec.run_chunks("sort_scatter", n, |chunk_id, range| {
                 let mut cursors: Vec<usize> =
                     offsets[chunk_id * BINS..(chunk_id + 1) * BINS].to_vec();
                 for i in range {

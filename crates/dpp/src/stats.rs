@@ -20,25 +20,24 @@ pub(crate) struct StatsCells {
 }
 
 impl StatsCells {
-    pub(crate) fn record_launch(&self, kernel: &'static str, virtual_threads: usize) {
+    /// Records one launch of `kernel` over `virtual_threads` indices. The
+    /// aggregates move before the per-kernel row, which is updated under a
+    /// single lock whether or not the launch was fused.
+    pub(crate) fn record(&self, kernel: &'static str, virtual_threads: usize, fused: bool) {
         self.launches.fetch_add(1, Ordering::Relaxed);
         self.virtual_threads
             .fetch_add(virtual_threads as u64, Ordering::Relaxed);
-        let mut map = self.per_kernel.lock().unwrap();
+        if fused {
+            self.fused_launches.fetch_add(1, Ordering::Relaxed);
+        }
+        let mut map = self
+            .per_kernel
+            .lock()
+            .expect("no thread panics while holding the per-kernel stats lock");
         let cell = map.entry(kernel).or_default();
         cell.launches += 1;
         cell.virtual_threads += virtual_threads as u64;
-    }
-
-    pub(crate) fn record_fused_launch(&self, kernel: &'static str, virtual_threads: usize) {
-        self.record_launch(kernel, virtual_threads);
-        self.fused_launches.fetch_add(1, Ordering::Relaxed);
-        self.per_kernel
-            .lock()
-            .unwrap()
-            .entry(kernel)
-            .or_default()
-            .fused_launches += 1;
+        cell.fused_launches += u64::from(fused);
     }
 
     pub(crate) fn snapshot(&self) -> LaunchStats {
@@ -82,12 +81,14 @@ pub(crate) struct ScheduleCells {
 }
 
 impl ScheduleCells {
-    /// Records one pooled launch's balance measurement.
-    #[allow(clippy::too_many_arguments)]
+    /// Records one pooled launch's balance measurement. Dynamic launches
+    /// are exactly the cost-weighted ones (see [`Schedule::Auto`]), so a
+    /// dynamic launch moves both of those counters.
+    ///
+    /// [`Schedule::Auto`]: crate::Schedule::Auto
     pub(crate) fn record(
         &self,
         dynamic: bool,
-        weighted: bool,
         morsels: u64,
         max_worker_morsels: u64,
         makespan_ns: u64,
@@ -96,8 +97,6 @@ impl ScheduleCells {
         self.pool_launches.fetch_add(1, Ordering::Relaxed);
         if dynamic {
             self.dynamic_launches.fetch_add(1, Ordering::Relaxed);
-        }
-        if weighted {
             self.weighted_launches.fetch_add(1, Ordering::Relaxed);
         }
         self.morsels.fetch_add(morsels, Ordering::Relaxed);
@@ -150,13 +149,13 @@ pub struct ScheduleStats {
     /// Launches dispatched to the worker pool (grids past the sequential
     /// limit on a multi-worker executor); the rest ran inline.
     pub pool_launches: u64,
-    /// Pooled launches dispatched by dynamic morsel claiming (a
-    /// [`Schedule`](crate::Schedule) other than `Static` applied). Also
+    /// Pooled launches dispatched by dynamic morsel claiming: weighted
+    /// launches under [`Schedule::Auto`](crate::Schedule::Auto). Also
     /// counted in `pool_launches`.
     pub dynamic_launches: u64,
     /// Dynamic launches whose morsel boundaries were cut from caller-supplied
-    /// per-entry cost hints (`for_each_weighted*` / `for_each_segmented_cost*`).
-    /// Also counted in `dynamic_launches`.
+    /// per-entry cost hints ([`Launch::weighted`](crate::Launch::weighted)).
+    /// Every dynamic launch is weighted, so this equals `dynamic_launches`.
     pub weighted_launches: u64,
     /// Work units claimed across pooled launches: morsels for dynamic
     /// launches, non-empty static chunks otherwise. Decompositions are
@@ -239,15 +238,14 @@ pub struct LaunchStats {
     pub launches: u64,
     /// Total virtual threads across all launches (one per element).
     pub virtual_threads: u64,
-    /// Launches issued through [`Executor::for_each_indexed_fused`] — kernels
-    /// that fold work of several logical pipeline stages into one launch
-    /// (also counted in `launches`).
+    /// Launches marked [`Launch::fused`] — kernels that fold work of
+    /// several logical pipeline stages into one launch (also counted in
+    /// `launches`).
     ///
-    /// [`Executor::for_each_indexed_fused`]: crate::Executor::for_each_indexed_fused
+    /// [`Launch::fused`]: crate::Launch::fused
     pub fused_launches: u64,
-    /// Per-kernel breakdown, sorted by kernel name. Launches issued through
-    /// the un-named entry points land under the
-    /// [`DEFAULT_KERNEL_NAME`](crate::DEFAULT_KERNEL_NAME) row.
+    /// Per-kernel breakdown, sorted by the [`Launch`](crate::Launch)
+    /// kernel name.
     pub per_kernel: Vec<(&'static str, KernelStats)>,
 }
 
@@ -294,9 +292,9 @@ mod tests {
     #[test]
     fn per_kernel_rows_sum_to_the_aggregates() {
         let cells = StatsCells::default();
-        cells.record_launch("scan", 100);
-        cells.record_launch("scan", 50);
-        cells.record_fused_launch("expand", 200);
+        cells.record("scan", 100, false);
+        cells.record("scan", 50, false);
+        cells.record("expand", 200, true);
         let snap = cells.snapshot();
         assert_eq!(snap.launches, 3);
         assert_eq!(snap.virtual_threads, 350);
@@ -313,10 +311,10 @@ mod tests {
     #[test]
     fn since_diffs_per_kernel_and_drops_idle_rows() {
         let cells = StatsCells::default();
-        cells.record_launch("scan", 100);
-        cells.record_launch("select", 10);
+        cells.record("scan", 100, false);
+        cells.record("select", 10, false);
         let before = cells.snapshot();
-        cells.record_launch("scan", 25);
+        cells.record("scan", 25, false);
         let delta = cells.snapshot().since(&before);
         assert_eq!(delta.launches, 1);
         assert_eq!(delta.virtual_threads, 25);

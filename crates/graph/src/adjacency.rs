@@ -23,7 +23,7 @@
 //! popcounts without ever materialising the `n²` matrix.
 
 use crate::Csr;
-use gmc_dpp::{DeviceError, Executor, SharedSlice, UninitSlice};
+use gmc_dpp::{DeviceError, Executor, Launch, SharedSlice, UninitSlice};
 
 /// Edge-membership oracle: the single operation the expansion kernels need.
 pub trait EdgeOracle: Sync {
@@ -72,7 +72,8 @@ impl BitMatrix {
             // Cost hint: a row streams its adjacency list plus the row's
             // zero-fill, so degree skew maps straight onto launch skew.
             let row_cost = |v: usize| (graph.degree(v as u32) + words_per_row) as u64;
-            exec.for_each_weighted_named("bitmatrix_build_rows", n, row_cost, |v| {
+            let launch = Launch::new("bitmatrix_build_rows", n).weighted(&row_cost);
+            exec.run(launch, |v| {
                 let row = v * words_per_row;
                 let mut word = 0u64;
                 let mut cur = 0usize;
@@ -193,7 +194,7 @@ impl CoreBitmap {
         {
             let dst = SharedSlice::new(&mut new_of_old);
             let ids = &old_of_new;
-            exec.try_for_each_indexed_named("corebits_renumber", n_core, |i| {
+            exec.try_run(Launch::new("corebits_renumber", n_core), |i| {
                 // SAFETY: `old_of_new` entries are distinct, so each slot
                 // has exactly one writer.
                 unsafe { dst.write(ids[i] as usize, i as u32) };
@@ -206,7 +207,8 @@ impl CoreBitmap {
             let remap = &new_of_old;
             let ids = &old_of_new;
             let row_cost = |r: usize| (graph.degree(ids[r]) + words_per_row) as u64;
-            exec.try_for_each_weighted_named("corebits_build_rows", n_core, row_cost, |r| {
+            let launch = Launch::new("corebits_build_rows", n_core).weighted(&row_cost);
+            exec.try_run(launch, |r| {
                 let row = r * words_per_row;
                 for &u in graph.neighbors(ids[r]) {
                     let c = remap[u as usize];

@@ -8,7 +8,7 @@
 //! code paths.
 
 use crate::Csr;
-use gmc_dpp::Executor;
+use gmc_dpp::{Executor, Launch};
 
 /// Counts triangles with the oriented-wedge method on the virtual GPU: one
 /// virtual thread per vertex walks the ordered pairs of its
@@ -16,7 +16,7 @@ use gmc_dpp::Executor;
 /// triangle is counted exactly once (at its minimum vertex).
 pub fn triangle_count(exec: &Executor, graph: &Csr) -> u64 {
     let n = graph.num_vertices();
-    let per_vertex: Vec<usize> = exec.map_indexed_named("triangle_count", n, |v| {
+    let per_vertex: Vec<usize> = exec.map(Launch::new("triangle_count", n), |v| {
         let v = v as u32;
         let higher: Vec<u32> = graph
             .neighbors(v)
@@ -41,7 +41,7 @@ pub fn triangle_count(exec: &Executor, graph: &Csr) -> u64 {
 /// graph has no wedge).
 pub fn global_clustering(exec: &Executor, graph: &Csr) -> f64 {
     let n = graph.num_vertices();
-    let wedges: Vec<usize> = exec.map_indexed_named("wedge_count", n, |v| {
+    let wedges: Vec<usize> = exec.map(Launch::new("wedge_count", n), |v| {
         let d = graph.degree(v as u32);
         d * d.saturating_sub(1) / 2
     });

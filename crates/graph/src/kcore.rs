@@ -16,7 +16,7 @@
 //! verify.
 
 use crate::Csr;
-use gmc_dpp::Executor;
+use gmc_dpp::{Executor, Launch};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Sequential Batagelj–Zaveršnik core decomposition.
@@ -119,12 +119,12 @@ pub fn core_numbers_parallel(exec: &Executor, graph: &Csr) -> Vec<u32> {
             if frontier.is_empty() {
                 break;
             }
-            exec.for_each_indexed_named("kcore_peel", frontier.len(), |i| {
+            exec.run(Launch::new("kcore_peel", frontier.len()), |i| {
                 let v = frontier[i] as usize;
                 core[v].store(k, Ordering::Relaxed);
                 state[v].store(k, Ordering::Relaxed);
             });
-            exec.for_each_indexed_named("kcore_decrement", frontier.len(), |i| {
+            exec.run(Launch::new("kcore_decrement", frontier.len()), |i| {
                 let v = frontier[i];
                 for &u in graph.neighbors(v) {
                     if state[u as usize].load(Ordering::Relaxed) == ALIVE {

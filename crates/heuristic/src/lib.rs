@@ -33,7 +33,7 @@ pub use local_search::polish_clique;
 pub use multi::multi_run;
 pub use single::single_run;
 
-use gmc_dpp::{Device, DeviceOom};
+use gmc_dpp::{Device, DeviceOom, Launch};
 use gmc_graph::{kcore, Csr};
 use std::time::Duration;
 
@@ -165,7 +165,7 @@ pub fn run_heuristic(
                 // much better pick quality on near-regular-core graphs.
                 let exec = device.exec();
                 let n = graph.num_vertices();
-                let keys = exec.map_indexed_named("heuristic_core_keys", n, |v| {
+                let keys = exec.map(Launch::new("heuristic_core_keys", n), |v| {
                     (cores[v].min(0xF_FFFF) << 12) | (graph.degree(v as u32) as u32).min(0xFFF)
                 });
                 core_numbers = Some(cores);

@@ -13,7 +13,7 @@
 //!    is the bound (the paper tracks only the iteration count — the size —
 //!    whereas we also track the witness vertices per segment).
 
-use gmc_dpp::{Device, DeviceOom, SharedSlice};
+use gmc_dpp::{Device, DeviceOom, Launch, SharedSlice};
 use gmc_graph::Csr;
 
 /// Runs `h` parallel greedy instances seeded by the `h` highest-threshold
@@ -35,14 +35,15 @@ pub fn multi_run(
 
     // Seeds: the h vertices with the highest thresholds (stable sort keeps
     // ascending-id order within ties).
-    let keys: Vec<u32> = exec.map_indexed_named("heuristic_sort_keys", n, |v| !thresholds[v]);
-    let ids: Vec<u32> = exec.map_indexed_named("heuristic_iota", n, |v| v as u32);
+    let keys: Vec<u32> = exec.map(Launch::new("heuristic_sort_keys", n), |v| !thresholds[v]);
+    let ids: Vec<u32> = exec.map(Launch::new("heuristic_iota", n), |v| v as u32);
     let (_, sorted) = gmc_dpp::sort_pairs_u32(exec, &keys, &ids);
     let seeds = &sorted[..h];
 
     // GETNEIGHBORCOUNTS + scan: segment layout.
-    let counts: Vec<usize> =
-        exec.map_indexed_named("heuristic_seed_degrees", h, |s| graph.degree(seeds[s]));
+    let counts: Vec<usize> = exec.map(Launch::new("heuristic_seed_degrees", h), |s| {
+        graph.degree(seeds[s])
+    });
     let (mut offsets, total) = gmc_dpp::exclusive_scan(exec, &counts);
     offsets.push(total);
 
@@ -61,7 +62,9 @@ pub fn multi_run(
         let thresholds_shared = SharedSlice::new(&mut nbr_thresholds);
         // Segment lengths are the seeds' degrees — exactly the skew a
         // degree-sorted seed list maximises.
-        exec.for_each_segmented_cost_named("heuristic_neighbor_thresholds", &offsets, |s| {
+        let degree_cost = |s: usize| counts[s] as u64;
+        let launch = Launch::new("heuristic_neighbor_thresholds", h).weighted(&degree_cost);
+        exec.run(launch, |s| {
             for (offset, &u) in graph.neighbors(seeds[s]).iter().enumerate() {
                 // SAFETY: segments are disjoint spans of the output arrays.
                 unsafe {
@@ -89,7 +92,7 @@ pub fn multi_run(
         let arg = gmc_dpp::segmented_argmax_by_key(exec, neighbors.len(), &offsets, |i| {
             nbr_thresholds[i]
         });
-        let chosen: Vec<u32> = exec.map_indexed_named("heuristic_pick_argmax", num_segments, |s| {
+        let chosen: Vec<u32> = exec.map(Launch::new("heuristic_pick_argmax", num_segments), |s| {
             neighbors[arg[s].expect("segments are non-empty")]
         });
         for s in 0..num_segments {
@@ -102,7 +105,10 @@ pub fn multi_run(
         let mut flags = vec![false; neighbors.len()];
         {
             let flags_shared = SharedSlice::new(&mut flags);
-            exec.for_each_segmented_cost_named("heuristic_check_connections", &offsets, |s| {
+            let segment_cost = |s: usize| (offsets[s + 1] - offsets[s]) as u64;
+            let launch =
+                Launch::new("heuristic_check_connections", num_segments).weighted(&segment_cost);
+            exec.run(launch, |s| {
                 let v = chosen[s];
                 for (i, &u) in neighbors[offsets[s]..offsets[s + 1]].iter().enumerate() {
                     // SAFETY: segments are disjoint spans.
@@ -113,13 +119,13 @@ pub fn multi_run(
 
         // Per-segment survivor counts, then stable compaction of both value
         // arrays (stability keeps segments contiguous).
-        let counts: Vec<usize> =
-            exec.map_indexed_named("heuristic_survivor_counts", num_segments, |s| {
-                flags[offsets[s]..offsets[s + 1]]
-                    .iter()
-                    .filter(|&&f| f)
-                    .count()
-            });
+        let launch = Launch::new("heuristic_survivor_counts", num_segments);
+        let counts: Vec<usize> = exec.map(launch, |s| {
+            flags[offsets[s]..offsets[s + 1]]
+                .iter()
+                .filter(|&&f| f)
+                .count()
+        });
         neighbors = gmc_dpp::select_flagged(exec, &neighbors, &flags);
         nbr_thresholds = gmc_dpp::select_flagged(exec, &nbr_thresholds, &flags);
 

@@ -1,6 +1,6 @@
 //! The single-run greedy heuristic (paper §IV-A1).
 
-use gmc_dpp::Device;
+use gmc_dpp::{Device, Launch};
 use gmc_graph::Csr;
 
 /// One greedy pass: repeatedly take the highest-threshold candidate, add it
@@ -21,8 +21,8 @@ pub fn single_run(device: &Device, graph: &Csr, thresholds: &[u32]) -> Vec<u32> 
 
     // Sort all vertices by descending threshold. The radix sort is stable,
     // so equal thresholds keep ascending-id order.
-    let keys: Vec<u32> = exec.map_indexed_named("heuristic_sort_keys", n, |v| !thresholds[v]);
-    let ids: Vec<u32> = exec.map_indexed_named("heuristic_iota", n, |v| v as u32);
+    let keys: Vec<u32> = exec.map(Launch::new("heuristic_sort_keys", n), |v| !thresholds[v]);
+    let ids: Vec<u32> = exec.map(Launch::new("heuristic_iota", n), |v| v as u32);
     let (_, mut candidates) = gmc_dpp::sort_pairs_u32(exec, &keys, &ids);
 
     let mut clique = Vec::new();

@@ -73,7 +73,7 @@
 use crate::arena::{LevelArena, LocalSeg};
 use crate::config::LocalBitsMode;
 use gmc_cliquelist::{CliqueLevel, CliqueList};
-use gmc_dpp::{bits, Device, DeviceError, SharedSlice, UninitSlice};
+use gmc_dpp::{bits, Device, DeviceError, Launch, SharedSlice, UninitSlice};
 use gmc_graph::{local_row_intersect, pack_member, CoreBitmap, Csr, EdgeOracle};
 
 /// Result of expanding one clique list to exhaustion.
@@ -369,7 +369,7 @@ fn grow_fused<O: EdgeOracle + ?Sized>(
         let spill_total = if max_tail as usize > INLINE_BITS {
             let tails = &arena.tails;
             let words_dst = UninitSlice::for_vec(&mut arena.spill_words, len);
-            exec.try_for_each_indexed_named("bfs_spill_words", len, |i| {
+            exec.try_run(Launch::new("bfs_spill_words", len), |i| {
                 let words = (tails[i] as usize).saturating_sub(INLINE_BITS).div_ceil(64);
                 // SAFETY: one write per index.
                 unsafe { words_dst.write(i, words) };
@@ -442,16 +442,44 @@ fn grow_fused<O: EdgeOracle + ?Sized>(
                 // truncation rule, so the output is bit-identical to the
                 // scalar walk while the edge oracle is never touched.
                 let tail_cost = |i: usize| u64::from(tails[i]) + 1;
-                exec.try_for_each_weighted_fused_named(
-                    "bfs_count_cliques_persistent",
-                    len,
-                    tail_cost,
-                    |i| {
-                        let t = tails[i] as usize;
-                        let spill_base = if t > INLINE_BITS { spill_offsets[i] } else { 0 };
-                        scalar_count_walk(
-                            core,
-                            vertex_id,
+                let launch = Launch::new("bfs_count_cliques_persistent", len)
+                    .fused()
+                    .weighted(&tail_cost);
+                exec.try_run(launch, |i| {
+                    let t = tails[i] as usize;
+                    let spill_base = if t > INLINE_BITS { spill_offsets[i] } else { 0 };
+                    scalar_count_walk(
+                        core,
+                        vertex_id,
+                        i,
+                        t,
+                        need,
+                        spill_base,
+                        &counts_dst,
+                        &masks_dst,
+                        &spill_dst,
+                    );
+                })?;
+            } else if local_active {
+                let segs = &arena.segs;
+                let seg_of = &arena.seg_of;
+                let local_rows = &arena.local_rows;
+                // Cost hint: the walk visits exactly the entry's tail.
+                let tail_cost = |i: usize| u64::from(tails[i]) + 1;
+                let launch = Launch::new("bfs_count_cliques_local", len)
+                    .fused()
+                    .weighted(&tail_cost);
+                exec.try_run(launch, |i| {
+                    let t = tails[i] as usize;
+                    let spill_base = if t > INLINE_BITS { spill_offsets[i] } else { 0 };
+                    let seg = &segs[seg_of[i] as usize];
+                    if seg.bitmap {
+                        let r = i - seg.start;
+                        let base = seg.rows_off + r * seg.words_per_row;
+                        let row = &local_rows[base..base + seg.words_per_row];
+                        bitmap_count_walk(
+                            row,
+                            r,
                             i,
                             t,
                             need,
@@ -460,61 +488,7 @@ fn grow_fused<O: EdgeOracle + ?Sized>(
                             &masks_dst,
                             &spill_dst,
                         );
-                    },
-                )?;
-            } else if local_active {
-                let segs = &arena.segs;
-                let seg_of = &arena.seg_of;
-                let local_rows = &arena.local_rows;
-                // Cost hint: the walk visits exactly the entry's tail.
-                let tail_cost = |i: usize| u64::from(tails[i]) + 1;
-                exec.try_for_each_weighted_fused_named(
-                    "bfs_count_cliques_local",
-                    len,
-                    tail_cost,
-                    |i| {
-                        let t = tails[i] as usize;
-                        let spill_base = if t > INLINE_BITS { spill_offsets[i] } else { 0 };
-                        let seg = &segs[seg_of[i] as usize];
-                        if seg.bitmap {
-                            let r = i - seg.start;
-                            let base = seg.rows_off + r * seg.words_per_row;
-                            let row = &local_rows[base..base + seg.words_per_row];
-                            bitmap_count_walk(
-                                row,
-                                r,
-                                i,
-                                t,
-                                need,
-                                spill_base,
-                                &counts_dst,
-                                &masks_dst,
-                                &spill_dst,
-                            );
-                        } else {
-                            scalar_count_walk(
-                                oracle,
-                                vertex_id,
-                                i,
-                                t,
-                                need,
-                                spill_base,
-                                &counts_dst,
-                                &masks_dst,
-                                &spill_dst,
-                            );
-                        }
-                    },
-                )?;
-            } else {
-                let tail_cost = |i: usize| u64::from(tails[i]) + 1;
-                exec.try_for_each_weighted_fused_named(
-                    "bfs_count_cliques_fused",
-                    len,
-                    tail_cost,
-                    |i| {
-                        let t = tails[i] as usize;
-                        let spill_base = if t > INLINE_BITS { spill_offsets[i] } else { 0 };
+                    } else {
                         scalar_count_walk(
                             oracle,
                             vertex_id,
@@ -526,8 +500,28 @@ fn grow_fused<O: EdgeOracle + ?Sized>(
                             &masks_dst,
                             &spill_dst,
                         );
-                    },
-                )?;
+                    }
+                })?;
+            } else {
+                let tail_cost = |i: usize| u64::from(tails[i]) + 1;
+                let launch = Launch::new("bfs_count_cliques_fused", len)
+                    .fused()
+                    .weighted(&tail_cost);
+                exec.try_run(launch, |i| {
+                    let t = tails[i] as usize;
+                    let spill_base = if t > INLINE_BITS { spill_offsets[i] } else { 0 };
+                    scalar_count_walk(
+                        oracle,
+                        vertex_id,
+                        i,
+                        t,
+                        need,
+                        spill_base,
+                        &counts_dst,
+                        &masks_dst,
+                        &spill_dst,
+                    );
+                })?;
             }
             // SAFETY: the launch wrote every index of all three buffers
             // (spill spans tile 0..spill_total across entries with long
@@ -629,48 +623,46 @@ fn grow_fused<O: EdgeOracle + ?Sized>(
             let tails_dst = UninitSlice::for_vec(&mut arena.next_tails, total);
             // Cost hint: an entry replays exactly `counts[i]` recorded bits.
             let emit_cost = |i: usize| counts[i] as u64 + 1;
-            exec.try_for_each_weighted_fused_named(
-                "bfs_emit_cliques_fused",
-                len,
-                emit_cost,
-                |i| {
-                    if counts[i] == 0 {
-                        return;
+            let launch = Launch::new("bfs_emit_cliques_fused", len)
+                .fused()
+                .weighted(&emit_cost);
+            exec.try_run(launch, |i| {
+                if counts[i] == 0 {
+                    return;
+                }
+                let end = offsets[i] + counts[i];
+                let mut cursor = offsets[i];
+                let emit = |b: usize, cursor: usize| {
+                    // SAFETY: entry i owns offsets[i]..end; the spans tile
+                    // 0..total and each slot is written exactly once.
+                    unsafe {
+                        vertex_dst.write(cursor, vertex_id[i + 1 + b]);
+                        sublist_dst.write(cursor, i as u32);
+                        tails_dst.write(cursor, (end - 1 - cursor) as u32);
                     }
-                    let end = offsets[i] + counts[i];
-                    let mut cursor = offsets[i];
-                    let emit = |b: usize, cursor: usize| {
-                        // SAFETY: entry i owns offsets[i]..end; the spans tile
-                        // 0..total and each slot is written exactly once.
-                        unsafe {
-                            vertex_dst.write(cursor, vertex_id[i + 1 + b]);
-                            sublist_dst.write(cursor, i as u32);
-                            tails_dst.write(cursor, (end - 1 - cursor) as u32);
-                        }
-                    };
-                    // Inline bits replay in ascending order, matching the
-                    // unfused walk byte for byte.
-                    let mut m = masks[i];
-                    while m != 0 {
-                        emit(m.trailing_zeros() as usize, cursor);
-                        m &= m - 1;
-                        cursor += 1;
-                    }
-                    let t = tails[i] as usize;
-                    if t > INLINE_BITS {
-                        let base = spill_offsets[i];
-                        for w in 0..(t - INLINE_BITS).div_ceil(64) {
-                            let mut m = spill[base + w];
-                            while m != 0 {
-                                emit(INLINE_BITS + w * 64 + m.trailing_zeros() as usize, cursor);
-                                m &= m - 1;
-                                cursor += 1;
-                            }
+                };
+                // Inline bits replay in ascending order, matching the
+                // unfused walk byte for byte.
+                let mut m = masks[i];
+                while m != 0 {
+                    emit(m.trailing_zeros() as usize, cursor);
+                    m &= m - 1;
+                    cursor += 1;
+                }
+                let t = tails[i] as usize;
+                if t > INLINE_BITS {
+                    let base = spill_offsets[i];
+                    for w in 0..(t - INLINE_BITS).div_ceil(64) {
+                        let mut m = spill[base + w];
+                        while m != 0 {
+                            emit(INLINE_BITS + w * 64 + m.trailing_zeros() as usize, cursor);
+                            m &= m - 1;
+                            cursor += 1;
                         }
                     }
-                    debug_assert_eq!(cursor, end, "mask replay disagrees with count");
-                },
-            )?;
+                }
+                debug_assert_eq!(cursor, end, "mask replay disagrees with count");
+            })?;
             // SAFETY: counts/offsets tile 0..total, so the launch wrote
             // every slot of all three buffers.
             unsafe {
@@ -809,7 +801,7 @@ fn build_local_bitmaps(
     {
         let segs = &arena.segs;
         let members_dst = UninitSlice::for_vec(&mut arena.members, total_rows);
-        exec.try_for_each_indexed_named("bfs_local_sort_members", segs.len(), |s| {
+        exec.try_run(Launch::new("bfs_local_sort_members", segs.len()), |s| {
             let seg = &segs[s];
             if !seg.bitmap {
                 return;
@@ -845,7 +837,8 @@ fn build_local_bitmaps(
             let seg = &segs[row_seg[j] as usize];
             (graph.degree(vertex_id[seg.start + (j - seg.row0)]) + seg.len) as u64
         };
-        exec.try_for_each_weighted_named("bfs_local_build_rows", total_rows, row_cost, |j| {
+        let launch = Launch::new("bfs_local_build_rows", total_rows).weighted(&row_cost);
+        exec.try_run(launch, |j| {
             let seg = &segs[row_seg[j] as usize];
             let r = j - seg.row0;
             let base = seg.rows_off + r * seg.words_per_row;
@@ -1040,7 +1033,7 @@ fn grow_unfused<O: EdgeOracle + ?Sized>(
 
         // COUNTCLIQUES: adjacent successors within the sublist, pruned
         // against the target.
-        let counts: Vec<usize> = exec.try_map_indexed_named("bfs_count_cliques", len, |i| {
+        let counts: Vec<usize> = exec.try_map(Launch::new("bfs_count_cliques", len), |i| {
             let mut connected = 0usize;
             let mut j = i + 1;
             while j < len && sublist_id[j] == sublist_id[i] {
@@ -1090,7 +1083,8 @@ fn grow_unfused<O: EdgeOracle + ?Sized>(
                     u64::from(arena.tails[i]) + 1
                 }
             };
-            exec.try_for_each_weighted_named("bfs_output_new_cliques", len, emit_cost, |i| {
+            let launch = Launch::new("bfs_output_new_cliques", len).weighted(&emit_cost);
+            exec.try_run(launch, |i| {
                 if counts[i] == 0 {
                     return;
                 }

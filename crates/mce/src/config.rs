@@ -295,10 +295,9 @@ pub struct SolverConfig {
     /// How the executor maps launches onto workers for the duration of the
     /// solve: the solver installs this [`Schedule`] on the device executor
     /// and restores the previous one afterwards. The clique set is
-    /// bit-identical under every schedule; dynamic modes only rebalance
-    /// skewed launches across workers. Defaults to `GMC_SCHED`
-    /// (`static`/`morsel[:grain]`/`guided`/`auto`) or [`Schedule::Auto`]
-    /// when unset.
+    /// bit-identical under both schedules; `Auto` only rebalances
+    /// cost-weighted launches across workers. Defaults to `GMC_SCHED`
+    /// (`static`/`auto`) or [`Schedule::Auto`] when unset.
     pub schedule: Schedule,
     /// Recording handle for profiling: the solver installs it on the
     /// device's executor and memory accountant for the duration of each

@@ -287,8 +287,8 @@ impl MaxCliqueSolver {
     }
 
     /// Selects the launch schedule the solve installs on the device executor
-    /// (see [`SolverConfig::schedule`]): `Static`, `Morsel`, `Guided`, or
-    /// the `Auto` policy (the default, overridable via `GMC_SCHED`).
+    /// (see [`SolverConfig::schedule`]): `Static`, or the `Auto` policy
+    /// (the default, overridable via `GMC_SCHED`).
     pub fn schedule(mut self, schedule: Schedule) -> Self {
         self.config.schedule = schedule;
         self

@@ -13,7 +13,7 @@
 //! enumeration.
 
 use crate::config::{CandidateOrder, OrientationRule, SublistBound};
-use gmc_dpp::{Executor, SharedSlice};
+use gmc_dpp::{Executor, Launch, SharedSlice};
 use gmc_graph::Csr;
 
 /// Counters from the setup phase, reported in [`SolveStats`].
@@ -74,13 +74,13 @@ pub(crate) fn build_two_clique_list(
 
     // Vertex pre-pruning: a vertex with upper bound `threshold + 1 < ω̄`
     // cannot appear in any clique we are looking for.
-    let keep: Vec<bool> = exec.map_indexed_named("setup_prune_vertices", n, |v| {
+    let keep: Vec<bool> = exec.map(Launch::new("setup_prune_vertices", n), |v| {
         prune_thresholds[v] + 1 >= lower_bound
     });
     let pruned_vertices = n - keep.iter().filter(|&&k| k).count();
 
     // Step 1: per-vertex oriented out-neighbor counts among kept vertices.
-    let raw_counts: Vec<usize> = exec.map_indexed_named("setup_count_sublists", n, |v| {
+    let raw_counts: Vec<usize> = exec.map(Launch::new("setup_count_sublists", n), |v| {
         if !keep[v] {
             return 0;
         }
@@ -97,7 +97,7 @@ pub(crate) fn build_two_clique_list(
     // out-neighbors of `v` — and, under the tighter colouring bound, at
     // least ω̄ − 1 colours among them (§II-B3).
     let required = (lower_bound.saturating_sub(1) as usize).max(1);
-    let counts: Vec<usize> = exec.map_indexed_named("setup_prune_sublists", n, |v| {
+    let counts: Vec<usize> = exec.map(Launch::new("setup_prune_sublists", n), |v| {
         if raw_counts[v] < required {
             return 0;
         }
@@ -128,7 +128,7 @@ pub(crate) fn build_two_clique_list(
     {
         let vertex_shared = SharedSlice::new(&mut vertex_id);
         let sublist_shared = SharedSlice::new(&mut sublist_id);
-        exec.for_each_indexed_named("setup_emit_sublists", n, |v| {
+        exec.run(Launch::new("setup_emit_sublists", n), |v| {
             if counts[v] == 0 {
                 return;
             }

@@ -29,7 +29,7 @@ use crate::bfs::{expand, LocalBitsStats};
 use crate::config::{LocalBitsMode, WindowConfig, WindowOrdering};
 use crate::setup::SetupOutput;
 use gmc_cliquelist::CliqueLevel;
-use gmc_dpp::{Device, DeviceError, FaultInjector, LaunchError, SharedSlice};
+use gmc_dpp::{Device, DeviceError, FaultInjector, Launch, LaunchError, SharedSlice};
 use gmc_graph::{CoreBitmap, Csr, EdgeOracle};
 use std::sync::Mutex;
 
@@ -813,7 +813,7 @@ fn build_child_level<O: EdgeOracle + ?Sized>(
         Some(core) => core.probe(a, b),
         None => oracle.connected(a, b),
     };
-    let counts: Vec<usize> = exec.try_map_indexed_named("window_count_sublists", len, |i| {
+    let counts: Vec<usize> = exec.try_map(Launch::new("window_count_sublists", len), |i| {
         candidates[i + 1..]
             .iter()
             .filter(|&&c| adjacent(candidates[i], c))
@@ -825,7 +825,7 @@ fn build_child_level<O: EdgeOracle + ?Sized>(
     {
         let vertex_shared = SharedSlice::new(&mut child_vertex);
         let sublist_shared = SharedSlice::new(&mut child_sublist);
-        exec.try_for_each_indexed_named("window_expand_sublists", len, |i| {
+        exec.try_run(Launch::new("window_expand_sublists", len), |i| {
             let mut cursor = offsets[i];
             for &c in &candidates[i + 1..] {
                 if adjacent(candidates[i], c) {

@@ -107,7 +107,7 @@ fn fingerprint_flips_on_every_result_affecting_knob() {
     // Result-invariant knobs must NOT change the key: a job solved under a
     // different schedule, fault plan or tracer hits the same cache entry.
     let mut config = pinned_config();
-    config.schedule = Schedule::Guided;
+    config.schedule = Schedule::Static;
     assert_eq!(config_fingerprint(&config), base_fp, "schedule is excluded");
     let mut config = pinned_config();
     config.faults = Some(FaultPlan {

@@ -57,17 +57,12 @@ impl LaneSpec {
     }
 
     /// A human-readable lane name for failure reports, e.g.
-    /// `bfs[unfused,persistent,morsel,w8,win256]`.
+    /// `bfs[unfused,persistent,static,w8,win256]`.
     pub fn name(&self) -> String {
         let mut parts: Vec<String> = Vec::with_capacity(5);
         parts.push(if self.fused { "fused" } else { "unfused" }.into());
         parts.push(self.local_bits.to_string());
-        parts.push(match self.schedule {
-            Schedule::Static => "static".into(),
-            Schedule::Morsel { grain } => format!("morsel:{grain}"),
-            Schedule::Guided => "guided".into(),
-            Schedule::Auto => "auto".into(),
-        });
+        parts.push(self.schedule.to_string());
         parts.push(format!("w{}", self.workers));
         if let Some(w) = &self.window {
             parts.push(format!(
@@ -143,12 +138,7 @@ const LOCAL_BITS: [LocalBitsMode; 4] = [
 ];
 
 /// Schedules the lane sampler draws from.
-const SCHEDULES: [Schedule; 4] = [
-    Schedule::Static,
-    Schedule::Morsel { grain: 64 },
-    Schedule::Guided,
-    Schedule::Auto,
-];
+const SCHEDULES: [Schedule; 2] = [Schedule::Static, Schedule::Auto];
 
 /// Worker counts the lane sampler draws from.
 const WORKERS: [usize; 3] = [1, 2, 8];

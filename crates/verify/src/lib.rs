@@ -198,7 +198,7 @@ impl VerifyConfig {
 #[derive(Debug, Clone)]
 pub struct Failure {
     /// The check that failed, e.g. `differential: bfs[unfused,persistent,
-    /// morsel,w2] vs oracle`.
+    /// static,w2] vs oracle`.
     pub check: String,
     /// Generator category (or `regression`/`replay` provenance).
     pub category: String,

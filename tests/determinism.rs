@@ -2,23 +2,31 @@
 //! counts, and label-invariance under vertex permutation.
 
 use gpu_max_clique::corpus::{corpus, Tier};
+use gpu_max_clique::dpp::DEFAULT_SEQUENTIAL_GRID_LIMIT;
 use gpu_max_clique::graph::generators;
 use gpu_max_clique::heuristic::HeuristicKind;
 use gpu_max_clique::mce::{MaxCliqueSolver, WindowConfig};
 use gpu_max_clique::prelude::{Device, FaultPlan, Schedule};
 
-/// Every launch schedule, including a deliberately tiny morsel grain that
-/// forces many claims per launch even on the smoke-sized grids.
-fn all_schedules() -> [Schedule; 5] {
+/// Every launch schedule, each at the default sequential-grid limit and at
+/// limit 0. The latter sends every launch — even the smallest level of a
+/// small graph — to the worker pool, so `Auto` claims cost-cut morsels on
+/// every weighted launch instead of running most of them inline.
+fn all_schedules() -> [(Schedule, usize); 4] {
     [
-        Schedule::Static,
-        Schedule::Morsel { grain: 64 },
-        Schedule::Morsel {
-            grain: gpu_max_clique::dpp::DEFAULT_MORSEL_GRAIN,
-        },
-        Schedule::Guided,
-        Schedule::Auto,
+        (Schedule::Static, DEFAULT_SEQUENTIAL_GRID_LIMIT),
+        (Schedule::Static, 0),
+        (Schedule::Auto, DEFAULT_SEQUENTIAL_GRID_LIMIT),
+        (Schedule::Auto, 0),
     ]
+}
+
+/// A device with `workers` workers, unlimited memory and the given
+/// sequential-grid limit.
+fn device(workers: usize, seq_limit: usize) -> Device {
+    let device = Device::new(workers, usize::MAX);
+    device.exec().set_sequential_grid_limit(seq_limit);
+    device
 }
 
 #[test]
@@ -140,10 +148,10 @@ fn heuristics_are_deterministic_across_workers() {
 
 #[test]
 fn schedules_do_not_change_results_across_worker_counts() {
-    // The dynamic schedules reassign morsels to workers at runtime, but the
-    // decomposition itself is worker-count independent, so every schedule ×
-    // worker-count × pipeline combination must produce bit-identical cliques
-    // and identical deterministic counters.
+    // `Auto` reassigns morsels to workers at runtime, but the decomposition
+    // itself is worker-count independent, so every schedule × worker-count
+    // × pipeline combination must produce bit-identical cliques and
+    // identical deterministic counters.
     let graph = generators::barabasi_albert(350, 6, 7);
     for fused in [false, true] {
         let reference = MaxCliqueSolver::new(Device::new(1, usize::MAX))
@@ -151,14 +159,22 @@ fn schedules_do_not_change_results_across_worker_counts() {
             .schedule(Schedule::Static)
             .solve(&graph)
             .unwrap();
-        for schedule in all_schedules() {
+        // Launch counts are structural only at a fixed sequential limit: a
+        // pooled scan records launches the inline one does not. So every
+        // lane matches the static lane at its own limit and worker count
+        // (`all_schedules` lists static first), and at the default limit
+        // also the one-worker reference.
+        let mut static_launches = std::collections::HashMap::new();
+        for (schedule, seq_limit) in all_schedules() {
             for workers in [1, 2, 8] {
-                let result = MaxCliqueSolver::new(Device::new(workers, usize::MAX))
+                let result = MaxCliqueSolver::new(device(workers, seq_limit))
                     .fused(fused)
                     .schedule(schedule)
                     .solve(&graph)
                     .unwrap();
-                let ctx = format!("schedule {schedule} workers {workers} fused {fused}");
+                let ctx = format!(
+                    "schedule {schedule} seq-limit {seq_limit} workers {workers} fused {fused}"
+                );
                 assert_eq!(result.cliques, reference.cliques, "{ctx}");
                 assert_eq!(
                     result.stats.oracle_queries, reference.stats.oracle_queries,
@@ -168,10 +184,19 @@ fn schedules_do_not_change_results_across_worker_counts() {
                     result.stats.local_bits, reference.stats.local_bits,
                     "{ctx}: sublist-bitmap counters changed"
                 );
+                let static_lane = static_launches
+                    .entry((seq_limit, workers))
+                    .or_insert_with(|| result.stats.launches.clone());
                 assert_eq!(
-                    result.stats.launches, reference.stats.launches,
+                    &result.stats.launches, static_lane,
                     "{ctx}: launch counters changed"
                 );
+                if seq_limit == DEFAULT_SEQUENTIAL_GRID_LIMIT {
+                    assert_eq!(
+                        result.stats.launches, reference.stats.launches,
+                        "{ctx}: launch counters changed"
+                    );
+                }
             }
         }
     }
@@ -200,14 +225,14 @@ fn schedules_preserve_fault_step_semantics() {
         reference.stats.faults.injected() > 0,
         "plan injected nothing — the test proves nothing"
     );
-    for schedule in all_schedules() {
+    for (schedule, seq_limit) in all_schedules() {
         for workers in [1, 2, 8] {
-            let result = MaxCliqueSolver::new(Device::new(workers, usize::MAX))
+            let result = MaxCliqueSolver::new(device(workers, seq_limit))
                 .schedule(schedule)
                 .faults(Some(plan))
                 .solve(&graph)
                 .unwrap();
-            let ctx = format!("schedule {schedule} workers {workers}");
+            let ctx = format!("schedule {schedule} seq-limit {seq_limit} workers {workers}");
             assert_eq!(result.cliques, clean.cliques, "{ctx}");
             let f = result.stats.faults;
             assert_eq!(f, reference.stats.faults, "{ctx}: fault counters changed");
