@@ -15,9 +15,8 @@
 //! 8. Fused vs unfused expansion pipeline (record-and-replay bitmasks,
 //!    bound-directed count walk, single-pass scan, arena scratch — vs the
 //!    paper-literal count → scan → re-walk baseline).
-//! 9. Sublist-local bitmaps off / auto / on: the word-parallel tail
-//!    intersection's probe savings vs its CSR build cost on the fused
-//!    pipeline.
+//! 9. Core bitmap off / auto / on: the solve-lifetime adjacency bitmap's
+//!    probe savings on the fused pipeline.
 //!
 //! A representative cross-category slice of the corpus keeps the runtime
 //! manageable.
@@ -56,7 +55,6 @@ struct LocalBitsRow {
     ms: Option<f64>,
     queries: Option<u64>,
     probes_avoided: Option<u64>,
-    rows_built: Option<u64>,
 }
 
 impl_to_json!(LocalBitsRow {
@@ -64,8 +62,7 @@ impl_to_json!(LocalBitsRow {
     mode,
     ms,
     queries,
-    probes_avoided,
-    rows_built
+    probes_avoided
 });
 
 struct FusedRow {
@@ -486,8 +483,8 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    // 9. Sublist-local bitmaps: probe savings vs build cost on the fused
-    // pipeline (word-parallel tail intersection, DESIGN.md §III-3).
+    // 9. Core bitmap: probe savings on the fused pipeline (DESIGN.md
+    // §III-3).
     let mut local_bits_rows = Vec::new();
     for d in &slice {
         for (name, mode) in [
@@ -507,14 +504,13 @@ fn main() {
                 },
             )
             .expect("runs");
-            let (ms, queries, probes_avoided, rows_built) = match outcome {
+            let (ms, queries, probes_avoided) = match outcome {
                 RunOutcome::Solved(r) => (
                     Some(r.total_ms),
                     Some(r.oracle_queries),
                     Some(r.bitmap_probes_avoided),
-                    Some(r.bitmap_rows),
                 ),
-                RunOutcome::Oom => (None, None, None, None),
+                RunOutcome::Oom => (None, None, None),
             };
             local_bits_rows.push(LocalBitsRow {
                 dataset: d.name().to_string(),
@@ -522,13 +518,12 @@ fn main() {
                 ms,
                 queries,
                 probes_avoided,
-                rows_built,
             });
         }
     }
-    println!("\n-- Sublist-local bitmaps: off / auto / on (word-parallel tails) --");
+    println!("\n-- Core bitmap: off / auto / on --");
     print_table(
-        &["Dataset", "Mode", "ms", "Queries", "Avoided", "Rows"],
+        &["Dataset", "Mode", "ms", "Queries", "Avoided"],
         &local_bits_rows
             .iter()
             .map(|r| {
@@ -538,7 +533,6 @@ fn main() {
                     fmt_ms(r.ms),
                     r.queries.map_or("OOM".into(), |q| q.to_string()),
                     r.probes_avoided.map_or("OOM".into(), |q| q.to_string()),
-                    r.rows_built.map_or("OOM".into(), |q| q.to_string()),
                 ]
             })
             .collect::<Vec<_>>(),

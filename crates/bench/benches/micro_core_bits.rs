@@ -2,20 +2,21 @@
 //!
 //! After setup pruning the solver can build one n_core×n_core adjacency
 //! bitmap and answer every successor-adjacency probe for the rest of the
-//! solve with single word tests (`LocalBitsMode::Persistent`), instead of
-//! re-deriving per-level sublist bitmaps (`On`) or walking the scalar
-//! edge oracle (`Off`). This bench quantifies the three tiers against each
-//! other: wall clock on dense and sparse representatives, plus a probe
-//! sweep whose counters prove the persistent tier rebuilds nothing after
-//! the one-time build.
+//! solve with single word tests (`LocalBitsMode::On`), instead of walking
+//! the scalar edge oracle (`Off`); `Auto` builds it only when it fits
+//! comfortably in the device budget. This bench quantifies the three modes
+//! against each other: wall clock on dense and sparse representatives,
+//! plus a probe sweep whose counters prove the core bitmap rebuilds
+//! nothing after the one-time build.
 //!
 //! Two modes:
 //!
-//! * Default: harness timings (`core_bits/<tier>/<dataset>`) followed by a
+//! * Default: harness timings (`core_bits/<mode>/<dataset>`) followed by a
 //!   probe sweep over the whole smoke corpus (saved as `core_bits.json`).
-//! * `GMC_PERF_GATE=1`: CI gate. On the dense gate graphs the persistent
-//!   tier must hold wall-clock parity with the per-level tier (within the
-//!   harness's 5% noise band), and over the Facebook-like smoke graphs it
+//! * `GMC_PERF_GATE=1`: CI gate. On the dense gate graphs `On` must hold
+//!   wall-clock parity with the scalar walk (within the harness's 5% noise
+//!   band) and on the sparse ones `Auto` may never be more than 10%
+//!   slower than it; over the Facebook-like smoke graphs the core bitmap
 //!   must eliminate at least 95% of the scalar walk's edge-oracle probes
 //!   with zero per-level rebuilds.
 
@@ -30,11 +31,11 @@ use gmc_graph::Csr;
 use gmc_mce::{LocalBitsMode, MaxCliqueSolver};
 
 /// Dense gate instances: long sublists, deep expansion — the regime where
-/// rebuilding per-level bitmaps is pure overhead the persistent tier skips.
+/// word tests replace the most scalar probes.
 const DENSE: &[&str] = &["socfb-campus-04", "socfb-campus-13"];
 
-/// Sparse gate instances: shallow solves where the one-time build must not
-/// cost more than the per-level plans it replaces.
+/// Sparse gate instances: shallow solves where `Auto`'s one-time build
+/// must stay near cost-free.
 const SPARSE: &[&str] = &["road-grid-02", "ca-papers-03"];
 
 fn dataset(name: &str) -> Csr {
@@ -60,8 +61,6 @@ struct CoreBitsRow {
     dataset: String,
     category: String,
     scalar_queries: u64,
-    perlevel_queries: u64,
-    perlevel_rows: u64,
     persistent_queries: u64,
     persistent_probes: u64,
     elimination_pct: f64,
@@ -73,8 +72,6 @@ impl_to_json!(CoreBitsRow {
     dataset,
     category,
     scalar_queries,
-    perlevel_queries,
-    perlevel_rows,
     persistent_queries,
     persistent_probes,
     elimination_pct,
@@ -82,9 +79,9 @@ impl_to_json!(CoreBitsRow {
     persistent_bytes
 });
 
-/// One solve per tier over the whole smoke corpus: probe counters are
+/// One solve per mode over the whole smoke corpus: probe counters are
 /// deterministic, so no repetition is needed. Asserts bit-identical
-/// cliques, the exact accounting invariant, and the persistent tier's
+/// cliques, the exact accounting invariant, and the core bitmap's
 /// zero-rebuild guarantee (`rows_built == 0`: nothing is re-derived after
 /// the one-time build).
 fn probe_sweep() -> Vec<CoreBitsRow> {
@@ -94,9 +91,9 @@ fn probe_sweep() -> Vec<CoreBitsRow> {
             let graph = spec.load();
             let run = |local| solver(local).solve(&graph).expect("unlimited device");
             let off = run(LocalBitsMode::Off);
-            let on = run(LocalBitsMode::On);
-            let per = run(LocalBitsMode::Persistent);
-            for r in [&on, &per] {
+            let auto = run(LocalBitsMode::Auto);
+            let per = run(LocalBitsMode::On);
+            for r in [&auto, &per] {
                 assert_eq!(r.cliques, off.cliques, "{}", spec.name);
                 assert_eq!(
                     r.stats.oracle_queries + r.stats.local_bits.probes_avoided,
@@ -107,7 +104,7 @@ fn probe_sweep() -> Vec<CoreBitsRow> {
             }
             assert_eq!(
                 per.stats.local_bits.rows_built, 0,
-                "{}: the persistent tier must never rebuild per-level rows",
+                "{}: the core bitmap must never rebuild per-level rows",
                 spec.name
             );
             assert_eq!(
@@ -124,8 +121,6 @@ fn probe_sweep() -> Vec<CoreBitsRow> {
                 dataset: spec.name.clone(),
                 category: spec.category.prefix().to_string(),
                 scalar_queries: off.stats.oracle_queries,
-                perlevel_queries: on.stats.oracle_queries,
-                perlevel_rows: on.stats.local_bits.rows_built,
                 persistent_queries: per.stats.oracle_queries,
                 persistent_probes: per.stats.local_bits.persistent_probes,
                 elimination_pct: elimination,
@@ -137,13 +132,11 @@ fn probe_sweep() -> Vec<CoreBitsRow> {
 }
 
 fn print_sweep(rows: &[CoreBitsRow]) {
-    println!("\n-- Edge-oracle probes per solve: scalar vs per-level vs persistent --");
+    println!("\n-- Edge-oracle probes per solve: scalar vs core bitmap --");
     print_table(
         &[
             "Dataset",
             "Scalar queries",
-            "Per-level queries",
-            "Per-level rows",
             "Persistent queries",
             "Eliminated %",
             "Rebuilds",
@@ -155,8 +148,6 @@ fn print_sweep(rows: &[CoreBitsRow]) {
                 vec![
                     r.dataset.clone(),
                     r.scalar_queries.to_string(),
-                    r.perlevel_queries.to_string(),
-                    r.perlevel_rows.to_string(),
                     r.persistent_queries.to_string(),
                     format!("{:.1}", r.elimination_pct),
                     r.rebuilds.to_string(),
@@ -177,12 +168,8 @@ fn bench() {
         .collect();
     graphs.push(("planted_600_dense".into(), planted_dense()));
     for (name, graph) in &graphs {
-        for (label, local) in [
-            ("persistent", LocalBitsMode::Persistent),
-            ("perlevel", LocalBitsMode::On),
-            ("scalar", LocalBitsMode::Off),
-        ] {
-            group.bench(&format!("{label}/{name}"), |b| {
+        for local in [LocalBitsMode::On, LocalBitsMode::Auto, LocalBitsMode::Off] {
+            group.bench(&format!("{local}/{name}"), |b| {
                 let s = solver(local);
                 b.iter(|| s.solve(graph).unwrap());
             });
@@ -196,24 +183,24 @@ fn bench() {
     harness.finish();
 }
 
-/// Paired per-iteration milliseconds `(persistent, perlevel)`, noise-hardened
+/// Paired per-iteration milliseconds `(mode, scalar walk)`, noise-hardened
 /// the same three ways as `micro_fused_expand`: ≥20 ms batches, interleaved
 /// sides, minimum over `samples` batches.
-fn paired_min_ms(samples: usize, graph: &Csr) -> (f64, f64) {
+fn paired_min_ms(samples: usize, graph: &Csr, mode: LocalBitsMode) -> (f64, f64) {
     let run = |local: LocalBitsMode| {
         solver(local).solve(graph).unwrap();
     };
     let start = Instant::now();
-    run(LocalBitsMode::Persistent);
-    run(LocalBitsMode::On); // warmup both sides + calibration probe
+    run(mode);
+    run(LocalBitsMode::Off); // warmup both sides + calibration probe
     let per_iter = (start.elapsed().as_secs_f64() / 2.0).max(1e-9);
     let iters = ((0.020 / per_iter).ceil() as usize).clamp(1, 100_000);
     for _ in 0..2 * iters {
-        run(LocalBitsMode::Persistent);
+        run(mode);
     }
     let mut best = [f64::INFINITY; 2];
     for _ in 0..samples.max(1) {
-        for (slot, local) in [(0, LocalBitsMode::Persistent), (1, LocalBitsMode::On)] {
+        for (slot, local) in [(0, mode), (1, LocalBitsMode::Off)] {
             let start = Instant::now();
             for _ in 0..iters {
                 run(local);
@@ -231,20 +218,23 @@ fn gate() -> ExitCode {
         .unwrap_or(5);
     let mut failed = false;
 
-    println!("-- Perf gate: persistent core bitmap vs per-level rebuilds --");
+    println!("-- Perf gate: core bitmap vs scalar fused walk --");
     let mut dense: Vec<(String, Csr)> = DENSE.iter().map(|n| (n.to_string(), dataset(n))).collect();
     dense.push(("planted_600_dense".into(), planted_dense()));
     let sparse: Vec<(String, Csr)> = SPARSE.iter().map(|n| (n.to_string(), dataset(n))).collect();
     // Dense shares the 5% noise band every wall-clock gate in this harness
     // uses; sparse gets double because its sub-ms solves amplify scheduler
     // jitter and the one-time build must merely stay near cost-free.
-    for (graphs, slack, regime) in [(&dense, 1.05, "dense"), (&sparse, 1.10, "sparse")] {
-        println!("   ({regime}: persistent must be ≤ {slack}× per-level)");
+    for (graphs, mode, slack, regime) in [
+        (&dense, LocalBitsMode::On, 1.05, "dense"),
+        (&sparse, LocalBitsMode::Auto, 1.10, "sparse"),
+    ] {
+        println!("   ({regime}: {mode} must be ≤ {slack}× off)");
         for (name, graph) in graphs.iter() {
-            let (per_ms, level_ms) = paired_min_ms(samples, graph);
-            let ok = per_ms <= level_ms * slack;
+            let (mode_ms, off_ms) = paired_min_ms(samples, graph, mode);
+            let ok = mode_ms <= off_ms * slack;
             println!(
-                "{name:<24} persistent {per_ms:>8.3} ms  per-level {level_ms:>8.3} ms  {}",
+                "{name:<24} {mode:<4} {mode_ms:>8.3} ms  off {off_ms:>8.3} ms  {}",
                 if ok { "ok" } else { "FAIL" }
             );
             failed |= !ok;
@@ -253,8 +243,8 @@ fn gate() -> ExitCode {
 
     let rows = probe_sweep();
     print_sweep(&rows);
-    // Probe gate: over the Facebook-like smoke graphs the persistent tier
-    // must eliminate at least 95% of the scalar walk's edge-oracle probes.
+    // Probe gate: over the Facebook-like smoke graphs the core bitmap must
+    // eliminate at least 95% of the scalar walk's edge-oracle probes.
     let (per_total, off_total) = rows
         .iter()
         .filter(|r| r.category == Category::Facebook.prefix())

@@ -265,13 +265,7 @@ pub struct SolvedRecord {
     /// Edge-oracle membership queries the expansion kernels issued — the
     /// adjacency-walk cost the fused pipeline exists to cut.
     pub oracle_queries: u64,
-    /// Sublist-local bitmap rows the count kernels built (zero whenever the
-    /// word-parallel path stayed off or never fired).
-    pub bitmap_rows: u64,
-    /// Bitmap row words scanned in place of scalar probes; each covers up
-    /// to 64 tail candidates with one shift/AND/popcount.
-    pub bitmap_words: u64,
-    /// Edge-oracle probes the bitmap path made unnecessary —
+    /// Edge-oracle probes the core bitmap made unnecessary —
     /// `oracle_queries + bitmap_probes_avoided` equals the scalar walk's
     /// query count exactly.
     pub bitmap_probes_avoided: u64,
@@ -288,8 +282,6 @@ impl_to_json!(SolvedRecord {
     throughput_eps,
     launches,
     oracle_queries,
-    bitmap_rows,
-    bitmap_words,
     bitmap_probes_avoided,
 });
 
@@ -328,8 +320,6 @@ pub fn record_of(graph: &Csr, result: &SolveResult) -> SolvedRecord {
         },
         launches: result.stats.launches.launches,
         oracle_queries: result.stats.oracle_queries,
-        bitmap_rows: result.stats.local_bits.rows_built,
-        bitmap_words: result.stats.local_bits.words_anded,
         bitmap_probes_avoided: result.stats.local_bits.probes_avoided,
     }
 }

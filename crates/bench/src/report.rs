@@ -83,7 +83,6 @@ const SECTIONS: &[(&str, SectionRenderer)] = &[
     ("fig4_speedup_vs_pmc", render_fig4),
     ("fig6_window_memory", render_fig6),
     ("warp_divergence", render_divergence),
-    ("local_bits", render_local_bits),
     ("core_bits", render_core_bits),
     ("schedule", render_schedule),
     ("serve", render_serve),
@@ -217,59 +216,19 @@ fn render_divergence(out: &mut String, value: &Json) {
     );
 }
 
-fn render_local_bits(out: &mut String, value: &Json) {
-    let _ = writeln!(out, "## §III-3 — sublist-local bitmaps (per category)\n");
-    let _ = writeln!(
-        out,
-        "| Category | Scalar probes | Bitmap probes | Saved | Auto avoided | Auto rows | Auto verdict |"
-    );
-    let _ = writeln!(out, "|---|---|---|---|---|---|---|");
-    // Aggregate the per-dataset sweep rows by corpus category.
-    let mut by_cat: std::collections::BTreeMap<String, (u64, u64, u64, u64)> =
-        std::collections::BTreeMap::new();
-    for row in value.as_array().into_iter().flatten() {
-        let cat = row["category"].as_str().unwrap_or("?").to_string();
-        let entry = by_cat.entry(cat).or_default();
-        entry.0 += row["scalar_queries"].as_u64().unwrap_or(0);
-        entry.1 += row["on_queries"].as_u64().unwrap_or(0);
-        entry.2 += row["auto_rows"].as_u64().unwrap_or(0);
-        entry.3 += row["auto_avoided"].as_u64().unwrap_or(0);
-    }
-    for (cat, (scalar, on, auto_rows, auto_avoided)) in &by_cat {
-        let saved = if *scalar == 0 {
-            0.0
-        } else {
-            100.0 * (1.0 - *on as f64 / *scalar as f64)
-        };
-        // Flag corpora where the cost model left everything scalar while
-        // the forced bitmap tier demonstrably won — recalibration bait.
-        let verdict = if *auto_avoided == 0 && saved >= 80.0 {
-            format!("MISCALIBRATED: Auto stayed scalar, On saved {saved:.1}%")
-        } else {
-            "ok".to_string()
-        };
-        let _ = writeln!(
-            out,
-            "| {cat} | {scalar} | {on} | {saved:.1}% | {auto_avoided} | {auto_rows} | {verdict} |"
-        );
-    }
-    let _ = writeln!(out);
-}
-
 fn render_core_bits(out: &mut String, value: &Json) {
     let _ = writeln!(out, "## §III-3 — persistent core-graph bitmaps\n");
     let _ = writeln!(
         out,
-        "| Dataset | Scalar probes | Per-level probes | Persistent probes | Eliminated | Rebuilds | Bitmap KiB |"
+        "| Dataset | Scalar probes | Persistent probes | Eliminated | Rebuilds | Bitmap KiB |"
     );
-    let _ = writeln!(out, "|---|---|---|---|---|---|---|");
+    let _ = writeln!(out, "|---|---|---|---|---|---|");
     for row in value.as_array().into_iter().flatten() {
         let _ = writeln!(
             out,
-            "| {} | {} | {} | {} | {:.1}% | {} | {:.1} |",
+            "| {} | {} | {} | {:.1}% | {} | {:.1} |",
             row["dataset"].as_str().unwrap_or("?"),
             row["scalar_queries"].as_u64().unwrap_or(0),
-            row["perlevel_queries"].as_u64().unwrap_or(0),
             row["persistent_queries"].as_u64().unwrap_or(0),
             row["elimination_pct"].as_f64().unwrap_or(f64::NAN),
             row["rebuilds"].as_u64().unwrap_or(0),
@@ -440,65 +399,19 @@ mod tests {
     }
 
     #[test]
-    fn renders_local_bits_category_aggregates() {
-        let dir = temp_dir("lb");
-        std::fs::write(
-            dir.join("local_bits.json"),
-            r#"[{"dataset":"socfb-campus-01","category":"socfb","scalar_queries":1000,
-                 "auto_queries":1000,"auto_avoided":0,"auto_rows":0,"on_queries":100,
-                 "on_avoided":900,"on_reduction_pct":90.0},
-                {"dataset":"socfb-campus-02","category":"socfb","scalar_queries":3000,
-                 "auto_queries":2500,"auto_avoided":500,"auto_rows":64,"on_queries":300,
-                 "on_avoided":2700,"on_reduction_pct":90.0},
-                {"dataset":"road-grid-01","category":"road","scalar_queries":500,
-                 "auto_queries":500,"auto_avoided":0,"auto_rows":0,"on_queries":500,
-                 "on_avoided":0,"on_reduction_pct":0.0}]"#,
-        )
-        .unwrap();
-        let report = render_report(&dir);
-        assert!(
-            report.contains("| socfb | 4000 | 400 | 90.0% | 500 | 64 | ok |"),
-            "{report}"
-        );
-        assert!(
-            report.contains("| road | 500 | 500 | 0.0% | 0 | 0 | ok |"),
-            "{report}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn flags_categories_where_auto_stayed_scalar_but_on_won() {
-        let dir = temp_dir("lb_flag");
-        std::fs::write(
-            dir.join("local_bits.json"),
-            r#"[{"dataset":"web-crawl-01","category":"web","scalar_queries":2000,
-                 "auto_queries":2000,"auto_avoided":0,"auto_rows":0,"on_queries":200,
-                 "on_avoided":1800,"on_reduction_pct":90.0}]"#,
-        )
-        .unwrap();
-        let report = render_report(&dir);
-        assert!(
-            report.contains("| web | 2000 | 200 | 90.0% | 0 | 0 | MISCALIBRATED: Auto stayed scalar, On saved 90.0% |"),
-            "{report}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn renders_core_bits_rows() {
         let dir = temp_dir("cb");
         std::fs::write(
             dir.join("core_bits.json"),
             r#"[{"dataset":"socfb-campus-04","category":"socfb","scalar_queries":10000,
-                 "perlevel_queries":1000,"persistent_queries":0,"persistent_probes":10000,
+                 "persistent_queries":0,"persistent_probes":10000,
                  "elimination_pct":100.0,"rebuilds":0,"persistent_bytes":2048}]"#,
         )
         .unwrap();
         let report = render_report(&dir);
         assert!(report.contains("persistent core-graph bitmaps"), "{report}");
         assert!(
-            report.contains("| socfb-campus-04 | 10000 | 1000 | 0 | 100.0% | 0 | 2.0 |"),
+            report.contains("| socfb-campus-04 | 10000 | 0 | 100.0% | 0 | 2.0 |"),
             "{report}"
         );
         std::fs::remove_dir_all(&dir).ok();

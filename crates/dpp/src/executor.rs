@@ -366,12 +366,6 @@ impl Executor {
         self.inner.fault_on.store(on, Ordering::Relaxed);
     }
 
-    /// The armed fault injector, if any. Pipelines use this to reach the
-    /// shared recovery counters without threading the injector by hand.
-    pub fn fault_injector(&self) -> Option<FaultInjector> {
-        self.inner.fault.read().unwrap().clone()
-    }
-
     /// Whether a launch-faulting injector is armed — the exact relaxed load
     /// the `try_` entry points pay per launch when faults are disabled
     /// (probed by the `GMC_PERF_GATE=1` micro bench).
@@ -1398,10 +1392,6 @@ mod tests {
         for _ in 0..50 {
             assert!(exec.try_run(Launch::new("never_fails", 8), |_| {}).is_ok());
         }
-        assert!(
-            exec.fault_injector().is_some(),
-            "injector is still reachable"
-        );
     }
 
     #[test]

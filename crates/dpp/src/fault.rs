@@ -154,8 +154,9 @@ pub struct FaultStats {
     pub alloc_recoveries: u64,
     /// Injected launch faults the solver recovered from.
     pub launch_recoveries: u64,
-    /// Levels where a faulted local-bitmap build fell back to the scalar
-    /// walk (each is also counted in its kind's recovery total).
+    /// Expansion attempts where a faulted core-bitmap charge or build fell
+    /// back to the scalar walk (each is also counted in its kind's
+    /// recovery total).
     pub bitmap_fallbacks: u64,
     /// Window splits forced by repeated faults (geometric backoff).
     pub window_shrinks: u64,
@@ -258,8 +259,8 @@ impl FaultInjector {
         .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a level that fell back from the local-bitmap path to the
-    /// scalar walk after `error`; also counts the kind's recovery.
+    /// Records an expansion attempt that fell back from the core bitmap to
+    /// the scalar walk after `error`; also counts the kind's recovery.
     pub fn note_bitmap_fallback(&self, error: &DeviceError) {
         self.cells.bitmap_fallbacks.fetch_add(1, Ordering::Relaxed);
         self.note_recovery(error);

@@ -21,9 +21,6 @@
 //! * [`rng`] — a deterministic SplitMix64-seeded xoshiro256** generator
 //!   behind every seeded graph generator, corpus dataset and shuffle in the
 //!   repo (no external `rand`).
-//! * [`bits`] — word-level bitmask helpers (suffix masks, masked-suffix
-//!   popcount, funnel-shift word reads) behind the 64-wide sublist-bitmap
-//!   intersections in the expansion kernels.
 //! * [`prop`] — a seeded property-testing harness (case generation plus
 //!   bounded shrinking) behind the repo's property suites (no external
 //!   `proptest`).
@@ -43,7 +40,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bits;
 mod cancel;
 mod executor;
 pub mod fault;

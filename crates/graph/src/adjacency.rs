@@ -15,12 +15,6 @@
 //! All three implement [`EdgeOracle`], so the solver can be parameterised
 //! over the lookup strategy and the trade-off measured (see the `ablations`
 //! bench target).
-//!
-//! A fourth structure sits between the global bitset and the per-pair
-//! oracles: the *sublist-local* adjacency bitmap ([`LocalBitmap`] /
-//! [`local_row_intersect`]) the fused expansion kernels build per BFS
-//! sublist, turning the tail intersection into word-wise shifts and
-//! popcounts without ever materialising the `n²` matrix.
 
 use crate::Csr;
 use gmc_dpp::{DeviceError, Executor, Launch, SharedSlice, UninitSlice};
@@ -181,7 +175,7 @@ impl CoreBitmap {
     /// survivor) and a weighted row build (one virtual thread per row,
     /// cost-hinted by degree). Both are `try_` launches, so injected
     /// faults and deadline cancellation surface here instead of aborting —
-    /// the caller degrades to per-level bitmaps or unwinds its charge.
+    /// the caller degrades to the scalar walk or unwinds its charge.
     pub fn try_build(exec: &Executor, graph: &Csr, keep: &[bool]) -> Result<Self, DeviceError> {
         assert_eq!(keep.len(), graph.num_vertices(), "keep mask length");
         exec.check_cancelled()?;
@@ -269,152 +263,6 @@ impl EdgeOracle for CoreBitmap {
 
     fn footprint_bytes(&self) -> usize {
         self.matrix.footprint_bytes() + std::mem::size_of_val(self.new_of_old.as_slice())
-    }
-}
-
-/// Packs a sublist member for the local-bitmap builder: the vertex id in
-/// the high 32 bits — so sorting packed keys sorts by vertex — and the
-/// member's position within the sublist in the low 32 bits.
-#[inline]
-pub fn pack_member(vertex: u32, pos: u32) -> u64 {
-    (u64::from(vertex) << 32) | u64::from(pos)
-}
-
-/// The vertex id of a packed member key.
-#[inline]
-pub fn member_vertex(packed: u64) -> u32 {
-    (packed >> 32) as u32
-}
-
-/// The sublist position of a packed member key.
-#[inline]
-pub fn member_pos(packed: u64) -> u32 {
-    packed as u32
-}
-
-/// Threshold at which the row intersection switches from linear merge to
-/// galloping: when one side outnumbers the other by this factor, binary
-/// probes into the long side beat stepping through it.
-const GALLOP_RATIO: usize = 16;
-
-/// Fills one row of a sublist-local adjacency bitmap: calls `set(pos)` for
-/// every sublist member adjacent to the row's vertex. `neighbors` is the
-/// vertex's sorted CSR adjacency list; `members` is the sublist packed by
-/// [`pack_member`] and sorted (i.e. sorted by vertex id). The merge gallops
-/// whichever side is much longer, so a hub vertex costs
-/// `O(m log(d / m))` instead of `O(d)` — and makes **no** [`EdgeOracle`]
-/// probes at all.
-pub fn local_row_intersect(neighbors: &[u32], members: &[u64], mut set: impl FnMut(u32)) {
-    let mut i = 0usize; // cursor into neighbors
-    let mut j = 0usize; // cursor into members
-    while i < neighbors.len() && j < members.len() {
-        let rest_n = neighbors.len() - i;
-        let rest_m = members.len() - j;
-        if rest_n > GALLOP_RATIO * rest_m {
-            let v = member_vertex(members[j]);
-            i += gallop(&neighbors[i..], v, |&u| u);
-            if i < neighbors.len() && neighbors[i] == v {
-                set(member_pos(members[j]));
-                i += 1;
-            }
-            j += 1;
-        } else if rest_m > GALLOP_RATIO * rest_n {
-            let u = neighbors[i];
-            j += gallop(&members[j..], u, |&p| member_vertex(p));
-            if j < members.len() && member_vertex(members[j]) == u {
-                set(member_pos(members[j]));
-                j += 1;
-            }
-            i += 1;
-        } else {
-            let u = neighbors[i];
-            let v = member_vertex(members[j]);
-            match u.cmp(&v) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    set(member_pos(members[j]));
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-    }
-}
-
-/// Exponential search: the first index of `slice` whose key is `>= target`.
-fn gallop<T>(slice: &[T], target: u32, key: impl Fn(&T) -> u32) -> usize {
-    let mut bound = 1usize;
-    while bound < slice.len() && key(&slice[bound - 1]) < target {
-        bound *= 2;
-    }
-    let lo = bound / 2;
-    let hi = bound.min(slice.len());
-    lo + slice[lo..hi].partition_point(|x| key(x) < target)
-}
-
-/// A sublist-local adjacency bitmap: one `m`-bit row per sublist member,
-/// rows packed into `m.div_ceil(64)` words each. Row `r`, bit `c` is set
-/// iff members `r` and `c` are adjacent (the diagonal stays clear).
-///
-/// This owning builder is the reference form; the fused expansion kernels
-/// build the same rows directly into arena scratch via
-/// [`local_row_intersect`], one virtual thread per row.
-pub struct LocalBitmap {
-    m: usize,
-    words_per_row: usize,
-    words: Vec<u64>,
-}
-
-impl LocalBitmap {
-    /// Builds the bitmap for `members` (distinct vertices, any order) from
-    /// the graph's sorted adjacency lists.
-    pub fn build(graph: &Csr, members: &[u32]) -> Self {
-        let m = members.len();
-        let words_per_row = m.div_ceil(64);
-        let mut packed: Vec<u64> = members
-            .iter()
-            .enumerate()
-            .map(|(pos, &v)| pack_member(v, pos as u32))
-            .collect();
-        packed.sort_unstable();
-        let mut words = vec![0u64; m * words_per_row];
-        for (r, &v) in members.iter().enumerate() {
-            let row = &mut words[r * words_per_row..(r + 1) * words_per_row];
-            local_row_intersect(graph.neighbors(v), &packed, |pos| {
-                row[pos as usize / 64] |= 1 << (pos % 64);
-            });
-        }
-        Self {
-            m,
-            words_per_row,
-            words,
-        }
-    }
-
-    /// Number of members (bits per row).
-    pub fn len(&self) -> usize {
-        self.m
-    }
-
-    /// Whether the sublist is empty.
-    pub fn is_empty(&self) -> bool {
-        self.m == 0
-    }
-
-    /// Words per row.
-    pub fn words_per_row(&self) -> usize {
-        self.words_per_row
-    }
-
-    /// The packed words of row `r`.
-    pub fn row(&self, r: usize) -> &[u64] {
-        &self.words[r * self.words_per_row..(r + 1) * self.words_per_row]
-    }
-
-    /// Whether members `r` and `c` are adjacent.
-    pub fn bit(&self, r: usize, c: usize) -> bool {
-        (self.row(r)[c / 64] >> (c % 64)) & 1 == 1
     }
 }
 
@@ -601,58 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn local_bitmap_matches_oracle_on_arbitrary_member_sets() {
-        let g = generators::gnp(80, 0.25, 11);
-        // Unsorted member slice, as deeper BFS levels produce.
-        let members: Vec<u32> = vec![17, 3, 42, 8, 77, 21, 5, 60, 33];
-        let local = LocalBitmap::build(&g, &members);
-        assert_eq!(local.len(), members.len());
-        for (r, &u) in members.iter().enumerate() {
-            for (c, &v) in members.iter().enumerate() {
-                assert_eq!(local.bit(r, c), g.has_edge(u, v), "({u},{v})");
-            }
-        }
-    }
-
-    #[test]
-    fn local_bitmap_spans_multiple_words() {
-        // 70 members of a complete graph: rows are 2 words, every off-
-        // diagonal bit set.
-        let g = generators::complete(70);
-        let members: Vec<u32> = (0..70).collect();
-        let local = LocalBitmap::build(&g, &members);
-        assert_eq!(local.words_per_row(), 2);
-        for r in 0..70 {
-            for c in 0..70 {
-                assert_eq!(local.bit(r, c), r != c, "({r},{c})");
-            }
-        }
-        assert!(LocalBitmap::build(&g, &[]).is_empty());
-    }
-
-    #[test]
-    fn galloping_intersect_agrees_with_linear_merge() {
-        // A hub whose adjacency list dwarfs the member slice, and vice
-        // versa, so both galloping arms execute.
-        let mut edges: Vec<(u32, u32)> = (1..2000).map(|v| (0, v)).collect();
-        edges.push((3, 7));
-        let g = Csr::from_edges(2000, &edges);
-        let members = [0u32, 3, 7, 500, 1999];
-        let local = LocalBitmap::build(&g, &members);
-        for (r, &u) in members.iter().enumerate() {
-            for (c, &v) in members.iter().enumerate() {
-                assert_eq!(local.bit(r, c), g.has_edge(u, v), "({u},{v})");
-            }
-        }
-        // Members far longer than a short adjacency list.
-        let many: Vec<u32> = (0..1500).collect();
-        let local = LocalBitmap::build(&g, &many);
-        for c in 1..1500 {
-            assert_eq!(local.bit(3, c), g.has_edge(3, c as u32), "(3,{c})");
-        }
-    }
-
-    #[test]
     fn core_bitmap_agrees_with_graph_on_kept_pairs() {
         let g = generators::gnp(120, 0.12, 17);
         // Keep roughly two thirds of the vertices, scattered.
@@ -721,17 +517,5 @@ mod tests {
         };
         assert!(matches!(err, DeviceError::Cancelled(_)));
         exec.set_cancel_token(None);
-    }
-
-    #[test]
-    fn member_packing_round_trips() {
-        let p = pack_member(0xDEAD_BEEF, 42);
-        assert_eq!(member_vertex(p), 0xDEAD_BEEF);
-        assert_eq!(member_pos(p), 42);
-        // Sorting packed keys sorts by vertex id.
-        let mut keys = [pack_member(9, 0), pack_member(2, 1), pack_member(5, 2)];
-        keys.sort_unstable();
-        let order: Vec<u32> = keys.iter().map(|&k| member_vertex(k)).collect();
-        assert_eq!(order, [2, 5, 9]);
     }
 }

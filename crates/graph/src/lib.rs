@@ -33,9 +33,6 @@ pub mod generators;
 pub mod io;
 pub mod kcore;
 
-pub use adjacency::{
-    local_row_intersect, member_pos, member_vertex, pack_member, BitMatrix, CoreBitmap, EdgeOracle,
-    HashAdjacency, LocalBitmap,
-};
+pub use adjacency::{BitMatrix, CoreBitmap, EdgeOracle, HashAdjacency};
 pub use builder::GraphBuilder;
 pub use csr::Csr;

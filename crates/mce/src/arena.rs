@@ -20,27 +20,6 @@
 
 use gmc_dpp::{DeviceMemory, DeviceOom, MemoryGuard};
 
-/// One sublist of the head level, as segmented for the local-bitmap fast
-/// path. `bitmap` segments own a span of [`LevelArena::members`] and
-/// [`LevelArena::local_rows`]; scalar segments only carry their extent.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct LocalSeg {
-    /// First entry index of the sublist in the head level.
-    pub start: usize,
-    /// Member count `m` (sublist length).
-    pub len: usize,
-    /// First global row index in the row-build launch (bitmap segs only).
-    pub row0: usize,
-    /// Word offset of this segment's rows in [`LevelArena::local_rows`]
-    /// (its span in [`LevelArena::members`] starts at `row0`: one member
-    /// key per row).
-    pub rows_off: usize,
-    /// Words per bitmap row: `len.div_ceil(64)`.
-    pub words_per_row: usize,
-    /// Whether this sublist takes the bitmap fast path.
-    pub bitmap: bool,
-}
-
 /// Recycled scratch buffers for the fused (and unfused-accounting) expansion
 /// pipeline. See the module docs for the charging policy.
 pub(crate) struct LevelArena {
@@ -60,26 +39,11 @@ pub(crate) struct LevelArena {
     pub spill_offsets: Vec<usize>,
     /// Overflow adjacency bitmask words for tails longer than 64.
     pub spill: Vec<u64>,
-    /// Sublist segments of the head level (local-bitmap dispatch).
-    pub segs: Vec<LocalSeg>,
-    /// Per-entry index into `segs`.
-    pub seg_of: Vec<u32>,
-    /// Global-row → segment map for the row-build launch.
-    pub row_seg: Vec<u32>,
-    /// Packed `(vertex << 32) | pos` member keys, sorted per bitmap
-    /// segment (see `gmc_graph::pack_member`).
-    pub members: Vec<u64>,
-    /// Sublist-local adjacency bitmap rows, all bitmap segments
-    /// concatenated (`len * words_per_row` words each).
-    pub local_rows: Vec<u64>,
     /// Freelist of retired `u32` level arrays (vertex/sublist staging).
     staging: Vec<Vec<u32>>,
     /// Charges backing `spill` at its high-water mark.
     spill_guards: Vec<MemoryGuard>,
     spill_charged: usize,
-    /// Charges backing `members` + `local_rows` at their high-water mark.
-    local_guards: Vec<MemoryGuard>,
-    local_charged: usize,
 }
 
 impl LevelArena {
@@ -94,16 +58,9 @@ impl LevelArena {
             spill_words: Vec::new(),
             spill_offsets: Vec::new(),
             spill: Vec::new(),
-            segs: Vec::new(),
-            seg_of: Vec::new(),
-            row_seg: Vec::new(),
-            members: Vec::new(),
-            local_rows: Vec::new(),
             staging: Vec::new(),
             spill_guards: Vec::new(),
             spill_charged: 0,
-            local_guards: Vec::new(),
-            local_charged: 0,
         }
     }
 
@@ -144,26 +101,12 @@ impl LevelArena {
         Ok(())
     }
 
-    /// Ensures `bytes` of local-bitmap storage (member keys + row words,
-    /// device-resident between the sort/build launches and the count
-    /// kernel) are charged, high-water style like the spill buffer.
-    pub fn charge_local(&mut self, memory: &DeviceMemory, bytes: usize) -> Result<(), DeviceOom> {
-        if bytes > self.local_charged {
-            let guard = memory.try_charge(bytes - self.local_charged)?;
-            self.local_charged = bytes;
-            self.local_guards.push(guard);
-        }
-        Ok(())
-    }
-
-    /// Releases every spill and local-bitmap charge (capacity stays for
-    /// reuse). Called at the end of an expansion and on OOM, so retries and
-    /// later windows charge from zero.
+    /// Releases every spill charge (capacity stays for reuse). Called at the
+    /// end of an expansion and on OOM, so retries and later windows charge
+    /// from zero.
     pub fn release_charges(&mut self) {
         self.spill_guards.clear();
         self.spill_charged = 0;
-        self.local_guards.clear();
-        self.local_charged = 0;
     }
 }
 
@@ -211,23 +154,5 @@ mod tests {
         // After release, charging starts from zero again.
         arena.charge_spill(&memory, 64).unwrap();
         assert_eq!(memory.live(), 64);
-    }
-
-    #[test]
-    fn local_bitmap_charging_tracks_its_own_high_water() {
-        let memory = DeviceMemory::new(1024);
-        let mut arena = LevelArena::new();
-        arena.charge_spill(&memory, 100).unwrap();
-        arena.charge_local(&memory, 300).unwrap();
-        assert_eq!(memory.live(), 400);
-        // Each pool grows independently of the other.
-        arena.charge_local(&memory, 200).unwrap();
-        assert_eq!(memory.live(), 400);
-        arena.charge_local(&memory, 500).unwrap();
-        assert_eq!(memory.live(), 600);
-        assert!(arena.charge_local(&memory, 2000).is_err());
-        assert_eq!(memory.live(), 600);
-        arena.release_charges();
-        assert_eq!(memory.live(), 0);
     }
 }

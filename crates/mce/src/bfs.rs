@@ -34,32 +34,22 @@
 //!   unpruned sublist tail (repeating the count kernel's oracle queries),
 //!   fresh per-level allocations and the two-phase scan.
 //!
-//! The fused pipeline additionally carries a **sublist-local bitmap fast
-//! path** ([`SolverConfig::local_bits`]): before each count kernel the head
-//! level is segmented by sublist (boundaries fall out of the threaded
-//! tails), and every sublist that is long enough — and, under `Auto`,
-//! whose provable walk savings at this level's bound cover the build cost
-//! — gets an m×m sublist-local adjacency bitmap. Two
-//! launches build it with *zero* oracle probes: one sorts each such
-//! sublist's packed member keys, one builds each row by galloping the row
-//! vertex's sorted CSR neighbor list against the sorted member slice. The
-//! count kernel then derives entry `i`'s tail mask directly from its row —
-//! tail bit `b` is row bit `r + 1 + b` for local position `r`, so the
-//! inline word and every spill word are 64-wide funnel shifts of the row,
-//! the surviving count is one suffix popcount, and bound-directed pruning
-//! collapses to a popcount comparison. Scalar sublists in the same level
-//! walk exactly as before and the emit kernel is untouched, so the fast
-//! path is bit-identical to the scalar walk, spill layout included.
+//! The fused pipeline additionally probes the solve-lifetime **core
+//! bitmap** when the solver built one ([`SolverConfig::local_bits`]): the
+//! count kernel runs the identical bound-directed record walk, but each
+//! adjacency answer is a single word test against
+//! [`CoreBitmap`] instead of an [`EdgeOracle`] call. Masks, spill layout
+//! and truncation are unchanged, so the output is bit-identical to the
+//! scalar walk.
 //!
 //! Both pipelines count their `EdgeOracle::connected` calls exactly into
 //! [`ExpansionOutcome::oracle_queries`]. The unfused walks are fully
 //! deterministic, so their tally is computed analytically on the host; the
 //! fused count kernel records each pruned entry's truncated walk length in
 //! that entry's otherwise-dead mask slot, and the host folds the tally from
-//! there at zero hot-path cost. Bitmap segments make no oracle calls at
-//! all; the probes the scalar walk *would* have made are reconstructed
-//! from the rows by the same rule and tallied into
-//! [`LocalBitsStats::probes_avoided`], so local-bits on/off query tallies
+//! there at zero hot-path cost. Core-bitmap walks make no oracle calls at
+//! all; the same rule tallies their word tests into
+//! [`LocalBitsStats::probes_avoided`], so core-bitmap on/off query tallies
 //! always reconcile exactly.
 //!
 //! The loop ends when a level produces no entries; every entry of the last
@@ -70,11 +60,10 @@
 //! [`SolverConfig::fused`]: crate::SolverConfig::fused
 //! [`SolverConfig::local_bits`]: crate::SolverConfig::local_bits
 
-use crate::arena::{LevelArena, LocalSeg};
-use crate::config::LocalBitsMode;
+use crate::arena::LevelArena;
 use gmc_cliquelist::{CliqueLevel, CliqueList};
-use gmc_dpp::{bits, Device, DeviceError, Launch, SharedSlice, UninitSlice};
-use gmc_graph::{local_row_intersect, pack_member, CoreBitmap, Csr, EdgeOracle};
+use gmc_dpp::{Device, DeviceError, Executor, Launch, SharedSlice, UninitSlice};
+use gmc_graph::{CoreBitmap, EdgeOracle};
 
 /// Result of expanding one clique list to exhaustion.
 #[derive(Debug)]
@@ -92,38 +81,32 @@ pub(crate) struct ExpansionOutcome {
     /// (count/output walks plus early-exit checks). The fused pipeline's
     /// saving over the unfused baseline shows up here.
     pub oracle_queries: u64,
-    /// Sublist-local bitmap fast-path counters (all zero when the path
-    /// never fired).
+    /// Core-bitmap counters (all zero when the expansion ran without the
+    /// core bitmap).
     pub local_bits: LocalBitsStats,
 }
 
-/// Counters for the adjacency-bitmap fast paths (fused pipeline only):
-/// the per-level sublist-local tier and the persistent core-bitmap tier.
+/// Counters for the core-bitmap probe path (fused pipeline only).
 ///
-/// All counters are exact, not sampled: `probes_avoided` is reconstructed
-/// with the same walk-length rule the scalar tally uses (from the bitmap
-/// rows per-level, or from the walk the persistent probe path actually
-/// performed), so for any expansion `oracle_queries(bitmaps on) +
-/// probes_avoided == oracle_queries(bitmaps off)`.
+/// All counters are exact, not sampled: `probes_avoided` is tallied with
+/// the same walk-length rule the scalar tally uses, from the walk the
+/// core-bitmap probe path actually performed, so for any expansion
+/// `oracle_queries(bitmap on) + probes_avoided == oracle_queries(bitmap off)`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LocalBitsStats {
-    /// Per-level bitmap rows built across all levels — one per member of
-    /// each bitmap-covered sublist. Stays zero under the persistent tier:
-    /// the core bitmap is built once, outside the level loop.
+    /// Always zero: the core bitmap is built once, outside the level loop,
+    /// and no adjacency rows are rebuilt per level. Kept so that reports
+    /// and benchmarks reading it keep their shape.
     pub rows_built: u64,
-    /// Row words the count kernel scanned; each replaces up to 64 scalar
-    /// oracle probes with one shift/AND/popcount.
-    pub words_anded: u64,
-    /// Scalar `EdgeOracle::connected` probes the bitmap paths made
+    /// Scalar `EdgeOracle::connected` probes the core bitmap made
     /// unnecessary (what the scalar walk would have cost on those entries).
     pub probes_avoided: u64,
-    /// The subset of `probes_avoided` answered by the *persistent* core
-    /// bitmap: each was a single word test instead of a scalar oracle
-    /// probe, with zero per-level rebuild cost.
+    /// Probes answered by the core bitmap, each a single word test instead
+    /// of a scalar oracle probe. Always equal to `probes_avoided`.
     pub persistent_probes: u64,
-    /// Device bytes charged for the persistent core bitmap, zero when the
-    /// persistent tier never fired. A capacity, not a flow: folding takes
-    /// the max so window-level tallies do not double-count the one bitmap.
+    /// Device bytes charged for the core bitmap, zero when it was not
+    /// built. A capacity, not a flow: folding takes the max so window-level
+    /// tallies do not double-count the one bitmap.
     pub persistent_bytes: u64,
 }
 
@@ -131,10 +114,16 @@ impl LocalBitsStats {
     /// Folds another tally (a level's, or a window's) into this one.
     pub fn accumulate(&mut self, other: LocalBitsStats) {
         self.rows_built += other.rows_built;
-        self.words_anded += other.words_anded;
         self.probes_avoided += other.probes_avoided;
         self.persistent_probes += other.persistent_probes;
         self.persistent_bytes = self.persistent_bytes.max(other.persistent_bytes);
+    }
+
+    /// Tallies `probes` adjacency tests the core bitmap answered in place
+    /// of the edge oracle.
+    pub(crate) fn add_word_tests(&mut self, probes: u64) {
+        self.probes_avoided += probes;
+        self.persistent_probes += probes;
     }
 }
 
@@ -146,68 +135,30 @@ const EARLY_EXIT_CHECK_LIMIT: usize = 512;
 /// tails spill whole `u64` words into the arena's side buffer.
 const INLINE_BITS: usize = 64;
 
-/// Sublists shorter than this never get a local bitmap, even when forced
-/// on: a single-entry sublist has no tail to intersect.
-const LOCAL_BITS_FORCED_MIN: usize = 2;
-
-/// `Auto` builds a bitmap only for sublists at least this long — below it
-/// the m²-bit payoff cannot recoup the build's sort-and-merge cost.
-const LOCAL_BITS_AUTO_MIN: usize = 32;
-
-/// `Auto` cost guard: measured cost of one edge-oracle probe relative to
-/// one CSR merge step of the row build (a binary-search probe is ~5 merge
-/// steps on this executor). The bitmap fires only when the walk it provably
-/// replaces, weighted by this ratio, covers the build's `Σ deg(member) + m²`
-/// merge-and-write work — see [`min_walk_lower_bound`].
-const LOCAL_BITS_PROBE_WEIGHT: usize = 5;
-
-/// Lower bound on the scalar probes a length-`m` sublist walks at bound
-/// `need`: the bound-directed walk of an entry with tail `t` stops right
-/// after its `t − need + 1`-th miss, so it performs at least
-/// `t − need + 1` probes when `t ≥ need` (and surviving entries walk the
-/// full `t ≥ need ≥ t − need + 1` anyway); entries with `t < need` may
-/// walk nothing. At `need == 0` every entry walks its full tail. Summing
-/// over the sublist's tails `0..m` gives a triangular number either way.
-fn min_walk_lower_bound(m: usize, need: usize) -> usize {
-    let span = if need == 0 {
-        m.saturating_sub(1)
-    } else {
-        m.saturating_sub(need)
-    };
-    span * (span + 1) / 2
-}
-
 /// Expands `level0` breadth-first until no further cliques exist, returning
 /// the cliques of the deepest level whose size reaches `min_target`.
 ///
 /// `min_target` is the pruning bound: branches that cannot reach a clique of
 /// at least this size are cut. For full enumeration pass `ω̄` (ties kept);
-/// for find-one-better pass `best + 1`. `fused` selects the pipeline and
-/// `local_bits` the sublist-bitmap fast path within it (see the module
-/// docs); `persistent` supplies the solve-lifetime core bitmap when the
-/// persistent tier fired — the fused count kernel then answers every probe
-/// from it (single word tests, tallied into
-/// [`LocalBitsStats::persistent_probes`]) and skips per-level planning and
-/// builds entirely; the unfused pipeline ignores it. `arena` supplies
-/// recycled scratch and absorbs the retired levels' buffers on return,
-/// including the error path. The graph backs the bitmap builds — all scalar
-/// connectivity goes through the oracle.
+/// for find-one-better pass `best + 1`. `fused` selects the pipeline;
+/// `persistent` supplies the solve-lifetime core bitmap when the solver
+/// built one — the fused count kernel then answers every probe from it
+/// (single word tests, tallied into [`LocalBitsStats::persistent_probes`])
+/// and the unfused pipeline ignores it. `arena` supplies recycled scratch
+/// and absorbs the retired levels' buffers on return, including the error
+/// path.
 ///
 /// Failures — genuine OOM or injected allocation/launch faults — surface as
 /// [`DeviceError`] with the arena released, so the caller can retry (fault
-/// recovery) or split the window (OOM). One fault is recovered *inside* the
-/// loop: an injected failure while building a level's local bitmaps drops
-/// that level back to the scalar walk, which is bit-identical by design.
+/// recovery) or split the window (OOM).
 #[allow(clippy::too_many_arguments)] // mirrors the solver's knobs 1:1
 pub(crate) fn expand<O: EdgeOracle + ?Sized>(
     device: &Device,
-    graph: &Csr,
     oracle: &O,
     level0: CliqueLevel,
     min_target: u32,
     early_exit_enabled: bool,
     fused: bool,
-    local_bits: LocalBitsMode,
     persistent: Option<&CoreBitmap>,
     arena: &mut LevelArena,
 ) -> Result<ExpansionOutcome, DeviceError> {
@@ -230,13 +181,11 @@ pub(crate) fn expand<O: EdgeOracle + ?Sized>(
     let grown = if fused {
         grow_fused(
             device,
-            graph,
             oracle,
             &mut list,
             &mut level_entries,
             min_target,
             early_exit_enabled,
-            local_bits,
             persistent,
             arena,
             &mut queries,
@@ -317,20 +266,17 @@ fn recycle(arena: &mut LevelArena, list: &mut CliqueList) {
 }
 
 /// The fused level loop: record-and-replay adjacency bitmasks, threaded
-/// sublist tails, single-pass scan, arena-recycled scratch, and the
-/// sublist-local bitmap fast path when `local_bits` selects it. Returns the
-/// early-exit clique when that check fires, `None` when the level loop
-/// drains normally.
+/// sublist tails, single-pass scan, arena-recycled scratch, and core-bitmap
+/// probes when `persistent` is set. Returns the early-exit clique when that
+/// check fires, `None` when the level loop drains normally.
 #[allow(clippy::too_many_arguments)]
 fn grow_fused<O: EdgeOracle + ?Sized>(
     device: &Device,
-    graph: &Csr,
     oracle: &O,
     list: &mut CliqueList,
     level_entries: &mut Vec<usize>,
     min_target: u32,
     early_exit_enabled: bool,
-    local_bits: LocalBitsMode,
     persistent: Option<&CoreBitmap>,
     arena: &mut LevelArena,
     queries: &mut u64,
@@ -338,7 +284,6 @@ fn grow_fused<O: EdgeOracle + ?Sized>(
 ) -> Result<Option<Vec<u32>>, DeviceError> {
     let exec = device.exec();
     let tracer = exec.tracer();
-    let injector = exec.fault_injector();
     arena.set_tails_from_sublists(list.head().expect("list is non-empty").sublist_ids());
     loop {
         // Level boundaries are the launch boundaries of the pipeline:
@@ -387,204 +332,48 @@ fn grow_fused<O: EdgeOracle + ?Sized>(
             0
         };
 
-        // Segment the head level by sublist and plan which sublists get a
-        // local adjacency bitmap (see the module docs). An empty plan —
-        // mode off, or every sublist rejected — keeps the level on the
-        // plain scalar kernel with zero dispatch overhead. The persistent
-        // tier answers every probe from the solve-lifetime core bitmap, so
-        // per-level planning and builds are skipped outright (zero
-        // rebuilds after the one up-front build).
-        let local_words = if persistent.is_some() {
-            0
-        } else {
-            plan_local_segments(graph, vertex_id, arena, local_bits, need)
-        };
-        let mut local_active = local_words > 0;
-        if local_active {
-            if let Err(err) = build_local_bitmaps(device, graph, vertex_id, arena, local_words) {
-                let recoverable = err.is_injected() && injector.is_some();
-                if !recoverable {
-                    return Err(err);
-                }
-                // Recovery ladder, first rung: an injected fault in the
-                // bitmap build drops this level back to the scalar walk —
-                // bit-identical output by design, only the query tally
-                // shifts from `probes_avoided` to real probes.
-                injector
-                    .as_ref()
-                    .expect("recoverable implies an armed injector")
-                    .note_bitmap_fallback(&err);
-                if tracer.is_enabled() {
-                    tracer.instant("fault_bitmap_fallback", &[("k", k as i64)]);
-                }
-                local_active = false;
-            }
-        }
-
         // Fused COUNTCLIQUES: the single adjacency walk records both the
         // pruned count and the raw adjacency bitmask the emit kernel will
-        // replay (see `scalar_count_walk` for the walk's invariants).
-        // Entries of bitmap segments skip the walk entirely and derive
-        // their mask by shifting their bitmap row past their own position.
-        // Spill words are assembled locally and each is stored exactly once
-        // (bailing entries zero-fill the rest of their span), so the side
-        // buffer needs no pre-zeroing.
-        {
-            let tails = &arena.tails;
-            let spill_offsets = &arena.spill_offsets;
-            let counts_dst = UninitSlice::for_vec(&mut arena.counts, len);
-            let masks_dst = UninitSlice::for_vec(&mut arena.masks, len);
-            let spill_dst = UninitSlice::for_vec(&mut arena.spill, spill_total);
-            if let Some(core) = persistent {
-                // Persistent tier: the identical bound-directed record walk,
-                // but every adjacency answer is a single word test against
-                // the core bitmap — same masks, same spill layout, same
-                // truncation rule, so the output is bit-identical to the
-                // scalar walk while the edge oracle is never touched.
-                let tail_cost = |i: usize| u64::from(tails[i]) + 1;
-                let launch = Launch::new("bfs_count_cliques_persistent", len)
-                    .fused()
-                    .weighted(&tail_cost);
-                exec.try_run(launch, |i| {
-                    let t = tails[i] as usize;
-                    let spill_base = if t > INLINE_BITS { spill_offsets[i] } else { 0 };
-                    scalar_count_walk(
-                        core,
-                        vertex_id,
-                        i,
-                        t,
-                        need,
-                        spill_base,
-                        &counts_dst,
-                        &masks_dst,
-                        &spill_dst,
-                    );
-                })?;
-            } else if local_active {
-                let segs = &arena.segs;
-                let seg_of = &arena.seg_of;
-                let local_rows = &arena.local_rows;
-                // Cost hint: the walk visits exactly the entry's tail.
-                let tail_cost = |i: usize| u64::from(tails[i]) + 1;
-                let launch = Launch::new("bfs_count_cliques_local", len)
-                    .fused()
-                    .weighted(&tail_cost);
-                exec.try_run(launch, |i| {
-                    let t = tails[i] as usize;
-                    let spill_base = if t > INLINE_BITS { spill_offsets[i] } else { 0 };
-                    let seg = &segs[seg_of[i] as usize];
-                    if seg.bitmap {
-                        let r = i - seg.start;
-                        let base = seg.rows_off + r * seg.words_per_row;
-                        let row = &local_rows[base..base + seg.words_per_row];
-                        bitmap_count_walk(
-                            row,
-                            r,
-                            i,
-                            t,
-                            need,
-                            spill_base,
-                            &counts_dst,
-                            &masks_dst,
-                            &spill_dst,
-                        );
-                    } else {
-                        scalar_count_walk(
-                            oracle,
-                            vertex_id,
-                            i,
-                            t,
-                            need,
-                            spill_base,
-                            &counts_dst,
-                            &masks_dst,
-                            &spill_dst,
-                        );
-                    }
-                })?;
-            } else {
-                let tail_cost = |i: usize| u64::from(tails[i]) + 1;
-                let launch = Launch::new("bfs_count_cliques_fused", len)
-                    .fused()
-                    .weighted(&tail_cost);
-                exec.try_run(launch, |i| {
-                    let t = tails[i] as usize;
-                    let spill_base = if t > INLINE_BITS { spill_offsets[i] } else { 0 };
-                    scalar_count_walk(
-                        oracle,
-                        vertex_id,
-                        i,
-                        t,
-                        need,
-                        spill_base,
-                        &counts_dst,
-                        &masks_dst,
-                        &spill_dst,
-                    );
-                })?;
-            }
-            // SAFETY: the launch wrote every index of all three buffers
-            // (spill spans tile 0..spill_total across entries with long
-            // tails).
-            unsafe {
-                arena.counts.set_len(len);
-                arena.masks.set_len(len);
-                arena.spill.set_len(spill_total);
-            }
+        // replay (see `scalar_count_walk` for the walk's invariants). With
+        // the core bitmap every adjacency answer is a single word test and
+        // the edge oracle is never touched.
+        match persistent {
+            Some(core) => count_level(
+                exec,
+                "bfs_count_cliques_persistent",
+                core,
+                vertex_id,
+                need,
+                spill_total,
+                arena,
+            )?,
+            None => count_level(
+                exec,
+                "bfs_count_cliques_fused",
+                oracle,
+                vertex_id,
+                need,
+                spill_total,
+                arena,
+            )?,
         }
 
-        // Exact query tally: a surviving entry always walked its whole tail
+        // Exact probe tally: a surviving entry always walked its whole tail
         // (a bailed walk implies pruning), a pruned entry recorded its
-        // truncated walk length in the dead mask slot. Bitmap segments made
-        // no oracle calls — the same rule reconstructs the probes the
-        // scalar walk would have made, which feed the avoided counter.
-        let mut level_local = LocalBitsStats::default();
+        // truncated walk length in the dead mask slot. Core-bitmap walks
+        // made no oracle calls, so their word tests feed the avoided
+        // counters instead of `queries`.
+        let walked = arena
+            .counts
+            .iter()
+            .zip(&arena.tails)
+            .zip(&arena.masks)
+            .map(|((&c, &t), &m)| if c > 0 { u64::from(t) } else { m })
+            .sum::<u64>();
         if persistent.is_some() {
-            // The persistent walk probed the core bitmap exactly where the
-            // scalar walk would have probed the oracle, so the same rule
-            // tallies those word tests — into the avoided/persistent
-            // counters, never into `queries`.
-            let avoided = arena
-                .counts
-                .iter()
-                .zip(&arena.tails)
-                .zip(&arena.masks)
-                .map(|((&c, &t), &m)| if c > 0 { u64::from(t) } else { m })
-                .sum::<u64>();
-            level_local.probes_avoided = avoided;
-            level_local.persistent_probes = avoided;
-            local_stats.accumulate(level_local);
-        } else if local_active {
-            for seg in &arena.segs {
-                let would_walk = |i: usize| {
-                    if arena.counts[i] > 0 {
-                        u64::from(arena.tails[i])
-                    } else {
-                        arena.masks[i]
-                    }
-                };
-                if seg.bitmap {
-                    level_local.rows_built += seg.len as u64;
-                    for i in seg.start..seg.start + seg.len {
-                        let r = i - seg.start;
-                        level_local.words_anded += (seg.words_per_row - (r + 1) / 64) as u64;
-                        level_local.probes_avoided += would_walk(i);
-                    }
-                } else {
-                    for i in seg.start..seg.start + seg.len {
-                        *queries += would_walk(i);
-                    }
-                }
-            }
-            local_stats.accumulate(level_local);
+            local_stats.add_word_tests(walked);
         } else {
-            *queries += arena
-                .counts
-                .iter()
-                .zip(&arena.tails)
-                .zip(&arena.masks)
-                .map(|((&c, &t), &m)| if c > 0 { u64::from(t) } else { m })
-                .sum::<u64>();
+            *queries += walked;
         }
 
         let total = gmc_dpp::try_exclusive_scan_into(exec, &arena.counts, &mut arena.offsets)?;
@@ -596,10 +385,7 @@ fn grow_fused<O: EdgeOracle + ?Sized>(
             );
             span.arg("oracle_queries", (*queries - queries_before) as i64);
             if persistent.is_some() {
-                span.arg("persistent_probes", level_local.persistent_probes as i64);
-            } else if local_active {
-                span.arg("bitmap_rows", level_local.rows_built as i64);
-                span.arg("probes_avoided", level_local.probes_avoided as i64);
+                span.arg("persistent_probes", walked as i64);
             }
         }
         if total == 0 {
@@ -678,14 +464,13 @@ fn grow_fused<O: EdgeOracle + ?Sized>(
         list.push_level(new_level);
 
         if early_exit_enabled {
-            // Under the persistent tier the mutual-adjacency check probes
-            // the core bitmap too; its word tests feed the same avoided
-            // tally so the on/off query invariant keeps holding exactly.
+            // With the core bitmap the mutual-adjacency check probes it
+            // too; its word tests feed the same avoided tally so the on/off
+            // query invariant keeps holding exactly.
             let clique = if let Some(core) = persistent {
                 let mut word_tests = 0u64;
                 let clique = try_early_exit(core, list, min_target, &mut word_tests);
-                local_stats.probes_avoided += word_tests;
-                local_stats.persistent_probes += word_tests;
+                local_stats.add_word_tests(word_tests);
                 clique
             } else {
                 try_early_exit(oracle, list, min_target, queries)
@@ -697,165 +482,57 @@ fn grow_fused<O: EdgeOracle + ?Sized>(
     }
 }
 
-/// Segments the head level by sublist (a sublist starting at `s` has length
-/// `tails[s] + 1`) and plans which sublists take the bitmap fast path:
-/// every one at least [`LOCAL_BITS_FORCED_MIN`] long under
-/// [`LocalBitsMode::On`], none under `Off`, and under `Auto` only sublists
-/// of at least [`LOCAL_BITS_AUTO_MIN`] members where the scalar walk the
-/// bitmap replaces provably outweighs the CSR build — the
-/// [`min_walk_lower_bound`] at this level's `need`, weighted by
-/// [`LOCAL_BITS_PROBE_WEIGHT`] and amortised over the `need` expected
-/// remaining levels, must cover `Σ deg(member) + m²`. Returns
-/// the total bitmap words to build; zero means the level runs the plain
-/// scalar kernel.
-fn plan_local_segments(
-    graph: &Csr,
+/// Runs the fused count kernel over the head level: one bound-directed
+/// record walk per entry ([`scalar_count_walk`]) probing `probe` — the edge
+/// oracle or the core bitmap — which fills the arena's counts, masks and
+/// `spill_total` spill words. Spill words are assembled locally and each is
+/// stored exactly once (bailing entries zero-fill the rest of their span),
+/// so the side buffer needs no pre-zeroing.
+fn count_level<P: EdgeOracle + ?Sized>(
+    exec: &Executor,
+    kernel: &'static str,
+    probe: &P,
     vertex_id: &[u32],
-    arena: &mut LevelArena,
-    mode: LocalBitsMode,
     need: usize,
-) -> usize {
-    arena.segs.clear();
-    arena.seg_of.clear();
-    arena.row_seg.clear();
-    if mode == LocalBitsMode::Off {
-        return 0;
-    }
-    let len = vertex_id.len();
-    let mut rows = 0usize;
-    let mut words = 0usize;
-    let mut start = 0usize;
-    while start < len {
-        let m = arena.tails[start] as usize + 1;
-        let bitmap = match mode {
-            LocalBitsMode::Off => unreachable!("handled above"),
-            // `Persistent` reaching the per-level planner means the core
-            // bitmap could not be built (degrade ladder) — behave as the
-            // forced per-level tier so the solve keeps its bitmap coverage.
-            LocalBitsMode::On | LocalBitsMode::Persistent => m >= LOCAL_BITS_FORCED_MIN,
-            LocalBitsMode::Auto => {
-                // A sublist worth covering now keeps paying off as its
-                // descendants walk toward the bound, so the build cost is
-                // amortised over the expected remaining levels (`need`,
-                // the ω̂-derived distance to the target) instead of being
-                // charged to this level alone. The degree sum only lowers
-                // the budget, so reject on the O(1) `m²` term alone before
-                // walking member degrees.
-                let levels = need.max(1);
-                let budget = LOCAL_BITS_PROBE_WEIGHT * min_walk_lower_bound(m, need) * levels;
-                m >= LOCAL_BITS_AUTO_MIN && budget >= m * m && {
-                    let deg: usize = vertex_id[start..start + m]
-                        .iter()
-                        .map(|&v| graph.degree(v))
-                        .sum();
-                    budget >= deg + m * m
-                }
-            }
-        };
-        let seg_idx = arena.segs.len() as u32;
-        let words_per_row = m.div_ceil(64);
-        arena.segs.push(LocalSeg {
-            start,
-            len: m,
-            row0: rows,
-            rows_off: words,
-            words_per_row,
-            bitmap,
-        });
-        if bitmap {
-            rows += m;
-            words += m * words_per_row;
-            // Rows of this segment all map back to it.
-            arena.row_seg.resize(rows, seg_idx);
-        }
-        arena.seg_of.resize(start + m, seg_idx);
-        start += m;
-    }
-    words
-}
-
-/// Charges, sorts and builds the per-sublist local bitmaps planned by
-/// [`plan_local_segments`] — with *zero* oracle probes. One launch sorts
-/// each bitmap sublist's packed member keys; a second builds each row by
-/// galloping the row vertex's sorted CSR neighbor list against the sorted
-/// member slice ([`local_row_intersect`]).
-fn build_local_bitmaps(
-    device: &Device,
-    graph: &Csr,
-    vertex_id: &[u32],
+    spill_total: usize,
     arena: &mut LevelArena,
-    total_words: usize,
 ) -> Result<(), DeviceError> {
-    let exec = device.exec();
-    let total_rows = arena.row_seg.len();
-    // Member keys and row words are device-resident between these launches
-    // and the count kernel; charge both at the arena's high-water mark.
-    arena.charge_local(
-        device.memory(),
-        (total_rows + total_words) * std::mem::size_of::<u64>(),
-    )?;
-
-    // Sort each bitmap sublist's members once. Keys pack vertex then local
-    // position (`pack_member`), so rows sort by vertex for the merge and
-    // still recover each match's bit position.
-    {
-        let segs = &arena.segs;
-        let members_dst = UninitSlice::for_vec(&mut arena.members, total_rows);
-        exec.try_run(Launch::new("bfs_local_sort_members", segs.len()), |s| {
-            let seg = &segs[s];
-            if !seg.bitmap {
-                return;
-            }
-            let mut keys: Vec<u64> = (0..seg.len)
-                .map(|p| pack_member(vertex_id[seg.start + p], p as u32))
-                .collect();
-            keys.sort_unstable();
-            for (idx, key) in keys.into_iter().enumerate() {
-                // SAFETY: bitmap segments' member spans tile 0..total_rows
-                // and each slot is written exactly once.
-                unsafe { members_dst.write(seg.row0 + idx, key) };
-            }
-        })?;
-        // SAFETY: every span of 0..total_rows was written by the launch.
-        unsafe { arena.members.set_len(total_rows) };
-    }
-
-    // Build the rows: thread j exclusively owns row j's word span, OR-ing
-    // one bit per adjacent member. Matches arrive in member-vertex order —
-    // not bit order — so the span is pre-zeroed and read-modify-written by
-    // its owner.
-    arena.local_rows.clear();
-    arena.local_rows.resize(total_words, 0);
-    {
-        let segs = &arena.segs;
-        let row_seg = &arena.row_seg;
-        let members = &arena.members;
-        let rows = SharedSlice::new(&mut arena.local_rows);
-        // Cost hint: row j's merge walks its member's adjacency list
-        // against the segment's members.
-        let row_cost = |j: usize| {
-            let seg = &segs[row_seg[j] as usize];
-            (graph.degree(vertex_id[seg.start + (j - seg.row0)]) + seg.len) as u64
-        };
-        let launch = Launch::new("bfs_local_build_rows", total_rows).weighted(&row_cost);
-        exec.try_run(launch, |j| {
-            let seg = &segs[row_seg[j] as usize];
-            let r = j - seg.row0;
-            let base = seg.rows_off + r * seg.words_per_row;
-            let mem = &members[seg.row0..seg.row0 + seg.len];
-            local_row_intersect(graph.neighbors(vertex_id[seg.start + r]), mem, |pos| {
-                let w = base + pos as usize / 64;
-                // SAFETY: row j's words are touched by thread j alone.
-                unsafe { rows.write(w, rows.read(w) | (1u64 << (pos % 64))) };
-            });
-        })?;
+    let len = vertex_id.len();
+    let tails = &arena.tails;
+    let spill_offsets = &arena.spill_offsets;
+    let counts_dst = UninitSlice::for_vec(&mut arena.counts, len);
+    let masks_dst = UninitSlice::for_vec(&mut arena.masks, len);
+    let spill_dst = UninitSlice::for_vec(&mut arena.spill, spill_total);
+    // Cost hint: the walk visits exactly the entry's tail.
+    let tail_cost = |i: usize| u64::from(tails[i]) + 1;
+    let launch = Launch::new(kernel, len).fused().weighted(&tail_cost);
+    exec.try_run(launch, |i| {
+        let t = tails[i] as usize;
+        let spill_base = if t > INLINE_BITS { spill_offsets[i] } else { 0 };
+        scalar_count_walk(
+            probe,
+            vertex_id,
+            i,
+            t,
+            need,
+            spill_base,
+            &counts_dst,
+            &masks_dst,
+            &spill_dst,
+        );
+    })?;
+    // SAFETY: the launch wrote every index of all three buffers (spill
+    // spans tile 0..spill_total across entries with long tails).
+    unsafe {
+        arena.counts.set_len(len);
+        arena.masks.set_len(len);
+        arena.spill.set_len(spill_total);
     }
     Ok(())
 }
 
-/// One entry's scalar bound-directed record walk — the body shared by the
-/// plain fused count kernel and the scalar segments of the local-bitmap
-/// kernel.
+/// One entry's bound-directed record walk — the body of the fused count
+/// kernel, over either the edge oracle or the core bitmap.
 ///
 /// The walk runs only while `connected + remaining >= need`, so a hopeless
 /// entry stops at the first position where pruning is already certain (an
@@ -915,84 +592,6 @@ fn scalar_count_walk<O: EdgeOracle + ?Sized>(
         counts_dst.write(i, count);
         masks_dst.write(i, if count == 0 { walked as u64 } else { inline });
     }
-}
-
-/// One entry's bitmap fast-path body: entry `i` sits at local position `r`
-/// of a bitmap segment, and its tail mask is the segment's row `r` shifted
-/// past its own position — tail bit `b` is row bit `r + 1 + b`, so the
-/// inline mask and every spill word are 64-wide funnel shifts of the row
-/// and the surviving count is one suffix popcount. The row carries exactly
-/// `m` member bits, so everything past the tail is already zero and the
-/// stored words match the scalar walk's bit for bit. A pruned entry's dead
-/// mask slot records the length the scalar bound-directed walk *would*
-/// have made ([`scalar_walk_len`]), keeping the probes-avoided tally exact.
-#[allow(clippy::too_many_arguments)] // kernel body: mirrors the launch captures
-#[inline]
-fn bitmap_count_walk(
-    row: &[u64],
-    r: usize,
-    i: usize,
-    t: usize,
-    need: usize,
-    spill_base: usize,
-    counts_dst: &UninitSlice<usize>,
-    masks_dst: &UninitSlice<u64>,
-    spill_dst: &UninitSlice<u64>,
-) {
-    let spill_len = t.saturating_sub(INLINE_BITS).div_ceil(64);
-    let connected = bits::count_ones_from(row, r + 1);
-    if connected >= need && connected > 0 {
-        // SAFETY: one write per index; entry i owns its spill span and
-        // writes each word exactly once.
-        unsafe {
-            counts_dst.write(i, connected);
-            masks_dst.write(i, bits::read_word_at(row, r + 1));
-        }
-        for w in 0..spill_len {
-            let word = bits::read_word_at(row, r + 1 + INLINE_BITS + 64 * w);
-            unsafe { spill_dst.write(spill_base + w, word) };
-        }
-    } else {
-        // Pruned (or nothing to emit): dead mask slot carries the scalar
-        // walk length for the probes-avoided tally; the spill span is
-        // zero-filled exactly as a bailed scalar walk leaves it.
-        unsafe {
-            counts_dst.write(i, 0);
-            masks_dst.write(i, scalar_walk_len(row, r + 1, t, need) as u64);
-        }
-        for w in 0..spill_len {
-            unsafe { spill_dst.write(spill_base + w, 0) };
-        }
-    }
-}
-
-/// How many tail positions the scalar bound-directed walk of this entry
-/// would probe before stopping, reconstructed from the entry's bitmap row
-/// (tail bit `b` = row bit `start_bit + b`). The walk stops right after
-/// the miss that makes the bound unreachable — the `(t - need + 1)`-th zero
-/// bit — and never starts when even a full tail cannot reach `need`.
-fn scalar_walk_len(row: &[u64], start_bit: usize, t: usize, need: usize) -> usize {
-    if need > t {
-        return 0;
-    }
-    let mut remaining = t - need + 1;
-    let mut bit = 0usize;
-    while bit < t {
-        let span = (t - bit).min(64) as u32;
-        let misses = !bits::read_word_at(row, start_bit + bit) & bits::prefix_mask(span);
-        let zeros = misses.count_ones() as usize;
-        if zeros >= remaining {
-            // Select the `remaining`-th zero: the walk ends on it.
-            let mut w = misses;
-            for _ in 1..remaining {
-                w &= w - 1;
-            }
-            return bit + w.trailing_zeros() as usize + 1;
-        }
-        remaining -= zeros;
-        bit += span as usize;
-    }
-    t // fewer misses than the cutoff: the walk runs the whole tail
 }
 
 /// The unfused level loop — the seed pipeline kept verbatim as the ablation
@@ -1162,15 +761,17 @@ mod tests {
     use super::*;
     use crate::config::CandidateOrder;
     use crate::setup::build_two_clique_list;
-    use gmc_graph::generators;
+    use gmc_graph::{generators, Csr};
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    /// Expands `graph`'s 2-clique list; `core` probes a core bitmap built
+    /// over the setup survivors, as the solver does.
     fn run_with(
         graph: &Csr,
         lower: u32,
         early_exit: bool,
         fused: bool,
-        local: LocalBitsMode,
+        core: bool,
     ) -> ExpansionOutcome {
         let device = Device::unlimited();
         let setup = build_two_clique_list(
@@ -1182,26 +783,26 @@ mod tests {
             CandidateOrder::DegreeAscending,
             crate::config::SublistBound::Length,
         );
+        let bitmap =
+            core.then(|| CoreBitmap::try_build(device.exec(), graph, &setup.keep).unwrap());
         let level0 =
             CliqueLevel::from_vecs(device.memory(), setup.vertex_id, setup.sublist_id).unwrap();
         let mut arena = LevelArena::new();
         expand(
             &device,
             graph,
-            graph,
             level0,
             lower.max(2),
             early_exit,
             fused,
-            local,
-            None,
+            bitmap.as_ref(),
             &mut arena,
         )
         .unwrap()
     }
 
     fn run(graph: &Csr, lower: u32, early_exit: bool) -> ExpansionOutcome {
-        run_with(graph, lower, early_exit, true, LocalBitsMode::Auto)
+        run_with(graph, lower, early_exit, true, false)
     }
 
     fn normalize(mut cliques: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
@@ -1333,19 +934,7 @@ mod tests {
             CliqueLevel::from_vecs(device.memory(), setup.vertex_id, setup.sublist_id).unwrap();
         // Ask for cliques of size ≥ 5 in a K4.
         let mut arena = LevelArena::new();
-        let out = expand(
-            &device,
-            &g,
-            &g,
-            level0,
-            5,
-            false,
-            true,
-            LocalBitsMode::Auto,
-            None,
-            &mut arena,
-        )
-        .unwrap();
+        let out = expand(&device, &g, level0, 5, false, true, None, &mut arena).unwrap();
         assert!(out.cliques.is_empty());
         assert_eq!(out.clique_size, 0);
     }
@@ -1368,18 +957,7 @@ mod tests {
             let level0 =
                 CliqueLevel::from_vecs(device.memory(), setup.vertex_id, setup.sublist_id).unwrap();
             let mut arena = LevelArena::new();
-            let err = expand(
-                &device,
-                &g,
-                &g,
-                level0,
-                2,
-                false,
-                fused,
-                LocalBitsMode::Auto,
-                None,
-                &mut arena,
-            );
+            let err = expand(&device, &g, level0, 2, false, fused, None, &mut arena);
             assert!(err.is_err(), "expected OOM (fused={fused})");
             // The failed expansion must leave nothing charged — the level
             // charges and any spill charge are all released on the way out.
@@ -1401,22 +979,15 @@ mod tests {
     #[test]
     fn fused_matches_unfused_exactly() {
         // The emit kernel replays bits in ascending order — the same order
-        // as the unfused re-walk — so even the raw read-out must agree.
-        // Every local-bits mode must be bit-identical too.
+        // as the unfused re-walk — so even the raw read-out must agree,
+        // with or without the core bitmap.
         for seed in 0..6 {
             let g = generators::gnp(50, 0.18, seed);
             for early_exit in [false, true] {
-                let unfused = run_with(&g, 0, early_exit, false, LocalBitsMode::Off);
-                // `Persistent` here runs without a core bitmap handle (the
-                // degrade path), which must behave as forced-on bitmaps.
-                for local in [
-                    LocalBitsMode::Off,
-                    LocalBitsMode::Auto,
-                    LocalBitsMode::On,
-                    LocalBitsMode::Persistent,
-                ] {
-                    let fused = run_with(&g, 0, early_exit, true, local);
-                    let tag = format!("seed {seed} early_exit {early_exit} local {local}");
+                let unfused = run_with(&g, 0, early_exit, false, false);
+                for core in [false, true] {
+                    let fused = run_with(&g, 0, early_exit, true, core);
+                    let tag = format!("seed {seed} early_exit {early_exit} core {core}");
                     assert_eq!(fused.clique_size, unfused.clique_size, "{tag}");
                     assert_eq!(fused.cliques, unfused.cliques, "{tag}");
                     assert_eq!(fused.level_entries, unfused.level_entries, "{tag}");
@@ -1426,31 +997,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn local_bits_tallies_reconcile_with_scalar() {
-        // Forced-on bitmaps make zero oracle calls for covered segments and
-        // reconstruct the walk the scalar kernel would have made, so the
-        // on/off tallies must reconcile to the probe: on + avoided == off.
-        for (name, g) in [
-            ("dense", generators::gnp(60, 0.4, 3)),
-            ("sparse", generators::gnp(80, 0.05, 4)),
-            ("complete", generators::complete(10)),
-        ] {
-            let on = run_with(&g, 0, false, true, LocalBitsMode::On);
-            let off = run_with(&g, 0, false, true, LocalBitsMode::Off);
-            assert_eq!(off.local_bits, LocalBitsStats::default(), "{name}");
-            assert_eq!(
-                on.oracle_queries + on.local_bits.probes_avoided,
-                off.oracle_queries,
-                "{name}"
-            );
-            assert!(on.local_bits.rows_built > 0, "{name}");
-            assert!(on.local_bits.words_anded > 0, "{name}");
-            assert_eq!(on.cliques, off.cliques, "{name}");
-        }
-    }
-
-    fn counted(graph: &Csr, fused: bool, local: LocalBitsMode) -> (ExpansionOutcome, u64) {
+    fn counted(graph: &Csr, fused: bool) -> (ExpansionOutcome, u64) {
         let device = Device::unlimited();
         let setup = build_two_clique_list(
             device.exec(),
@@ -1468,10 +1015,7 @@ mod tests {
             calls: AtomicU64::new(0),
         };
         let mut arena = LevelArena::new();
-        let out = expand(
-            &device, graph, &oracle, level0, 2, false, fused, local, None, &mut arena,
-        )
-        .unwrap();
+        let out = expand(&device, &oracle, level0, 2, false, fused, None, &mut arena).unwrap();
         (out, oracle.calls.load(Ordering::Relaxed))
     }
 
@@ -1485,7 +1029,7 @@ mod tests {
             let device = Device::unlimited();
             let keep = vec![true; g.num_vertices()];
             let core = CoreBitmap::try_build(device.exec(), &g, &keep).unwrap();
-            let run = |persistent: Option<&CoreBitmap>, local: LocalBitsMode| {
+            let run = |persistent: Option<&CoreBitmap>| {
                 let setup = build_two_clique_list(
                     device.exec(),
                     &g,
@@ -1504,14 +1048,13 @@ mod tests {
                 };
                 let mut arena = LevelArena::new();
                 let out = expand(
-                    &device, &g, &oracle, level0, 2, early_exit, true, local, persistent,
-                    &mut arena,
+                    &device, &oracle, level0, 2, early_exit, true, persistent, &mut arena,
                 )
                 .unwrap();
                 (out, oracle.calls.load(Ordering::Relaxed))
             };
-            let (off, _) = run(None, LocalBitsMode::Off);
-            let (per, actual) = run(Some(&core), LocalBitsMode::Persistent);
+            let (off, _) = run(None);
+            let (per, actual) = run(Some(&core));
             assert_eq!(per.cliques, off.cliques, "{tag}");
             assert_eq!(per.level_entries, off.level_entries, "{tag}");
             assert_eq!(per.early_exit, off.early_exit, "{tag}");
@@ -1530,7 +1073,6 @@ mod tests {
             );
             // ...and nothing is ever rebuilt per level.
             assert_eq!(per.local_bits.rows_built, 0, "{tag}");
-            assert_eq!(per.local_bits.words_anded, 0, "{tag}");
         }
     }
 
@@ -1553,12 +1095,10 @@ mod tests {
         let off = expand(
             &device,
             &g,
-            &g,
             level0(&device),
             2,
             false,
             true,
-            LocalBitsMode::Off,
             None,
             &mut arena,
         )
@@ -1566,12 +1106,10 @@ mod tests {
         let per = expand(
             &device,
             &g,
-            &g,
             level0(&device),
             2,
             false,
             true,
-            LocalBitsMode::Persistent,
             Some(&core),
             &mut arena,
         )
@@ -1590,8 +1128,8 @@ mod tests {
     #[test]
     fn oracle_query_counter_is_exact_and_fusion_skips_the_rewalk() {
         let g = generators::gnp(100, 0.3, 7);
-        let (fused, fused_actual) = counted(&g, true, LocalBitsMode::Off);
-        let (unfused, unfused_actual) = counted(&g, false, LocalBitsMode::Off);
+        let (fused, fused_actual) = counted(&g, true);
+        let (unfused, unfused_actual) = counted(&g, false);
         // The analytic tally must match the oracle's own call count.
         assert_eq!(fused.oracle_queries, fused_actual);
         assert_eq!(unfused.oracle_queries, unfused_actual);
@@ -1607,160 +1145,16 @@ mod tests {
     }
 
     #[test]
-    fn local_bits_counter_is_exact_and_skips_covered_probes() {
-        let g = generators::gnp(100, 0.3, 7);
-        let (off, off_actual) = counted(&g, true, LocalBitsMode::Off);
-        for local in [LocalBitsMode::Auto, LocalBitsMode::On] {
-            let (on, on_actual) = counted(&g, true, local);
-            // The analytic tally stays exact with bitmaps active, and the
-            // avoided counter accounts for every skipped probe.
-            assert_eq!(on.oracle_queries, on_actual, "{local}");
-            assert_eq!(
-                on.oracle_queries + on.local_bits.probes_avoided,
-                off.oracle_queries,
-                "{local}"
-            );
-            assert_eq!(on.cliques, off.cliques, "{local}");
-        }
-        // Forced on, every multi-entry sublist is covered: the bitmaps must
-        // eliminate the bulk of the scalar probes on a dense graph (the
-        // leftovers are early-exit checks and single-entry sublists).
-        let (on, on_actual) = counted(&g, true, LocalBitsMode::On);
-        assert!(on_actual < off_actual);
-        assert!(
-            on.local_bits.probes_avoided * 10 >= off.oracle_queries * 8,
-            "on avoided {} of {}",
-            on.local_bits.probes_avoided,
-            off.oracle_queries
-        );
-    }
-
-    #[test]
-    fn auto_heuristic_covers_hub_sublists() {
-        // A Facebook-like shape in miniature: a few 40-member sublists well
-        // past the Auto threshold dominate the probe count, plus a couple
-        // of short scalar sublists. Auto must cover the hubs and so avoid
-        // most probes.
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        let mut vertex_id = Vec::new();
-        let mut sublist_id = Vec::new();
-        for hub in 0..3u32 {
-            let base = 10 + hub * 40;
-            for v in 0..40u32 {
-                edges.push((hub, base + v));
-                vertex_id.push(base + v);
-                sublist_id.push(hub);
-            }
-            // Internal edges give each hub sublist depth to expand.
-            for u in 0..6 {
-                for v in (u + 1)..6 {
-                    edges.push((base + u, base + v));
-                }
-            }
-        }
-        // Two short scalar sublists (a shared triangle over 3, 4, 5).
-        edges.extend([(3, 4), (3, 5), (4, 5)]);
-        for (s, v) in [(3u32, 4u32), (3, 5), (4, 5)] {
-            vertex_id.push(v);
-            sublist_id.push(s);
-        }
-        let g = Csr::from_edges(130, &edges);
-        let run = |local: LocalBitsMode| {
-            let device = Device::unlimited();
-            let level0 =
-                CliqueLevel::from_vecs(device.memory(), vertex_id.clone(), sublist_id.clone())
-                    .unwrap();
-            let oracle = CountingOracle {
-                inner: &g,
-                calls: AtomicU64::new(0),
-            };
-            let mut arena = LevelArena::new();
-            let out = expand(
-                &device, &g, &oracle, level0, 2, false, true, local, None, &mut arena,
-            )
-            .unwrap();
-            (out, oracle.calls.load(Ordering::Relaxed))
-        };
-        let (auto, auto_actual) = run(LocalBitsMode::Auto);
-        let (off, _) = run(LocalBitsMode::Off);
-        assert_eq!(auto.oracle_queries, auto_actual);
-        assert_eq!(auto.cliques, off.cliques);
-        assert!(auto.local_bits.rows_built >= 120, "hub sublists covered");
-        assert!(
-            auto.local_bits.probes_avoided * 10 >= off.oracle_queries * 8,
-            "auto avoided {} of {}",
-            auto.local_bits.probes_avoided,
-            off.oracle_queries
-        );
-    }
-
-    #[test]
     fn spill_masks_cover_tails_beyond_inline_bits() {
-        // A hub with 70 successors in one sublist: tails reach 69 > 64, so
-        // the inline mask overflows into the spill buffer. The only deep
-        // structure is the K4 {0,1,2,3}.
-        let mut edges: Vec<(u32, u32)> = (1..=70).map(|v| (0u32, v)).collect();
-        edges.extend([(1, 2), (1, 3), (2, 3)]);
-        let g = Csr::from_edges(71, &edges);
-        let device = Device::unlimited();
-        let mut arena = LevelArena::new();
-        let level0 = |device: &Device| {
-            CliqueLevel::from_vecs(device.memory(), (1..=70).collect(), vec![0; 70]).unwrap()
-        };
-        let unfused = expand(
-            &device,
-            &g,
-            &g,
-            level0(&device),
-            2,
-            false,
-            false,
-            LocalBitsMode::Off,
-            None,
-            &mut arena,
-        )
-        .unwrap();
-        // The 70-entry sublist crosses the inline/spill boundary for both
-        // the scalar walk and the bitmap fast path (Auto and On both cover
-        // it: 70 ≥ 32 and the hub members are degree-light).
-        for local in [LocalBitsMode::Off, LocalBitsMode::Auto, LocalBitsMode::On] {
-            let fused = expand(
-                &device,
-                &g,
-                &g,
-                level0(&device),
-                2,
-                false,
-                true,
-                local,
-                None,
-                &mut arena,
-            )
-            .unwrap();
-            assert_eq!(fused.clique_size, 4, "{local}");
-            assert_eq!(fused.cliques, vec![vec![0, 1, 2, 3]], "{local}");
-            assert_eq!(fused.cliques, unfused.cliques, "{local}");
-            assert_eq!(fused.level_entries, unfused.level_entries, "{local}");
-            if local != LocalBitsMode::Off {
-                assert!(fused.local_bits.rows_built >= 70, "{local}");
-            }
-            assert_eq!(
-                device.memory().live(),
-                0,
-                "spill/local charges must be released ({local})"
-            );
-        }
-    }
-
-    #[test]
-    fn local_bits_handles_word_boundary_sublists() {
-        // Sublist lengths straddling every interesting boundary: the forced
-        // minimum, the Auto threshold, and the 64-bit word edges (63/64/65
-        // tails exercise the inline/spill seam inside the bitmap shifts).
-        for n in [2usize, 31, 32, 33, 63, 64, 65, 66, 129] {
-            let mut edges: Vec<(u32, u32)> = (1..=n as u32).map(|v| (0u32, v)).collect();
-            // A clique among the first few successors gives depth.
+        // A hub whose `n` successors form one sublist, plus a clique over
+        // the first few of them for depth. Tails straddle every 64-bit
+        // word edge (63/64/65/66) and span several spill words at 129, so
+        // the inline mask overflows into the spill buffer. Both fused
+        // walks — edge oracle and core bitmap — must match the unfused
+        // re-walk exactly, and the core walk must make no oracle calls.
+        for n in [2usize, 63, 64, 65, 66, 70, 129] {
             let k = n.min(5) as u32;
+            let mut edges: Vec<(u32, u32)> = (1..=n as u32).map(|v| (0u32, v)).collect();
             for u in 1..=k {
                 for v in (u + 1)..=k {
                     edges.push((u, v));
@@ -1768,88 +1162,29 @@ mod tests {
             }
             let g = Csr::from_edges(n + 1, &edges);
             let device = Device::unlimited();
+            let core = CoreBitmap::try_build(device.exec(), &g, &vec![true; n + 1]).unwrap();
             let mut arena = LevelArena::new();
-            let level0 = |device: &Device| {
-                CliqueLevel::from_vecs(device.memory(), (1..=n as u32).collect(), vec![0; n])
-                    .unwrap()
+            let mut expand_with = |fused: bool, persistent: Option<&CoreBitmap>| {
+                let level0 =
+                    CliqueLevel::from_vecs(device.memory(), (1..=n as u32).collect(), vec![0; n])
+                        .unwrap();
+                expand(&device, &g, level0, 2, false, fused, persistent, &mut arena).unwrap()
             };
-            let off = expand(
-                &device,
-                &g,
-                &g,
-                level0(&device),
-                2,
-                false,
-                true,
-                LocalBitsMode::Off,
-                None,
-                &mut arena,
-            )
-            .unwrap();
-            let on = expand(
-                &device,
-                &g,
-                &g,
-                level0(&device),
-                2,
-                false,
-                true,
-                LocalBitsMode::On,
-                None,
-                &mut arena,
-            )
-            .unwrap();
-            assert_eq!(on.cliques, off.cliques, "n={n}");
-            assert_eq!(on.level_entries, off.level_entries, "n={n}");
+            let unfused = expand_with(false, None);
+            let off = expand_with(true, None);
+            let on = expand_with(true, Some(&core));
             assert_eq!(
-                on.oracle_queries + on.local_bits.probes_avoided,
-                off.oracle_queries,
+                unfused.cliques,
+                vec![(0..=k).collect::<Vec<u32>>()],
                 "n={n}"
             );
-            assert_eq!(device.memory().live(), 0, "n={n}");
-        }
-    }
-
-    #[test]
-    fn local_charges_are_released_on_oom_and_success() {
-        // Sweep budgets from starvation to plenty with bitmaps forced on:
-        // whether the run OOMs (anywhere — level growth, spill, or the
-        // local-bitmap charge) or completes, nothing may stay charged.
-        let g = generators::complete(16);
-        let reference = run_with(&g, 0, false, true, LocalBitsMode::Off);
-        for budget in (64..6000).step_by(97) {
-            let device = Device::with_memory_budget(budget);
-            let setup = build_two_clique_list(
-                device.exec(),
-                &g,
-                0,
-                &g.degrees(),
-                crate::config::OrientationRule::Degree,
-                CandidateOrder::Index,
-                crate::config::SublistBound::Length,
-            );
-            let Ok(level0) =
-                CliqueLevel::from_vecs(device.memory(), setup.vertex_id, setup.sublist_id)
-            else {
-                continue; // level 0 itself does not fit this budget
-            };
-            let mut arena = LevelArena::new();
-            let out = expand(
-                &device,
-                &g,
-                &g,
-                level0,
-                2,
-                false,
-                true,
-                LocalBitsMode::On,
-                None,
-                &mut arena,
-            );
-            if let Ok(out) = out {
-                assert_eq!(out.cliques, reference.cliques, "budget {budget}");
+            for (tag, fused) in [("off", &off), ("core", &on)] {
+                assert_eq!(fused.cliques, unfused.cliques, "n={n} {tag}");
+                assert_eq!(fused.level_entries, unfused.level_entries, "n={n} {tag}");
             }
-            assert_eq!(device.memory().live(), 0, "leak at budget {budget}");
+            assert_eq!(on.oracle_queries, 0, "n={n}");
+            assert_eq!(on.local_bits.probes_avoided, off.oracle_queries, "n={n}");
+            assert_eq!(device.memory().live(), 0, "spill charges leaked (n={n})");
         }
     }
 
@@ -1893,19 +1228,7 @@ mod tests {
         let level0 =
             CliqueLevel::from_vecs(device.memory(), setup.vertex_id, setup.sublist_id).unwrap();
         let mut arena = LevelArena::new();
-        expand(
-            device,
-            graph,
-            graph,
-            level0,
-            2,
-            false,
-            fused,
-            LocalBitsMode::Auto,
-            None,
-            &mut arena,
-        )
-        .unwrap()
+        expand(device, graph, level0, 2, false, fused, None, &mut arena).unwrap()
     }
 
     #[test]
@@ -1930,19 +1253,7 @@ mod tests {
                 let level0 =
                     CliqueLevel::from_vecs(device.memory(), setup.vertex_id, setup.sublist_id)
                         .unwrap();
-                let out = expand(
-                    &device,
-                    &g,
-                    &g,
-                    level0,
-                    2,
-                    false,
-                    true,
-                    LocalBitsMode::On,
-                    None,
-                    &mut arena,
-                )
-                .unwrap();
+                let out = expand(&device, &g, level0, 2, false, true, None, &mut arena).unwrap();
                 if round == 0 {
                     reference.push(out.cliques);
                 } else {

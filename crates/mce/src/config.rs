@@ -37,54 +37,33 @@ pub enum EdgeIndexKind {
     Auto,
 }
 
-/// The adjacency-bitmap policy of the fused count kernel — a three-tier
-/// ladder from most to least memory-hungry:
+/// The adjacency-bitmap policy of the fused count kernel.
 ///
-/// 1. **Persistent** — one `n_core × n_core` core-graph bitmap
-///    ([`gmc_graph::CoreBitmap`]) built right after setup pruning and
-///    probed for the *entire* solve: every successor-adjacency test is a
-///    single word test, zero per-level rebuilds. Fires when forced, or
-///    under [`Auto`] when the bitmap fits the device budget.
-/// 2. **Per-level local** — per BFS level, sublists are segmented and each
-///    long-enough sublist gets an m×m bitmap built straight from the CSR
-///    (no [`EdgeOracle`] probes), so the tail intersection becomes
-///    word-wise shift + popcount, 64 candidates per operation.
-/// 3. **Scalar** — every tail walks the bound-directed scalar
-///    record-and-replay path against the edge oracle.
+/// The one bitmap is the `n_core × n_core` core-graph bitmap
+/// ([`gmc_graph::CoreBitmap`]), built once right after setup pruning and
+/// probed for the *entire* solve: every successor-adjacency test is a
+/// single word test, with no per-level rebuilds. Without it, every tail
+/// walks the bound-directed scalar record-and-replay path against the
+/// [`EdgeOracle`].
 ///
-/// Settable from the environment via
-/// `GMC_LOCAL_BITS=persistent|on|off|auto` (picked up by
-/// [`SolverConfig::default`]).
+/// Settable from the environment via `GMC_LOCAL_BITS=on|off|auto` (picked
+/// up by [`SolverConfig::default`]).
 ///
-/// [`Auto`]: LocalBitsMode::Auto
 /// [`EdgeOracle`]: gmc_graph::EdgeOracle
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LocalBitsMode {
-    /// Force the persistent core-graph bitmap tier: build the
-    /// `n_core × n_core` bitmap once after setup pruning and answer every
-    /// probe from it. Degrades to per-level [`On`](LocalBitsMode::On)
-    /// behaviour if the bitmap cannot be built (device OOM or an injected
-    /// fault during the build) — never aborts the solve.
-    Persistent,
-    /// Build a per-level bitmap for every sublist with at least two
-    /// members — mainly for ablation and equivalence testing; tiny
-    /// sublists pay the build overhead without amortising it.
+    /// Always try the core bitmap. A failed charge or build (device OOM,
+    /// or an injected fault) degrades the solve to the scalar walk — it
+    /// never aborts it.
     On,
-    /// Never build adjacency bitmaps: every tail walks the scalar
+    /// Never build the core bitmap: every tail walks the scalar
     /// record-and-replay path (the PR 2 fused pipeline, bit for bit).
     Off,
-    /// Budget-directed policy (the default). The persistent tier fires
-    /// when the core bitmap's `n_core²/8 + 4·n` bytes fit comfortably
-    /// (≤ 16 MiB and within a quarter of the device budget — the same
-    /// gate as [`EdgeIndexKind::Auto`]). Otherwise falls back to the
-    /// per-sublist heuristic: bitmap when the sublist has at least
-    /// `LOCAL_BITS_AUTO_MIN` members *and* a lower bound on the
-    /// bound-directed scalar walk it would replace — weighted by the
-    /// measured probe-vs-merge-step cost ratio and amortised over the
-    /// expected remaining levels — covers the `Σ deg(member) + m²` build
-    /// work. Short sublists, degree-heavy sublists and tight-bound levels
-    /// (where the scalar walk stops almost immediately) keep the scalar
-    /// walk.
+    /// Budget-directed policy (the default): the core bitmap when its
+    /// `n_core²/8 + 4·n` bytes fit comfortably (≤ 16 MiB and within a
+    /// quarter of the device budget — the same gate as
+    /// [`EdgeIndexKind::Auto`]), the scalar walk otherwise. Degrades like
+    /// [`On`](LocalBitsMode::On) when the build fails.
     #[default]
     Auto,
 }
@@ -94,7 +73,6 @@ impl std::str::FromStr for LocalBitsMode {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
-            "persistent" => Ok(LocalBitsMode::Persistent),
             "on" | "1" | "true" => Ok(LocalBitsMode::On),
             "off" | "0" | "false" => Ok(LocalBitsMode::Off),
             "auto" => Ok(LocalBitsMode::Auto),
@@ -106,7 +84,6 @@ impl std::str::FromStr for LocalBitsMode {
 impl std::fmt::Display for LocalBitsMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            LocalBitsMode::Persistent => "persistent",
             LocalBitsMode::On => "on",
             LocalBitsMode::Off => "off",
             LocalBitsMode::Auto => "auto",
@@ -115,7 +92,7 @@ impl std::fmt::Display for LocalBitsMode {
 }
 
 impl LocalBitsMode {
-    /// Reads `GMC_LOCAL_BITS` (`persistent`/`on`/`off`/`auto`), defaulting
+    /// Reads `GMC_LOCAL_BITS` (`on`/`off`/`auto`), defaulting
     /// to [`Auto`] when unset and panicking loudly on a typo (fail-loud
     /// policy of `gmc_trace::env`).
     ///
@@ -289,8 +266,9 @@ pub struct SolverConfig {
     /// `false` selects the paper-literal count → scan → re-walk pipeline —
     /// kept as the ablation baseline.
     pub fused: bool,
-    /// Sublist-local bitmap fast path inside the fused count kernel (no
-    /// effect on the unfused pipeline). See [`LocalBitsMode`].
+    /// Whether the fused count kernel probes the solve-lifetime core
+    /// bitmap or walks the edge oracle (no effect on the unfused
+    /// pipeline). See [`LocalBitsMode`].
     pub local_bits: LocalBitsMode,
     /// How the executor maps launches onto workers for the duration of the
     /// solve: the solver installs this [`Schedule`] on the device executor
@@ -307,7 +285,7 @@ pub struct SolverConfig {
     /// Deterministic fault injection: when set to an active plan, the
     /// solver arms a [`gmc_dpp::FaultInjector`] on the device for the
     /// expansion phase, making allocations and launches fail at the plan's
-    /// rates; the recovery ladder (arena release → window shrink →
+    /// rates; the recovery ladder (arena release → window shrink → core
     /// bitmap→scalar fallback) must then reproduce the fault-free clique
     /// set bit for bit. Defaults to `GMC_FAULTS`
     /// (`seed=S,alloc=R,launch=R,retries=N`) or `None` when unset.
@@ -364,14 +342,15 @@ mod tests {
             ("off", LocalBitsMode::Off),
             ("0", LocalBitsMode::Off),
             ("auto", LocalBitsMode::Auto),
-            ("persistent", LocalBitsMode::Persistent),
-            ("PERSISTENT", LocalBitsMode::Persistent),
         ] {
             assert_eq!(LocalBitsMode::from_str(raw), Ok(want), "{raw}");
             // Display round-trips through FromStr.
             assert_eq!(LocalBitsMode::from_str(&want.to_string()), Ok(want));
         }
-        assert!(LocalBitsMode::from_str("banana").is_err());
+        // The removed `persistent` spelling (now `on`) fails loudly.
+        for bad in ["persistent", "PERSISTENT", "banana"] {
+            assert!(LocalBitsMode::from_str(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -132,11 +132,10 @@ pub struct SolveStats {
     /// the unfused baseline by replaying recorded adjacency bits instead of
     /// re-walking sublists.
     pub oracle_queries: u64,
-    /// Adjacency-bitmap fast-path counters (see
-    /// [`SolverConfig::local_bits`]): per-level rows built, row words
-    /// scanned, the exact number of scalar oracle probes the bitmaps made
-    /// unnecessary, and — when the persistent core-bitmap tier fired — the
-    /// word-test probe count and the bitmap's charged bytes.
+    /// Core-bitmap counters (see [`SolverConfig::local_bits`]): the exact
+    /// number of scalar oracle probes the core bitmap answered with word
+    /// tests instead, and the bitmap's charged bytes (all zero when it was
+    /// not built).
     pub local_bits: LocalBitsStats,
     /// Virtual-GPU launch counters consumed by this solve.
     pub launches: LaunchStats,
@@ -278,9 +277,9 @@ impl MaxCliqueSolver {
         self
     }
 
-    /// Selects the adjacency-bitmap policy inside the fused pipeline
-    /// (see [`SolverConfig::local_bits`]): `Persistent`, `On`, `Off`, or
-    /// the `Auto` policy (the default, overridable via `GMC_LOCAL_BITS`).
+    /// Selects whether the fused pipeline probes the core bitmap (see
+    /// [`SolverConfig::local_bits`]): `On`, `Off`, or the `Auto` policy
+    /// (the default, overridable via `GMC_LOCAL_BITS`).
     pub fn local_bits(mut self, mode: LocalBitsMode) -> Self {
         self.config.local_bits = mode;
         self
@@ -508,9 +507,9 @@ impl MaxCliqueSolver {
     /// When [`SolverConfig::faults`] holds an active plan, the injector is
     /// armed on the device for exactly this phase (heuristic, setup and
     /// oracle construction run fault-free) and injected faults that escape
-    /// the inner recovery rungs — bitmap fallback inside a level, window
-    /// retry/shrink inside the sweep — are retried here from a clean slate,
-    /// up to the plan's cap.
+    /// the inner recovery rungs — core-bitmap fallback, window retry/shrink
+    /// inside the sweep — are retried here from a clean slate, up to the
+    /// plan's cap.
     fn run_expansion<O: EdgeOracle>(
         &self,
         graph: &Csr,
@@ -610,13 +609,12 @@ impl MaxCliqueSolver {
         injector: Option<&FaultInjector>,
     ) -> Result<(Vec<Vec<u32>>, u32, bool), DeviceError> {
         let device = &self.device;
-        // Resolve the adjacency-bitmap tier for this attempt. Building the
-        // persistent core bitmap here — inside the armed region, once per
+        // Building the core bitmap here — inside the armed region, once per
         // attempt — means a fault-ladder retry releases and rebuilds it
         // from scratch like every other expansion structure, and the
         // attempt-scoped guard keeps its bytes charged for the whole
         // expansion (windowed or not).
-        let (core, local_bits) = self.build_core_bitmap(graph, &setup.keep, injector)?;
+        let core = self.build_core_bitmap(graph, &setup.keep, injector)?;
         let persistent = core.as_ref().map(|(bitmap, _)| bitmap);
         let found = match &self.config.window {
             None => {
@@ -625,13 +623,11 @@ impl MaxCliqueSolver {
                 let mut arena = arena::LevelArena::new();
                 let outcome = bfs::expand(
                     device,
-                    graph,
                     oracle,
                     level0,
                     min_target,
                     self.config.early_exit,
                     self.config.fused,
-                    local_bits,
                     persistent,
                     &mut arena,
                 )?;
@@ -656,7 +652,6 @@ impl MaxCliqueSolver {
                     min_target,
                     self.config.early_exit,
                     self.config.fused,
-                    local_bits,
                     persistent,
                     injector,
                 )?;
@@ -679,67 +674,52 @@ impl MaxCliqueSolver {
         Ok(found)
     }
 
-    /// Resolves the persistent core-bitmap tier for one expansion attempt.
+    /// Builds the core bitmap for one expansion attempt, or returns `None`
+    /// when the fused pipeline should walk the edge oracle instead.
     ///
     /// Returns the built bitmap with its memory guard (bytes stay charged
-    /// while the expansion runs) plus the effective per-level mode the
-    /// pipeline should fall back to for any window the bitmap does not
-    /// serve. Tier policy: `Persistent` always tries to build; `Auto`
-    /// builds when the footprint clears the same fits-comfortably gate as
-    /// the bitset edge oracle (≤ 16 MiB and ≤ a quarter of the device
-    /// budget); `On`/`Off` and the unfused pipeline never build.
+    /// while the expansion runs). Policy: `On` always tries to build;
+    /// `Auto` builds when the footprint clears the same fits-comfortably
+    /// gate as the bitset edge oracle (≤ 16 MiB and ≤ a quarter of the
+    /// device budget); `Off` and the unfused pipeline never build.
     ///
     /// Any build failure except cancellation — genuine OOM on the charge,
-    /// or an injected alloc/launch fault — degrades to the per-level tier
-    /// (`Persistent` → `On`, `Auto` stays `Auto`) instead of aborting the
-    /// solve; cancellation unwinds as usual with the charge released.
+    /// or an injected alloc/launch fault — degrades to the scalar walk
+    /// instead of aborting the solve; cancellation unwinds as usual with
+    /// the charge released.
     fn build_core_bitmap(
         &self,
         graph: &Csr,
         keep: &[bool],
         injector: Option<&FaultInjector>,
-    ) -> Result<(Option<(CoreBitmap, gmc_dpp::MemoryGuard)>, LocalBitsMode), DeviceError> {
+    ) -> Result<Option<(CoreBitmap, gmc_dpp::MemoryGuard)>, DeviceError> {
         let device = &self.device;
-        let mode = self.config.local_bits;
-        let demoted = match mode {
-            LocalBitsMode::Persistent => LocalBitsMode::On,
-            other => other,
-        };
-        if !self.config.fused {
-            return Ok((None, mode));
-        }
         let n_core = keep.iter().filter(|&&kept| kept).count();
-        let wanted = n_core > 0
-            && match mode {
-                LocalBitsMode::Persistent => true,
-                LocalBitsMode::Auto => {
-                    let footprint = CoreBitmap::footprint_for(n_core, graph.num_vertices());
-                    let budget = device.memory().capacity();
-                    footprint <= (16 << 20).min(budget / 4)
-                }
-                LocalBitsMode::On | LocalBitsMode::Off => false,
+        let footprint = CoreBitmap::footprint_for(n_core, graph.num_vertices());
+        let wanted = self.config.fused
+            && n_core > 0
+            && match self.config.local_bits {
+                LocalBitsMode::On => true,
+                LocalBitsMode::Auto => footprint <= (16 << 20).min(device.memory().capacity() / 4),
+                LocalBitsMode::Off => false,
             };
         if !wanted {
-            // A forced-persistent solve with nothing surviving setup still
-            // degrades to the per-level tier so the (empty) search stays
-            // well-defined.
-            return Ok((None, if n_core == 0 { demoted } else { mode }));
+            return Ok(None);
         }
-        let footprint = CoreBitmap::footprint_for(n_core, graph.num_vertices());
         let built = device
             .memory()
             .try_charge(footprint)
             .map_err(DeviceError::from)
             .and_then(|guard| Ok((CoreBitmap::try_build(device.exec(), graph, keep)?, guard)));
         match built {
-            Ok((bitmap, guard)) => Ok((Some((bitmap, guard)), mode)),
+            Ok(core) => Ok(Some(core)),
             Err(DeviceError::Cancelled(cancelled)) => Err(DeviceError::Cancelled(cancelled)),
             Err(err) => {
                 // Recovery ladder, rung zero: a fault (or real OOM) while
                 // building the solve-lifetime bitmap drops the whole solve
-                // to the per-level tier — bit-identical output, only the
-                // probe tally moves from `persistent_probes` back to
-                // per-level bitmaps or scalar queries.
+                // to the scalar walk — bit-identical output, only the probe
+                // tally moves from `persistent_probes` back to oracle
+                // queries.
                 if err.is_injected() {
                     if let Some(injector) = injector {
                         injector.note_bitmap_fallback(&err);
@@ -750,7 +730,7 @@ impl MaxCliqueSolver {
                             .instant("fault_core_bitmap_fallback", &[("bytes", footprint as i64)]);
                     }
                 }
-                Ok((None, demoted))
+                Ok(None)
             }
         }
     }
@@ -1161,64 +1141,21 @@ mod tests {
         assert_eq!(on.clique_number, off.clique_number);
         assert_eq!(on.cliques, off.cliques);
         assert_eq!(on.stats.level_entries, off.stats.level_entries);
-        // Bitmaps replace scalar probes one for one and say so exactly.
         assert_eq!(off.stats.local_bits, LocalBitsStats::default());
-        assert!(on.stats.local_bits.rows_built > 0);
-        assert_eq!(
-            on.stats.oracle_queries + on.stats.local_bits.probes_avoided,
-            off.stats.oracle_queries
-        );
-
-        // The same ablation through the windowed search path.
-        let windowed = |mode: LocalBitsMode| {
-            solver()
-                .local_bits(mode)
-                .windowed(WindowConfig {
-                    size: 16,
-                    enumerate_all: true,
-                    ..WindowConfig::default()
-                })
-                .solve(&g)
-                .unwrap()
-        };
-        let (won, woff) = (windowed(LocalBitsMode::On), windowed(LocalBitsMode::Off));
-        assert_eq!(won.cliques, on.cliques);
-        assert_eq!(woff.cliques, on.cliques);
-        assert_eq!(
-            won.stats.local_bits,
-            won.stats.window.unwrap().local_bits,
-            "solver stats mirror the window tally"
-        );
-        assert_eq!(
-            won.stats.oracle_queries + won.stats.local_bits.probes_avoided,
-            woff.stats.oracle_queries
-        );
-    }
-
-    #[test]
-    fn persistent_ablation_agrees_and_reconciles() {
-        let g = generators::gnp(90, 0.25, 43);
-        let per = solver()
-            .local_bits(LocalBitsMode::Persistent)
-            .solve(&g)
-            .unwrap();
-        let off = solver().local_bits(LocalBitsMode::Off).solve(&g).unwrap();
-        assert_eq!(per.cliques, off.cliques);
-        assert_eq!(per.stats.level_entries, off.stats.level_entries);
         // One bitmap for the whole solve: zero per-level builds, every
         // scalar probe answered by a word test, exact reconciliation.
-        let lb = per.stats.local_bits;
+        let lb = on.stats.local_bits;
         assert_eq!(lb.rows_built, 0);
-        assert_eq!(lb.words_anded, 0);
         assert!(lb.persistent_bytes > 0);
         assert_eq!(lb.persistent_probes, lb.probes_avoided);
         assert_eq!(
-            per.stats.oracle_queries + lb.probes_avoided,
+            on.stats.oracle_queries + lb.probes_avoided,
             off.stats.oracle_queries
         );
 
-        // The same tier through the windowed search path, including the
-        // recursive child-level builds that would otherwise hit the oracle.
+        // The same ablation through the windowed search path, including
+        // the recursive child-level builds that would otherwise hit the
+        // oracle.
         let windowed = |mode: LocalBitsMode| {
             solver()
                 .local_bits(mode)
@@ -1231,25 +1168,60 @@ mod tests {
                 .solve(&g)
                 .unwrap()
         };
-        let (wper, woff) = (
-            windowed(LocalBitsMode::Persistent),
-            windowed(LocalBitsMode::Off),
-        );
-        assert_eq!(wper.cliques, per.cliques);
-        assert_eq!(woff.cliques, per.cliques);
-        let wlb = wper.stats.local_bits;
+        let (won, woff) = (windowed(LocalBitsMode::On), windowed(LocalBitsMode::Off));
+        assert_eq!(won.cliques, on.cliques);
+        assert_eq!(woff.cliques, on.cliques);
+        let wlb = won.stats.local_bits;
         assert_eq!(wlb.rows_built, 0);
         assert!(wlb.persistent_bytes > 0);
         assert_eq!(wlb.persistent_probes, wlb.probes_avoided);
         assert_eq!(
-            wper.stats.local_bits,
-            wper.stats.window.unwrap().local_bits,
+            won.stats.local_bits,
+            won.stats.window.unwrap().local_bits,
             "solver stats mirror the window tally"
         );
         assert_eq!(
-            wper.stats.oracle_queries + wlb.probes_avoided,
+            won.stats.oracle_queries + wlb.probes_avoided,
             woff.stats.oracle_queries
         );
+    }
+
+    #[test]
+    fn forced_on_degrades_to_the_scalar_walk_and_releases_every_budget() {
+        // A wheel padded with isolated vertices: setup prunes the padding,
+        // but the core bitmap's renumber table still costs 4 bytes per
+        // original vertex, so on mid-size budgets the search fits while
+        // the bitmap charge does not. Sweeping budgets with the bitmap
+        // forced on, every solve either OOMs, degrades to exactly the
+        // scalar walk, or runs on the bitmap — and no byte stays charged.
+        let m = 30u32;
+        let mut edges: Vec<(u32, u32)> = (1..=m).map(|v| (0, v)).collect();
+        edges.extend((1..m).map(|v| (v, v + 1)));
+        edges.push((1, m));
+        let g = Csr::from_edges(m as usize + 1 + 5000, &edges);
+        let off = solver().local_bits(LocalBitsMode::Off).solve(&g).unwrap();
+        let (mut degraded, mut built) = (false, false);
+        for budget_kib in [1, 2, 4, 8, 16, 32, 64, 128] {
+            let device = Device::new(2, budget_kib << 10);
+            let on = MaxCliqueSolver::new(device.clone())
+                .local_bits(LocalBitsMode::On)
+                .solve(&g);
+            assert_eq!(device.memory().live(), 0, "leak at {budget_kib} KiB");
+            let Ok(on) = on else { continue };
+            assert_eq!(on.cliques, off.cliques, "{budget_kib} KiB");
+            if on.stats.local_bits.persistent_bytes == 0 {
+                degraded = true;
+                assert_eq!(on.stats.local_bits, LocalBitsStats::default());
+                assert_eq!(on.stats.oracle_queries, off.stats.oracle_queries);
+            } else {
+                built = true;
+                assert_eq!(
+                    on.stats.oracle_queries + on.stats.local_bits.probes_avoided,
+                    off.stats.oracle_queries
+                );
+            }
+        }
+        assert!(degraded && built, "sweep must cover both outcomes");
     }
 
     #[test]

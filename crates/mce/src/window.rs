@@ -26,7 +26,7 @@
 
 use crate::arena::LevelArena;
 use crate::bfs::{expand, LocalBitsStats};
-use crate::config::{LocalBitsMode, WindowConfig, WindowOrdering};
+use crate::config::{WindowConfig, WindowOrdering};
 use crate::setup::SetupOutput;
 use gmc_cliquelist::CliqueLevel;
 use gmc_dpp::{Device, DeviceError, FaultInjector, Launch, LaunchError, SharedSlice};
@@ -55,7 +55,7 @@ pub struct WindowStats {
     /// Exact number of edge-oracle `connected` calls across all windows
     /// (expansion walks plus recursive child-level construction).
     pub oracle_queries: u64,
-    /// Sublist-local bitmap fast-path counters summed over all windows.
+    /// Core-bitmap counters summed over all windows.
     pub local_bits: LocalBitsStats,
     /// Window attempts retried after an injected fault (fault injection
     /// only; real OOM goes through `window_splits`).
@@ -149,15 +149,13 @@ impl Incumbent {
 /// Immutable context threaded through the recursion.
 struct SearchCtx<'a, O: EdgeOracle + ?Sized> {
     device: &'a Device,
-    graph: &'a Csr,
     oracle: &'a O,
     config: &'a WindowConfig,
     early_exit: bool,
     fused: bool,
-    local_bits: LocalBitsMode,
-    /// Solve-lifetime core adjacency bitmap (the persistent tier, built
-    /// once by the solver before the sweep); every window and recursive
-    /// child-level build probes it instead of the edge oracle.
+    /// Solve-lifetime core adjacency bitmap (built once by the solver
+    /// before the sweep); every window and recursive child-level build
+    /// probes it instead of the edge oracle.
     persistent: Option<&'a CoreBitmap>,
     /// Armed injector (shares counters with the device's copy); `None` in
     /// fault-free runs.
@@ -250,7 +248,6 @@ pub(crate) fn windowed_search<O: EdgeOracle + ?Sized>(
     min_enum_target: u32,
     early_exit: bool,
     fused: bool,
-    local_bits: LocalBitsMode,
     persistent: Option<&CoreBitmap>,
     injector: Option<&FaultInjector>,
 ) -> Result<WindowOutcome, DeviceError> {
@@ -287,12 +284,10 @@ pub(crate) fn windowed_search<O: EdgeOracle + ?Sized>(
     let stats_lock = Mutex::new(stats);
     let ctx = SearchCtx {
         device,
-        graph,
         oracle,
         config,
         early_exit,
         fused,
-        local_bits,
         persistent,
         injector: injector.cloned(),
         max_retries: injector.map_or(0, |inj| inj.plan().max_retries),
@@ -464,13 +459,11 @@ fn process_window<O: EdgeOracle + ?Sized>(
                 .and_then(|level0| {
                     expand(
                         ctx.device,
-                        ctx.graph,
                         ctx.oracle,
                         level0,
                         target_local,
                         ctx.early_exit,
                         ctx.fused,
-                        ctx.local_bits,
                         ctx.persistent,
                         arena,
                     )
@@ -651,15 +644,14 @@ fn process_window<O: EdgeOracle + ?Sized>(
 
     let (child_vertex, child_sublist) = build_child_level(ctx, vertex_id)?;
     // Both child-level kernels walk every ordered candidate pair: exactly
-    // len·(len−1) adjacency probes. With the persistent bitmap those are
-    // word tests, not oracle calls, so the tally moves to the avoided
-    // columns and the `queries + avoided == scalar` invariant still holds.
+    // len·(len−1) adjacency probes. With the core bitmap those are word
+    // tests, not oracle calls, so the tally moves to the avoided columns and
+    // the `queries + avoided == scalar` invariant still holds.
     {
         let pair_probes = (vertex_id.len() * (vertex_id.len() - 1)) as u64;
         let mut stats = stats.lock().expect("stats lock poisoned");
         if ctx.persistent.is_some() {
-            stats.local_bits.probes_avoided += pair_probes;
-            stats.local_bits.persistent_probes += pair_probes;
+            stats.local_bits.add_word_tests(pair_probes);
         } else {
             stats.oracle_queries += pair_probes;
         }
@@ -808,7 +800,7 @@ fn build_child_level<O: EdgeOracle + ?Sized>(
     let len = candidates.len();
     let oracle = ctx.oracle;
     // Every candidate descends from the setup list, so each survives core
-    // pruning and the persistent bitmap (when built) covers all pairs.
+    // pruning and the core bitmap (when built) covers all pairs.
     let adjacent = |a: u32, b: u32| match ctx.persistent {
         Some(core) => core.probe(a, b),
         None => oracle.connected(a, b),
@@ -871,18 +863,7 @@ mod tests {
         target: u32,
     ) -> Result<WindowOutcome, DeviceError> {
         windowed_search(
-            device,
-            graph,
-            graph,
-            setup,
-            cfg,
-            witness,
-            target,
-            false,
-            true,
-            LocalBitsMode::Auto,
-            None,
-            None,
+            device, graph, graph, setup, cfg, witness, target, false, true, None, None,
         )
     }
 
@@ -896,18 +877,15 @@ mod tests {
             setup.sublist_id.clone(),
         )
         .unwrap();
-        let mut arena = LevelArena::new();
         expand(
             &device,
-            graph,
             graph,
             level0,
             2,
             false,
             false,
-            LocalBitsMode::Off,
             None,
-            &mut arena,
+            &mut LevelArena::new(),
         )
         .unwrap()
     }
@@ -1057,12 +1035,10 @@ mod tests {
         let _ = expand(
             &device,
             &g,
-            &g,
             full_level,
             2,
             false,
             true,
-            LocalBitsMode::Auto,
             None,
             &mut LevelArena::new(),
         )

@@ -33,8 +33,8 @@ pub enum Admission {
     /// instead. `enumerate_all` is set, so the result is bit-identical to
     /// the configured full solve.
     DownWindow(WindowConfig),
-    /// The solve itself fits, but adding the persistent core bitmap's
-    /// pre-charge would not: run with the per-level bitmap tier instead of
+    /// The solve itself fits, but adding a forced-`On` core bitmap's
+    /// pre-charge would not: run with the scalar walk (`Off`) instead of
     /// rejecting. Output is bit-identical — only probe accounting changes.
     DemotePersistentBits,
     /// Even a single window cannot fit the partition; the job is refused
@@ -59,11 +59,11 @@ pub fn full_solve_estimate(graph: &Csr, degeneracy: u32) -> usize {
     two_clique_bytes(graph).saturating_mul(levels)
 }
 
-/// Bytes the persistent core-bitmap tier would pre-charge on this
-/// partition, or 0 when the tier would not fire. Admission runs before
+/// Bytes the core bitmap would pre-charge on this partition, or 0 when the
+/// solver would not build it. Admission runs before
 /// setup pruning, so the core size is bounded conservatively by the whole
 /// vertex set (`n_core = n`): `n²/8` matrix bytes plus `4n` for the
-/// renumber table. The `Auto` tier mirrors the solver's own gate — the
+/// renumber table. `Auto` mirrors the solver's own gate — the
 /// footprint must fit within the smaller of 16 MiB and a quarter of the
 /// partition — so admission never charges for a bitmap the solver would
 /// decline to build.
@@ -74,7 +74,7 @@ pub fn core_bitmap_bytes(graph: &Csr, config: &SolverConfig, partition_bytes: us
     let n = graph.num_vertices();
     let footprint = CoreBitmap::footprint_for(n, n);
     match config.local_bits {
-        LocalBitsMode::Persistent => footprint,
+        LocalBitsMode::On => footprint,
         LocalBitsMode::Auto if footprint <= (16 << 20).min(partition_bytes / 4) => footprint,
         _ => 0,
     }
@@ -88,8 +88,8 @@ pub fn admit(graph: &Csr, config: &SolverConfig, partition_bytes: usize) -> Admi
     }
     // An explicitly windowed job already sizes its working set to the
     // budget; window-level OOM handling (split/recurse) takes it from
-    // there. If the persistent bitmap then oversizes the window budget,
-    // the solver's own degrade ladder drops it to the per-level tier.
+    // there. If the core bitmap then oversizes the window budget, the
+    // solver's own degrade ladder drops it to the scalar walk.
     if config.window.is_some() {
         return Admission::Accept;
     }
@@ -100,13 +100,13 @@ pub fn admit(graph: &Csr, config: &SolverConfig, partition_bytes: usize) -> Admi
         return Admission::Accept;
     }
     if bitmap > 0 && full <= partition_bytes {
-        // Only the bitmap's pre-charge oversizes the partition. A
-        // `Persistent` job is demoted to the per-level tier up front so the
-        // solve never risks the build-then-degrade round trip; an `Auto`
-        // job is simply accepted — its runtime gate and fault ladder
-        // self-heal to the per-level tier on their own.
+        // Only the bitmap's pre-charge oversizes the partition. An `On`
+        // job is demoted to the scalar walk up front so the solve never
+        // risks the build-then-degrade round trip; an `Auto` job is simply
+        // accepted — its runtime gate and fault ladder self-heal to the
+        // scalar walk on their own.
         return match config.local_bits {
-            LocalBitsMode::Persistent => Admission::DemotePersistentBits,
+            LocalBitsMode::On => Admission::DemotePersistentBits,
             _ => Admission::Accept,
         };
     }
@@ -179,20 +179,27 @@ mod tests {
         let graph = generators::gnp(400, 0.3, 5);
         let degeneracy = kcore::degeneracy(&graph);
         let full = full_solve_estimate(&graph, degeneracy);
-        let persistent = SolverConfig {
-            local_bits: LocalBitsMode::Persistent,
+        let forced = SolverConfig {
+            local_bits: LocalBitsMode::On,
             ..SolverConfig::default()
         };
-        let bitmap = core_bitmap_bytes(&graph, &persistent, usize::MAX - 1);
-        assert!(bitmap > 0, "persistent tier always charges the bitmap");
+        let bitmap = core_bitmap_bytes(&graph, &forced, usize::MAX - 1);
+        assert!(bitmap > 0, "forced-on jobs always charge the bitmap");
         // The solve fits on its own but not together with the bitmap.
         let partition = full + bitmap / 2;
         assert_eq!(
-            admit(&graph, &persistent, partition),
+            admit(&graph, &forced, partition),
             Admission::DemotePersistentBits
         );
         // With headroom for both, the job is accepted as configured.
-        assert_eq!(admit(&graph, &persistent, full + bitmap), Admission::Accept);
+        assert_eq!(admit(&graph, &forced, full + bitmap), Admission::Accept);
+        // A scalar-walk job never charges the bitmap.
+        let off = SolverConfig {
+            local_bits: LocalBitsMode::Off,
+            ..SolverConfig::default()
+        };
+        assert_eq!(core_bitmap_bytes(&graph, &off, usize::MAX - 1), 0);
+        assert_eq!(admit(&graph, &off, partition), Admission::Accept);
         // An `Auto` job on the same tight partition is accepted outright:
         // the solver's own gate and degrade ladder handle the shortfall.
         let auto = SolverConfig::default();
@@ -204,7 +211,7 @@ mod tests {
         let graph = generators::gnp(400, 0.3, 5);
         let config = SolverConfig {
             fused: false,
-            local_bits: LocalBitsMode::Persistent,
+            local_bits: LocalBitsMode::On,
             ..SolverConfig::default()
         };
         assert_eq!(core_bitmap_bytes(&graph, &config, 64 << 20), 0);

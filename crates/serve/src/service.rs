@@ -472,10 +472,10 @@ fn serve_one(inner: &ServiceInner, device: &Device, queued: QueuedJob, wait: Dur
             c.down_windows.fetch_add(1, Ordering::Relaxed);
         }
         Admission::DemotePersistentBits => {
-            // The solve fits but the persistent bitmap's pre-charge does
-            // not; the per-level tier produces the identical clique set,
-            // so the cache key stays the job's submitted fingerprint.
-            config.local_bits = LocalBitsMode::On;
+            // The solve fits but the core bitmap's pre-charge does not;
+            // the scalar walk produces the identical clique set, so the
+            // cache key stays the job's submitted fingerprint.
+            config.local_bits = LocalBitsMode::Off;
             c.bitmap_demotions.fetch_add(1, Ordering::Relaxed);
         }
         Admission::Reject {

@@ -20,8 +20,8 @@ pub struct ServeStats {
     pub rejections: u64,
     /// Jobs admission rewrote to an auto-sized windowed solve.
     pub down_windows: u64,
-    /// Jobs admission demoted from the persistent core-bitmap tier to the
-    /// per-level tier because only the bitmap's pre-charge oversized the
+    /// Forced-`On` jobs admission demoted from the core bitmap to the
+    /// scalar walk because only the bitmap's pre-charge oversized the
     /// partition.
     pub bitmap_demotions: u64,
     /// Jobs that ended in `SolveError::Cancelled` (deadline or explicit).

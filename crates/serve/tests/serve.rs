@@ -330,15 +330,15 @@ fn admission_rejects_and_down_windows_through_the_service() {
 fn persistent_bitmap_oversize_is_demoted_not_rejected_through_the_service() {
     let graph = Arc::new(generators::gnp(200, 0.3, 5));
     let mut config = pinned_config();
-    config.local_bits = LocalBitsMode::Persistent;
+    config.local_bits = LocalBitsMode::On;
 
-    // Size the partition so the full solve fits but the persistent
-    // bitmap's pre-charge pushes past it: admission must demote to the
-    // per-level tier instead of rejecting.
+    // Size the partition so the full solve fits but the core bitmap's
+    // pre-charge pushes past it: admission must demote the job to the
+    // scalar walk instead of rejecting.
     let degeneracy = gmc_graph::kcore::degeneracy(&graph);
     let full = gmc_serve::full_solve_estimate(&graph, degeneracy);
     let bitmap = gmc_serve::core_bitmap_bytes(&graph, &config, usize::MAX - 1);
-    assert!(bitmap > 0, "persistent jobs always charge the bitmap");
+    assert!(bitmap > 0, "forced-on jobs always charge the bitmap");
 
     let service = SolveService::start(
         ServeConfig::default()
@@ -351,7 +351,7 @@ fn persistent_bitmap_oversize_is_demoted_not_rejected_through_the_service() {
     let served = handle.wait().expect("demoted solve must succeed");
     assert!(!served.down_windowed, "demotion is not a window rewrite");
 
-    // The per-level tier is bit-identical to an unconstrained persistent
+    // The scalar walk is bit-identical to an unconstrained forced-on
     // solve.
     let reference = MaxCliqueSolver::with_config(Device::unlimited(), config)
         .solve(&graph)

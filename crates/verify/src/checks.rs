@@ -120,14 +120,10 @@ pub fn battery(rng: &mut Rng, replay: bool) -> Vec<Check> {
     for lane in lanes::sample_lanes(rng, extra) {
         checks.push(Check::Differential { lane });
     }
-    // Probe accounting needs the fused pipeline (bitmaps are a fused count
-    // kernel fast path) and a tier that can actually build bitmaps.
+    // Probe accounting needs the fused pipeline (the core bitmap is a
+    // fused count kernel fast path) and a mode that can build it.
     let tier = *rng
-        .choose(&[
-            LocalBitsMode::On,
-            LocalBitsMode::Persistent,
-            LocalBitsMode::Auto,
-        ])
+        .choose(&[LocalBitsMode::On, LocalBitsMode::Auto])
         .unwrap();
     checks.push(Check::ProbeAccounting {
         lane: LaneSpec {

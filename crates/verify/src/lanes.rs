@@ -1,7 +1,7 @@
 //! Differential solver lanes.
 //!
 //! A *lane* is one fully pinned solver configuration — fused or unfused
-//! pipeline, a local-bits tier, a schedule, a worker count, optionally a
+//! pipeline, a local-bits mode, a schedule, a worker count, optionally a
 //! window — run on a fresh device. Lane configurations are built from
 //! explicit fields only: [`SolverConfig::default`] reads `GMC_LOCAL_BITS`,
 //! `GMC_SCHED` and `GMC_FAULTS` from the environment, so every
@@ -33,7 +33,7 @@ pub struct WindowSpec {
 pub struct LaneSpec {
     /// Fused record-and-replay pipeline vs the paper-literal baseline.
     pub fused: bool,
-    /// Adjacency-bitmap tier.
+    /// Core-bitmap mode.
     pub local_bits: LocalBitsMode,
     /// Executor schedule.
     pub schedule: Schedule,
@@ -57,7 +57,7 @@ impl LaneSpec {
     }
 
     /// A human-readable lane name for failure reports, e.g.
-    /// `bfs[unfused,persistent,static,w8,win256]`.
+    /// `bfs[unfused,on,static,w8,win256]`.
     pub fn name(&self) -> String {
         let mut parts: Vec<String> = Vec::with_capacity(5);
         parts.push(if self.fused { "fused" } else { "unfused" }.into());
@@ -119,7 +119,7 @@ impl LaneSpec {
         self.solve_with(graph, None)
     }
 
-    /// The same lane with the local-bits tier forced off — the scalar twin
+    /// The same lane with the core bitmap forced off — the scalar twin
     /// whose `oracle_queries` anchor the probe-accounting invariant.
     pub fn scalar_twin(&self) -> Self {
         Self {
@@ -129,13 +129,8 @@ impl LaneSpec {
     }
 }
 
-/// Local-bits tiers the lane sampler draws from.
-const LOCAL_BITS: [LocalBitsMode; 4] = [
-    LocalBitsMode::Off,
-    LocalBitsMode::On,
-    LocalBitsMode::Persistent,
-    LocalBitsMode::Auto,
-];
+/// Local-bits modes the lane sampler draws from.
+const LOCAL_BITS: [LocalBitsMode; 3] = [LocalBitsMode::Off, LocalBitsMode::On, LocalBitsMode::Auto];
 
 /// Schedules the lane sampler draws from.
 const SCHEDULES: [Schedule; 2] = [Schedule::Static, Schedule::Auto];

@@ -213,27 +213,27 @@ fn fault_stats_are_reported_per_plan() {
 }
 
 #[test]
-fn injected_oom_during_persistent_bitmap_build_degrades_to_per_level() {
+fn injected_oom_during_persistent_bitmap_build_degrades_to_scalar() {
     // Rung zero of the ladder: an injected alloc fault while charging or
     // building the solve-lifetime core bitmap must drop that solve to the
-    // per-level tier — same cliques, no abort, no retry storm — and the
+    // scalar walk — same cliques, no abort, no retry storm — and the
     // fallback must be book-kept as a recovery so the exact-recovery
     // invariant still holds. The roll sequence is a pure function of
     // (seed, step), so sweeping seeds deterministically lands some runs
     // on the bitmap charge roll and leaves others clean.
     let base = generators::gnp(150, 0.2, 11);
     let mut config = fault_free(SolverConfig::default());
-    config.local_bits = LocalBitsMode::Persistent;
+    config.local_bits = LocalBitsMode::On;
     let baseline = MaxCliqueSolver::with_config(Device::unlimited(), config.clone())
         .solve(&base)
-        .expect("fault-free persistent solve succeeds");
+        .expect("fault-free core-bitmap solve succeeds");
     assert!(
         baseline.stats.local_bits.persistent_bytes > 0,
-        "baseline must actually hold a persistent bitmap"
+        "baseline must actually hold a core bitmap"
     );
 
     let mut bitmap_faults = 0u64;
-    let mut finished_per_level = 0u32;
+    let mut finished_scalar = 0u32;
     for seed in 1..=20 {
         let mut faulted_config = config.clone();
         faulted_config.faults = Some(FaultPlan {
@@ -253,18 +253,18 @@ fn injected_oom_during_persistent_bitmap_build_degrades_to_per_level() {
         assert_eq!(device.memory().live(), 0, "seed {seed}: leaked memory");
         bitmap_faults += f.bitmap_fallbacks;
         // A run whose *final* attempt degraded finishes the whole solve on
-        // the per-level tier: the stats show no resident bitmap bytes.
+        // the scalar walk: the stats show no resident bitmap bytes.
         if f.bitmap_fallbacks > 0 && faulted.stats.local_bits.persistent_bytes == 0 {
-            finished_per_level += 1;
+            finished_scalar += 1;
         }
     }
     assert!(
         bitmap_faults > 0,
-        "no seed ever faulted the persistent bitmap build — rates too low to test rung zero"
+        "no seed ever faulted the core bitmap build — rates too low to test rung zero"
     );
     assert!(
-        finished_per_level > 0,
-        "no solve ever finished on the per-level tier after a bitmap fault"
+        finished_scalar > 0,
+        "no solve ever finished on the scalar walk after a bitmap fault"
     );
 }
 
@@ -302,7 +302,7 @@ fn cancellation_mid_bitmap_build_releases_every_charge() {
     // build — and every byte (bitmap included) must be released.
     device.set_cancel_token(Some(CancelToken::with_deadline(std::time::Instant::now())));
     let mut config = fault_free(SolverConfig::default());
-    config.local_bits = LocalBitsMode::Persistent;
+    config.local_bits = LocalBitsMode::On;
     match MaxCliqueSolver::with_config(device.clone(), config.clone()).solve(&graph) {
         Err(SolveError::Cancelled(_)) => {}
         Err(other) => panic!("expired deadline must surface Cancelled, got: {other}"),
@@ -311,11 +311,11 @@ fn cancellation_mid_bitmap_build_releases_every_charge() {
     assert_eq!(
         device.memory().live(),
         0,
-        "cancelled persistent solve left device memory charged"
+        "cancelled core-bitmap solve left device memory charged"
     );
 
     // And with the token cleared the same device solves normally, holding
-    // (then releasing) a real persistent bitmap.
+    // (then releasing) a real core bitmap.
     device.set_cancel_token(None);
     let done = MaxCliqueSolver::with_config(device.clone(), config)
         .solve(&graph)

@@ -182,7 +182,7 @@ fn schedules_do_not_change_results_across_worker_counts() {
                 );
                 assert_eq!(
                     result.stats.local_bits, reference.stats.local_bits,
-                    "{ctx}: sublist-bitmap counters changed"
+                    "{ctx}: core-bitmap counters changed"
                 );
                 let static_lane = static_launches
                     .entry((seq_limit, workers))

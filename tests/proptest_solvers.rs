@@ -370,12 +370,12 @@ fn fused_pipeline_is_indistinguishable_from_unfused() {
 
 #[test]
 fn local_bitmap_path_is_indistinguishable_from_scalar() {
-    // The sublist-local bitmap fast path must be a pure strength reduction:
-    // same cliques, same level shapes, same early exits as the scalar fused
-    // walk and the unfused baseline, for every edge oracle and worker count.
-    // Its accounting must reconcile exactly — every scalar probe is either
-    // performed or reported as covered by a bitmap row, never dropped.
-    use gpu_max_clique::mce::{EdgeIndexKind, LocalBitsMode};
+    // The core-bitmap probe path must be a pure strength reduction: same
+    // cliques, same level shapes, same early exits as the scalar fused walk
+    // and the unfused baseline, for every edge oracle and worker count. Its
+    // accounting must reconcile exactly — every scalar probe is either
+    // performed or reported as a core-bitmap word test, never dropped.
+    use gpu_max_clique::mce::{EdgeIndexKind, LocalBitsMode, LocalBitsStats};
     prop::check_with(
         config(),
         "local_bitmap_path_is_indistinguishable_from_scalar",
@@ -402,7 +402,7 @@ fn local_bitmap_path_is_indistinguishable_from_scalar() {
                     let unfused = solve(false, LocalBitsMode::Off);
                     prop_assert_eq!(&off.cliques, &unfused.cliques);
                     prop_assert_eq!(&off.stats.level_entries, &unfused.stats.level_entries);
-                    prop_assert_eq!(off.stats.local_bits.rows_built, 0);
+                    prop_assert_eq!(off.stats.local_bits, LocalBitsStats::default());
                     for local in [LocalBitsMode::On, LocalBitsMode::Auto] {
                         let on = solve(true, local);
                         prop_assert_eq!(on.clique_number, off.clique_number);
@@ -424,10 +424,10 @@ fn local_bitmap_path_is_indistinguishable_from_scalar() {
 #[test]
 fn local_bitmaps_cross_the_inline_spill_boundary() {
     // Near-complete cores of 62–70 vertices produce sublists whose tails
-    // straddle the 64-bit inline mask: below it the bitmap row feeds the
-    // inline word only, above it the spill words too. Both sides must stay
-    // bit-identical to the scalar walk, and the fringe vertices keep some
-    // short scalar sublists in the same level so mixed dispatch is covered.
+    // straddle the 64-bit inline mask: below it the core-bitmap walk fills
+    // the inline word only, above it the spill words too. Both sides must
+    // stay bit-identical to the scalar walk; the fringe vertices vary the
+    // sublist lengths around the core.
     use gpu_max_clique::mce::{EdgeIndexKind, LocalBitsMode};
     prop::check_with(
         config_with(8),
@@ -476,16 +476,11 @@ fn local_bitmaps_cross_the_inline_spill_boundary() {
                             on.stats.oracle_queries + on.stats.local_bits.probes_avoided,
                             off.stats.oracle_queries
                         );
-                        // On forces a bitmap for every 62+-member core
-                        // sublist; Auto correctly stays scalar here — the
-                        // near-complete core makes the bound tight (need ≈ m
-                        // at every level), so the provable walk savings never
-                        // cover the build cost.
-                        if local == LocalBitsMode::On {
-                            prop_assert!(on.stats.local_bits.rows_built > 0);
-                        } else {
-                            prop_assert_eq!(on.stats.local_bits.rows_built, 0);
-                        }
+                        // Both modes build the core bitmap on this roomy
+                        // device, so every probe is a word test.
+                        prop_assert!(on.stats.local_bits.persistent_bytes > 0);
+                        prop_assert!(on.stats.local_bits.persistent_probes > 0);
+                        prop_assert_eq!(on.stats.oracle_queries, 0);
                     }
                 }
             }
@@ -496,14 +491,13 @@ fn local_bitmaps_cross_the_inline_spill_boundary() {
 
 #[test]
 fn persistent_tier_is_indistinguishable_across_oracles_workers_and_windows() {
-    // Three-way equivalence of the local-bits tiers: the persistent core
-    // bitmap, the per-level sublist bitmaps and the scalar walk must be
-    // bit-for-bit interchangeable — same cliques, same level shapes, same
-    // early exits — across edge oracles, worker counts, and the windowed
-    // and unwindowed drivers, with exact probe reconciliation throughout.
-    // An armed fault plan rides along on one worker count: injected OOM or
-    // launch faults during the one-time bitmap build must degrade to the
-    // per-level tier (or recover by retry), never abort or change output.
+    // The core bitmap and the scalar walk must be bit-for-bit
+    // interchangeable — same cliques, same level shapes, same early exits —
+    // across edge oracles, worker counts, and the windowed and unwindowed
+    // drivers, with exact probe reconciliation throughout. An armed fault
+    // plan rides along on one worker count: injected OOM or launch faults
+    // during the one-time bitmap build must degrade to the scalar walk (or
+    // recover by retry), never abort or change output.
     use gpu_max_clique::mce::{EdgeIndexKind, LocalBitsMode};
     use gpu_max_clique::prelude::FaultPlan;
     prop::check_with(
@@ -537,37 +531,32 @@ fn persistent_tier_is_indistinguishable_across_oracles_workers_and_windows() {
                         };
                         let off = solve(LocalBitsMode::Off, None);
                         let on = solve(LocalBitsMode::On, None);
-                        let per = solve(LocalBitsMode::Persistent, None);
-                        for run in [&on, &per] {
-                            prop_assert_eq!(run.clique_number, off.clique_number);
-                            prop_assert_eq!(&run.cliques, &off.cliques);
-                            prop_assert_eq!(&run.stats.level_entries, &off.stats.level_entries);
-                            prop_assert_eq!(run.stats.early_exit, off.stats.early_exit);
-                            prop_assert_eq!(
-                                run.stats.oracle_queries + run.stats.local_bits.probes_avoided,
-                                off.stats.oracle_queries
-                            );
-                        }
-                        // The persistent tier never plans or builds
-                        // per-level rows, and every avoided probe came
-                        // from the core bitmap.
-                        prop_assert_eq!(per.stats.local_bits.rows_built, 0);
-                        prop_assert_eq!(per.stats.local_bits.words_anded, 0);
+                        prop_assert_eq!(on.clique_number, off.clique_number);
+                        prop_assert_eq!(&on.cliques, &off.cliques);
+                        prop_assert_eq!(&on.stats.level_entries, &off.stats.level_entries);
+                        prop_assert_eq!(on.stats.early_exit, off.stats.early_exit);
                         prop_assert_eq!(
-                            per.stats.local_bits.persistent_probes,
-                            per.stats.local_bits.probes_avoided
+                            on.stats.oracle_queries + on.stats.local_bits.probes_avoided,
+                            off.stats.oracle_queries
+                        );
+                        // Nothing is rebuilt per level, and every avoided
+                        // probe came from the core bitmap.
+                        prop_assert_eq!(on.stats.local_bits.rows_built, 0);
+                        prop_assert_eq!(
+                            on.stats.local_bits.persistent_probes,
+                            on.stats.local_bits.probes_avoided
                         );
                         // Tiny graphs can resolve before any window runs
                         // (no window stats block); when windows did run,
                         // the solve-level block must mirror theirs.
-                        if let Some(w) = per.stats.window.as_ref() {
-                            prop_assert_eq!(per.stats.local_bits, w.local_bits);
+                        if let Some(w) = on.stats.window.as_ref() {
+                            prop_assert_eq!(on.stats.local_bits, w.local_bits);
                         }
                         if workers == 2 {
                             let plan: FaultPlan = "seed=5,alloc=0.02,launch=0.02,retries=64"
                                 .parse()
                                 .expect("plan parses");
-                            let faulted = solve(LocalBitsMode::Persistent, Some(plan));
+                            let faulted = solve(LocalBitsMode::On, Some(plan));
                             prop_assert_eq!(&faulted.cliques, &off.cliques);
                             prop_assert_eq!(
                                 faulted.stats.oracle_queries
@@ -588,22 +577,19 @@ fn persistent_tier_is_indistinguishable_across_oracles_workers_and_windows() {
 #[test]
 fn auto_threshold_edge_keeps_modes_equivalent() {
     // Wheels of 29–36 rim vertices under *index* orientation (so the hub at
-    // vertex 0 sources one sublist of exactly m members) put the sublist
-    // length right at the Auto heuristic's 32-member cutoff: below it Auto
-    // must stay scalar (zero rows built), at or above it the degree-light,
-    // loose-bound sublist passes the walk-vs-build test and the bitmap
-    // fires — and in both regimes every mode returns identical results
-    // with exact probe reconciliation. The rim cycle matters: it keeps the
-    // whole wheel in its own 3-core, so setup's core-number pruning (the
-    // wheel's triangles bound ω at 3) cannot strip any hub member — a bare
-    // star's degree-1 leaves would all be pruned before the BFS begins.
-    use gpu_max_clique::mce::{LocalBitsMode, OrientationRule};
+    // vertex 0 sources one long sublist), solved on either side of `Auto`'s
+    // core-bitmap gate: with a roomy budget Auto builds the core bitmap
+    // exactly as forced `On` does; where it does not fit, Auto must *be*
+    // the scalar walk — the same oracle queries and all-zero bitmap
+    // counters. Every mode returns identical results with exact probe
+    // reconciliation. The rim cycle keeps the whole wheel in its own
+    // 3-core, so setup's core-number pruning cannot strip any hub member.
+    use gpu_max_clique::mce::{LocalBitsMode, LocalBitsStats, OrientationRule};
     // Isolated padding vertices are pruned by setup, so they change nothing
-    // about the search — but they inflate the persistent core bitmap's
-    // renumber-table footprint (4 bytes per original vertex) past the
-    // quarter-budget gate of a 64 KiB device, forcing Auto down to the
-    // per-level planner there while a roomy device picks the persistent
-    // tier for the very same graph.
+    // about the search — but they inflate the core bitmap's renumber-table
+    // footprint (4 bytes per original vertex) past the quarter-budget gate
+    // of a 64 KiB device, forcing Auto onto the scalar walk there while a
+    // roomy device builds the core bitmap for the very same graph.
     const PAD: usize = 5000;
     prop::check_with(
         config_with(16),
@@ -620,7 +606,6 @@ fn auto_threshold_edge_keeps_modes_equivalent() {
         |_case| Vec::new(),
         |case| {
             let graph = csr(case);
-            let m = case.0 - 1 - PAD;
             let solve = |local: LocalBitsMode, capacity: usize| {
                 MaxCliqueSolver::new(Device::new(2, capacity))
                     .orientation(OrientationRule::Index)
@@ -631,9 +616,9 @@ fn auto_threshold_edge_keeps_modes_equivalent() {
             };
             let off = solve(LocalBitsMode::Off, usize::MAX);
             let on = solve(LocalBitsMode::On, usize::MAX);
-            let auto_persistent = solve(LocalBitsMode::Auto, usize::MAX);
-            let auto_perlevel = solve(LocalBitsMode::Auto, 64 * 1024);
-            for run in [&on, &auto_persistent, &auto_perlevel] {
+            let auto_roomy = solve(LocalBitsMode::Auto, usize::MAX);
+            let auto_gated = solve(LocalBitsMode::Auto, 64 * 1024);
+            for run in [&on, &auto_roomy, &auto_gated] {
                 prop_assert_eq!(run.clique_number, off.clique_number);
                 prop_assert_eq!(&run.cliques, &off.cliques);
                 prop_assert_eq!(&run.stats.level_entries, &off.stats.level_entries);
@@ -642,26 +627,14 @@ fn auto_threshold_edge_keeps_modes_equivalent() {
                     off.stats.oracle_queries
                 );
             }
-            prop_assert!(on.stats.local_bits.rows_built > 0);
-            // Roomy budget: the three-tier Auto prefers the persistent core
-            // bitmap — zero per-level rows, every walk probe a word test.
-            prop_assert_eq!(auto_persistent.stats.local_bits.rows_built, 0);
-            prop_assert!(auto_persistent.stats.local_bits.persistent_probes > 0);
-            prop_assert_eq!(
-                auto_persistent.stats.local_bits.persistent_probes,
-                auto_persistent.stats.local_bits.probes_avoided
-            );
-            // Gated budget: per-level Auto. The hub sublist has exactly m
-            // members and deeper levels only shrink, so it fires iff m
-            // reaches the 32-member cutoff (with ω = 3 the bound is loose,
-            // so the triangular walk bound dwarfs the rim's m cycle edges +
-            // m² build cost).
-            prop_assert_eq!(auto_perlevel.stats.local_bits.persistent_probes, 0);
-            if m >= 32 {
-                prop_assert!(auto_perlevel.stats.local_bits.rows_built > 0, "m={m}");
-            } else {
-                prop_assert_eq!(auto_perlevel.stats.local_bits.rows_built, 0);
-            }
+            // Roomy budget: Auto builds the core bitmap, exactly as On does.
+            prop_assert!(auto_roomy.stats.local_bits.persistent_probes > 0);
+            prop_assert_eq!(auto_roomy.stats.local_bits, on.stats.local_bits);
+            prop_assert_eq!(auto_roomy.stats.oracle_queries, on.stats.oracle_queries);
+            // Gated budget: the core bitmap does not fit, and Auto is the
+            // scalar walk exactly.
+            prop_assert_eq!(auto_gated.stats.oracle_queries, off.stats.oracle_queries);
+            prop_assert_eq!(auto_gated.stats.local_bits, LocalBitsStats::default());
             Ok(())
         },
     );
