@@ -7,16 +7,16 @@
 //! 3. Window source ordering: index / ascending / descending degree /
 //!    random (§V-C1: descending costs the most memory; ascending ≈ random).
 //! 4. Early exit on/off (Algorithm 2 line 36).
-//! 5. Edge-membership structure: CSR binary search vs bitset matrix vs
-//!    edge hash table (§III-3's three-way comparison).
-//! 6. Multi-run heuristic seed count h.
-//! 7. Sublist bound: length (the paper's) vs greedy colouring (§II-B3's
+//! 5. Multi-run heuristic seed count h.
+//! 6. Sublist bound: length (the paper's) vs greedy colouring (§II-B3's
 //!    tighter alternative).
-//! 8. Fused vs unfused expansion pipeline (record-and-replay bitmasks,
+//! 7. Fused vs unfused expansion pipeline (record-and-replay bitmasks,
 //!    bound-directed count walk, single-pass scan, arena scratch — vs the
 //!    paper-literal count → scan → re-walk baseline).
-//! 9. Core bitmap off / auto / on: the solve-lifetime adjacency bitmap's
-//!    probe savings on the fused pipeline.
+//! 8. Core bitmap off / auto / on: the solve-lifetime adjacency bitmap's
+//!    probe savings on the fused pipeline. This is also the comparison of
+//!    edge-membership structures (§III-3): a solve probes the core bitmap
+//!    or, with it off, the CSR by binary search.
 //!
 //! A representative cross-category slice of the corpus keeps the runtime
 //! manageable.
@@ -25,8 +25,8 @@ use gmc_bench::impl_to_json;
 use gmc_bench::{load_corpus, print_table, run_solver, save_json, BenchEnv, RunOutcome};
 use gmc_heuristic::HeuristicKind;
 use gmc_mce::{
-    CandidateOrder, EdgeIndexKind, LocalBitsMode, OrientationRule, SolverConfig, SublistBound,
-    WindowConfig, WindowOrdering,
+    CandidateOrder, LocalBitsMode, OrientationRule, SolverConfig, SublistBound, WindowConfig,
+    WindowOrdering,
 };
 
 struct AblationRecord {
@@ -34,7 +34,6 @@ struct AblationRecord {
     candidate_order: Vec<TimingRow>,
     window_ordering: Vec<WindowOrderRow>,
     early_exit: Vec<TimingRow>,
-    edge_index: Vec<EdgeIndexRow>,
     fused_pipeline: Vec<FusedRow>,
     local_bits: Vec<LocalBitsRow>,
 }
@@ -44,7 +43,6 @@ impl_to_json!(AblationRecord {
     candidate_order,
     window_ordering,
     early_exit,
-    edge_index,
     fused_pipeline,
     local_bits
 });
@@ -79,20 +77,6 @@ impl_to_json!(FusedRow {
     unfused_ms,
     fused_queries,
     unfused_queries
-});
-
-struct EdgeIndexRow {
-    dataset: String,
-    kind: String,
-    ms: Option<f64>,
-    footprint_bytes: usize,
-}
-
-impl_to_json!(EdgeIndexRow {
-    dataset,
-    kind,
-    ms,
-    footprint_bytes
 });
 
 struct OrientationRow {
@@ -315,46 +299,7 @@ fn main() {
     println!("\n-- Early exit (Algorithm 2 line 36) --");
     print_timing(&early_rows);
 
-    // 5. Edge-membership structure (paper §III-3): lookup speed vs space.
-    let mut edge_index_rows = Vec::new();
-    for d in &slice {
-        for (name, kind) in [
-            ("binary-search", EdgeIndexKind::BinarySearch),
-            ("bitset", EdgeIndexKind::Bitset),
-            ("hash", EdgeIndexKind::Hash),
-        ] {
-            use gmc_graph::EdgeOracle;
-            let footprint = match kind {
-                EdgeIndexKind::Bitset => {
-                    gmc_graph::BitMatrix::footprint_for(d.graph.num_vertices())
-                }
-                EdgeIndexKind::Hash => gmc_graph::HashAdjacency::footprint_for(d.graph.num_edges()),
-                _ => d.graph.footprint_bytes(),
-            };
-            let device = env.device();
-            let ms = match run_solver(
-                &device,
-                &d.graph,
-                SolverConfig {
-                    heuristic: HeuristicKind::MultiDegree,
-                    edge_index: kind,
-                    ..SolverConfig::default()
-                },
-            )
-            .expect("runs")
-            {
-                RunOutcome::Solved(r) => Some(r.total_ms),
-                RunOutcome::Oom => None,
-            };
-            edge_index_rows.push(EdgeIndexRow {
-                dataset: d.name().to_string(),
-                kind: name.to_string(),
-                ms,
-                footprint_bytes: footprint,
-            });
-        }
-    }
-    // 6. Multi-run seed count h (the paper fixes h = |V|; this sweep shows
+    // 5. Multi-run seed count h (the paper fixes h = |V|; this sweep shows
     // the accuracy/cost curve that choice sits on).
     let mut seed_rows: Vec<Vec<String>> = Vec::new();
     for d in slice.iter().step_by(3) {
@@ -383,23 +328,7 @@ fn main() {
     println!("\n-- Multi-run heuristic seed count h (paper fixes h = |V|) --");
     print_table(&["Dataset", "h", "ω̄", "ms"], &seed_rows);
 
-    println!("\n-- Edge-membership structure (paper §III-3): time vs space --");
-    print_table(
-        &["Dataset", "Structure", "ms", "Footprint bytes"],
-        &edge_index_rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.dataset.clone(),
-                    r.kind.clone(),
-                    fmt_ms(r.ms),
-                    r.footprint_bytes.to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-
-    // 7. Sublist bound: length vs colouring (pruned entries and time).
+    // 6. Sublist bound: length vs colouring (pruned entries and time).
     let mut bound_rows: Vec<Vec<String>> = Vec::new();
     for d in slice.iter().step_by(2) {
         for (name, bound) in [
@@ -429,7 +358,7 @@ fn main() {
     println!("\n-- Sublist bound: length vs greedy colouring (§II-B3) --");
     print_table(&["Dataset", "Bound", "Entries kept", "ms"], &bound_rows);
 
-    // 8. Fused vs unfused expansion pipeline: wall time plus the query
+    // 7. Fused vs unfused expansion pipeline: wall time plus the query
     // counter that proves where the win comes from.
     let mut fused_rows = Vec::new();
     for d in &slice {
@@ -483,7 +412,7 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    // 9. Core bitmap: probe savings on the fused pipeline (DESIGN.md
+    // 8. Core bitmap: probe savings on the fused pipeline (DESIGN.md
     // §III-3).
     let mut local_bits_rows = Vec::new();
     for d in &slice {
@@ -546,7 +475,6 @@ fn main() {
             candidate_order: candidate_rows,
             window_ordering: window_rows,
             early_exit: early_rows,
-            edge_index: edge_index_rows,
             fused_pipeline: fused_rows,
             local_bits: local_bits_rows,
         },

@@ -1,20 +1,20 @@
-//! Alternative edge-membership structures (paper §III-3).
+//! Edge-membership structures (paper §III-3).
 //!
 //! The choice of graph data structure determines the speed of the set
-//! intersections at the heart of the search. The paper weighs three options
-//! and picks CSR + binary search for its memory economy on large graphs:
+//! intersections at the heart of the search. The paper weighs a bitset
+//! adjacency matrix (O(1) lookups at `n²/8` bytes), CSR with sorted
+//! adjacency + binary search (`O(log d)` at `O(|E|)` space) and edge hash
+//! tables, and builds CSR + binary search for its memory economy on large
+//! graphs. A solve here likewise probes exactly one structure:
 //!
-//! * **Bitset adjacency matrix** — O(1) lookups via bitwise ops, but
-//!   `n²/8` bytes ("very space-inefficient"); the choice of
-//!   VanCompernolle et al. and several CPU solvers.
-//! * **CSR with sorted adjacency + binary search** — `O(log d)` lookups at
-//!   `O(|E|)` space; the paper's choice ([`Csr::has_edge`]).
-//! * **Hash tables** — near-O(1) expected lookups at `O(|E|)` space with a
-//!   constant-factor overhead; the choice of Lessley et al.
+//! * the [`CoreBitmap`] — the dense bitset matrix of the subgraph that
+//!   survives setup pruning — when the solver builds one (see
+//!   `gmc_mce::LocalBitsMode`);
+//! * the [`Csr`] itself, via [`Csr::has_edge`] binary search, otherwise.
 //!
-//! All three implement [`EdgeOracle`], so the solver can be parameterised
-//! over the lookup strategy and the trade-off measured (see the `ablations`
-//! bench target).
+//! Both implement [`EdgeOracle`], so the expansion kernels are
+//! monomorphised over whichever one the solve built. [`BitMatrix`] is the
+//! whole-graph matrix underneath the core bitmap.
 
 use crate::Csr;
 use gmc_dpp::{DeviceError, Executor, Launch, SharedSlice, UninitSlice};
@@ -23,21 +23,12 @@ use gmc_dpp::{DeviceError, Executor, Launch, SharedSlice, UninitSlice};
 pub trait EdgeOracle: Sync {
     /// Whether the undirected edge `{u, v}` exists.
     fn connected(&self, u: u32, v: u32) -> bool;
-
-    /// Approximate device-memory footprint of the structure, in bytes
-    /// (charged by the solver when it builds one).
-    fn footprint_bytes(&self) -> usize;
 }
 
 impl EdgeOracle for Csr {
     #[inline]
     fn connected(&self, u: u32, v: u32) -> bool {
         self.has_edge(u, v)
-    }
-
-    fn footprint_bytes(&self) -> usize {
-        // Offsets plus neighbor array (already resident for the CSR).
-        std::mem::size_of_val(self.offsets()) + std::mem::size_of_val(self.neighbor_array())
     }
 }
 
@@ -108,19 +99,6 @@ impl BitMatrix {
     pub fn num_vertices(&self) -> usize {
         self.n
     }
-
-    /// Number of common neighbors of `u` and `v` via word-wise AND +
-    /// popcount — the "fastest intersections use bitwise operations" path
-    /// the paper cites.
-    pub fn intersection_size(&self, u: u32, v: u32) -> usize {
-        let ru = u as usize * self.words_per_row;
-        let rv = v as usize * self.words_per_row;
-        let mut count = 0usize;
-        for w in 0..self.words_per_row {
-            count += (self.bits[ru + w] & self.bits[rv + w]).count_ones() as usize;
-        }
-        count
-    }
 }
 
 impl EdgeOracle for BitMatrix {
@@ -128,10 +106,6 @@ impl EdgeOracle for BitMatrix {
     fn connected(&self, u: u32, v: u32) -> bool {
         let row = u as usize * self.words_per_row;
         (self.bits[row + (v as usize >> 6)] >> (v as usize & 63)) & 1 == 1
-    }
-
-    fn footprint_bytes(&self) -> usize {
-        self.bits.len() * std::mem::size_of::<u64>()
     }
 }
 
@@ -260,90 +234,6 @@ impl EdgeOracle for CoreBitmap {
     fn connected(&self, u: u32, v: u32) -> bool {
         self.probe(u, v)
     }
-
-    fn footprint_bytes(&self) -> usize {
-        self.matrix.footprint_bytes() + std::mem::size_of_val(self.new_of_old.as_slice())
-    }
-}
-
-/// Open-addressing hash set of edges, keyed on the ordered pair.
-///
-/// A single flat table of 64-bit keys (`(min << 32) | max`), linear
-/// probing, ~50% load factor. Space `O(|E|)` like the CSR, lookups O(1)
-/// expected without the `log d` factor.
-pub struct HashAdjacency {
-    mask: usize,
-    table: Vec<u64>,
-}
-
-/// Sentinel for an empty slot (no valid edge encodes to all-ones: that
-/// would need two vertices equal to `u32::MAX`, which [`Csr`] cannot hold
-/// as a loop-free pair).
-const EMPTY: u64 = u64::MAX;
-
-impl HashAdjacency {
-    /// Device footprint of a table over `num_edges` edges, computable
-    /// *before* building (so OOM can fail fast).
-    pub fn footprint_for(num_edges: usize) -> usize {
-        (num_edges.max(1) * 2).next_power_of_two() * std::mem::size_of::<u64>()
-    }
-
-    /// Builds the table from a CSR graph.
-    pub fn build(graph: &Csr) -> Self {
-        let edges = graph.num_edges();
-        let capacity = Self::footprint_for(edges) / std::mem::size_of::<u64>();
-        let mask = capacity - 1;
-        let mut table = vec![EMPTY; capacity];
-        for v in 0..graph.num_vertices() as u32 {
-            for &u in graph.neighbors(v) {
-                if v < u {
-                    let key = Self::key(v, u);
-                    let mut slot = Self::hash(key) & mask;
-                    while table[slot] != EMPTY {
-                        slot = (slot + 1) & mask;
-                    }
-                    table[slot] = key;
-                }
-            }
-        }
-        Self { mask, table }
-    }
-
-    #[inline]
-    fn key(u: u32, v: u32) -> u64 {
-        ((u.min(v) as u64) << 32) | u.max(v) as u64
-    }
-
-    /// Fibonacci multiplicative hash — fast and adequate for edge keys.
-    #[inline]
-    fn hash(key: u64) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17) as usize
-    }
-}
-
-impl EdgeOracle for HashAdjacency {
-    #[inline]
-    fn connected(&self, u: u32, v: u32) -> bool {
-        if u == v {
-            return false;
-        }
-        let key = Self::key(u, v);
-        let mut slot = Self::hash(key) & self.mask;
-        loop {
-            let entry = self.table[slot];
-            if entry == key {
-                return true;
-            }
-            if entry == EMPTY {
-                return false;
-            }
-            slot = (slot + 1) & self.mask;
-        }
-    }
-
-    fn footprint_bytes(&self) -> usize {
-        self.table.len() * std::mem::size_of::<u64>()
-    }
 }
 
 #[cfg(test)]
@@ -355,87 +245,36 @@ mod tests {
         Executor::new(2)
     }
 
-    fn oracles_agree(graph: &Csr) {
+    fn bitmatrix_agrees(graph: &Csr) {
         let bits = BitMatrix::build(&exec(), graph);
-        let hash = HashAdjacency::build(graph);
         let n = graph.num_vertices() as u32;
         for u in 0..n {
             for v in 0..n {
-                let expected = graph.has_edge(u, v);
-                assert_eq!(bits.connected(u, v), expected, "bitset ({u},{v})");
-                assert_eq!(hash.connected(u, v), expected, "hash ({u},{v})");
+                assert_eq!(bits.connected(u, v), graph.has_edge(u, v), "({u},{v})");
             }
         }
+        // The pre-build footprint formula matches what building allocates.
+        assert_eq!(
+            BitMatrix::footprint_for(graph.num_vertices()),
+            std::mem::size_of_val(bits.bits.as_slice())
+        );
     }
 
     #[test]
-    fn all_oracles_agree_on_random_graphs() {
+    fn bitmatrix_agrees_with_csr_on_random_graphs() {
         for seed in 0..5 {
-            oracles_agree(&generators::gnp(60, 0.2, seed));
+            bitmatrix_agrees(&generators::gnp(60, 0.2, seed));
         }
     }
 
     #[test]
-    fn all_oracles_agree_on_structured_graphs() {
-        oracles_agree(&generators::complete(20));
-        oracles_agree(&Csr::empty(10));
-        oracles_agree(&Csr::from_edges(2, &[(0, 1)]));
-        oracles_agree(&generators::road_mesh(8, 8, 0.9, 0.1, 3));
-    }
-
-    #[test]
-    fn bitmatrix_intersections() {
-        // K4: any two vertices share the other two.
-        let g = generators::complete(4);
-        let bits = BitMatrix::build(&exec(), &g);
-        assert_eq!(bits.intersection_size(0, 1), 2);
-        // Path 0-1-2: endpoints share the middle.
-        let p = Csr::from_edges(3, &[(0, 1), (1, 2)]);
-        let bits = BitMatrix::build(&exec(), &p);
-        assert_eq!(bits.intersection_size(0, 2), 1);
-        assert_eq!(bits.intersection_size(0, 1), 0);
-    }
-
-    #[test]
-    fn footprints_have_expected_shape() {
-        let g = generators::gnp(256, 0.1, 7);
-        let csr_bytes = g.footprint_bytes();
-        let bits = BitMatrix::build(&exec(), &g).footprint_bytes();
-        let hash = HashAdjacency::build(&g).footprint_bytes();
-        // Bitset is n²/8 = 8 KiB regardless of density.
-        assert_eq!(bits, 256 * 4 * 8);
-        // Hash ~ 2|E| slots of 8 bytes, power of two.
-        assert!(hash >= g.num_edges() * 16);
-        assert!(csr_bytes > 0);
-        // The pre-build footprint formulas match what building charges.
-        assert_eq!(BitMatrix::footprint_for(g.num_vertices()), bits);
-        assert_eq!(HashAdjacency::footprint_for(g.num_edges()), hash);
-    }
-
-    #[test]
-    fn hash_handles_collision_chains() {
-        // A star forces many keys sharing the low vertex.
-        let mut edges = Vec::new();
-        for v in 1..500u32 {
-            edges.push((0, v));
-        }
-        let g = Csr::from_edges(500, &edges);
-        let hash = HashAdjacency::build(&g);
-        for v in 1..500u32 {
-            assert!(hash.connected(0, v));
-            assert!(hash.connected(v, 0));
-        }
-        assert!(!hash.connected(1, 2));
-        assert!(!hash.connected(0, 0));
-    }
-
-    #[test]
-    fn empty_graph_oracles() {
-        let g = Csr::empty(4);
-        let hash = HashAdjacency::build(&g);
-        assert!(!hash.connected(0, 1));
-        let bits = BitMatrix::build(&exec(), &g);
-        assert!(!bits.connected(2, 3));
+    fn bitmatrix_agrees_with_csr_on_structured_graphs() {
+        bitmatrix_agrees(&generators::complete(20));
+        bitmatrix_agrees(&Csr::empty(10));
+        bitmatrix_agrees(&Csr::from_edges(2, &[(0, 1)]));
+        bitmatrix_agrees(&generators::road_mesh(8, 8, 0.9, 0.1, 3));
+        // n²/8 bytes regardless of density.
+        assert_eq!(BitMatrix::footprint_for(256), 256 * 4 * 8);
     }
 
     #[test]
@@ -468,10 +307,11 @@ mod tests {
                 assert_eq!(core.connected(u, v), g.has_edge(u, v), "({u},{v})");
             }
         }
-        // Footprint formula matches what building would charge.
+        // Footprint formula matches what building allocates.
         assert_eq!(
             CoreBitmap::footprint_for(kept.len(), g.num_vertices()),
-            core.footprint_bytes()
+            std::mem::size_of_val(core.matrix.bits.as_slice())
+                + std::mem::size_of_val(core.new_of_old.as_slice())
         );
     }
 

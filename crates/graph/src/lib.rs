@@ -14,9 +14,10 @@
 //!   Repository's formats), standing in for the Gunrock graph loader.
 //! * [`generators`] — synthetic graph families used to build the evaluation
 //!   corpus (see `gmc-corpus`).
-//! * [`adjacency`] — the three edge-lookup structures the paper compares
-//!   (§III-3): CSR binary search, bitset adjacency matrix, and edge hash
-//!   tables, behind one [`EdgeOracle`] trait.
+//! * [`adjacency`] — the edge-membership structures a solve probes
+//!   (§III-3): CSR binary search, or the [`CoreBitmap`] (a bitset adjacency
+//!   matrix over the vertices that survive pruning), behind one
+//!   [`EdgeOracle`] trait.
 //! * [`kcore`] — sequential (Batagelj–Zaveršnik) and data-parallel k-core
 //!   decompositions plus degeneracy ordering; the parallel version runs on
 //!   the `gmc-dpp` virtual GPU exactly like the Gunrock k-core app the paper
@@ -33,6 +34,6 @@ pub mod generators;
 pub mod io;
 pub mod kcore;
 
-pub use adjacency::{BitMatrix, CoreBitmap, EdgeOracle, HashAdjacency};
+pub use adjacency::{BitMatrix, CoreBitmap, EdgeOracle};
 pub use builder::GraphBuilder;
 pub use csr::Csr;

@@ -34,23 +34,20 @@
 //!   unpruned sublist tail (repeating the count kernel's oracle queries),
 //!   fresh per-level allocations and the two-phase scan.
 //!
-//! The fused pipeline additionally probes the solve-lifetime **core
-//! bitmap** when the solver built one ([`SolverConfig::local_bits`]): the
-//! count kernel runs the identical bound-directed record walk, but each
-//! adjacency answer is a single word test against
-//! [`CoreBitmap`] instead of an [`EdgeOracle`] call. Masks, spill layout
-//! and truncation are unchanged, so the output is bit-identical to the
-//! scalar walk.
+//! Both pipelines probe one [`EdgeOracle`]: the structure the solve built.
+//! That is the solve-lifetime core bitmap ([`SolverConfig::local_bits`]),
+//! whose every answer is a single word test, or else the CSR's binary
+//! search. The walks are the same either way, so the output is
+//! bit-identical whichever structure answers.
 //!
 //! Both pipelines count their `EdgeOracle::connected` calls exactly into
-//! [`ExpansionOutcome::oracle_queries`]. The unfused walks are fully
+//! [`ExpansionOutcome::probes`]. The unfused walks are fully
 //! deterministic, so their tally is computed analytically on the host; the
 //! fused count kernel records each pruned entry's truncated walk length in
 //! that entry's otherwise-dead mask slot, and the host folds the tally from
-//! there at zero hot-path cost. Core-bitmap walks make no oracle calls at
-//! all; the same rule tallies their word tests into
-//! [`LocalBitsStats::probes_avoided`], so core-bitmap on/off query tallies
-//! always reconcile exactly.
+//! there at zero hot-path cost. The solver files the tally as edge-oracle
+//! queries or as core-bitmap word tests, so core-bitmap on/off query
+//! tallies always reconcile exactly.
 //!
 //! The loop ends when a level produces no entries; every entry of the last
 //! level is then a maximum clique (each entry of level `L` is a valid
@@ -63,7 +60,7 @@
 use crate::arena::LevelArena;
 use gmc_cliquelist::{CliqueLevel, CliqueList};
 use gmc_dpp::{Device, DeviceError, Executor, Launch, SharedSlice, UninitSlice};
-use gmc_graph::{CoreBitmap, EdgeOracle};
+use gmc_graph::EdgeOracle;
 
 /// Result of expanding one clique list to exhaustion.
 #[derive(Debug)]
@@ -80,17 +77,14 @@ pub(crate) struct ExpansionOutcome {
     /// Exact number of `EdgeOracle::connected` calls this expansion made
     /// (count/output walks plus early-exit checks). The fused pipeline's
     /// saving over the unfused baseline shows up here.
-    pub oracle_queries: u64,
-    /// Core-bitmap counters (all zero when the expansion ran without the
-    /// core bitmap).
-    pub local_bits: LocalBitsStats,
+    pub probes: u64,
 }
 
 /// Counters for the core-bitmap probe path (fused pipeline only).
 ///
-/// All counters are exact, not sampled: `probes_avoided` is tallied with
-/// the same walk-length rule the scalar tally uses, from the walk the
-/// core-bitmap probe path actually performed, so for any expansion
+/// All counters are exact, not sampled: `probes_avoided` is the same
+/// walk-length tally the scalar walk files as oracle queries, taken from
+/// the walk the core bitmap actually answered, so for any expansion
 /// `oracle_queries(bitmap on) + probes_avoided == oracle_queries(bitmap off)`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LocalBitsStats {
@@ -105,26 +99,8 @@ pub struct LocalBitsStats {
     /// of a scalar oracle probe. Always equal to `probes_avoided`.
     pub persistent_probes: u64,
     /// Device bytes charged for the core bitmap, zero when it was not
-    /// built. A capacity, not a flow: folding takes the max so window-level
-    /// tallies do not double-count the one bitmap.
+    /// built.
     pub persistent_bytes: u64,
-}
-
-impl LocalBitsStats {
-    /// Folds another tally (a level's, or a window's) into this one.
-    pub fn accumulate(&mut self, other: LocalBitsStats) {
-        self.rows_built += other.rows_built;
-        self.probes_avoided += other.probes_avoided;
-        self.persistent_probes += other.persistent_probes;
-        self.persistent_bytes = self.persistent_bytes.max(other.persistent_bytes);
-    }
-
-    /// Tallies `probes` adjacency tests the core bitmap answered in place
-    /// of the edge oracle.
-    pub(crate) fn add_word_tests(&mut self, probes: u64) {
-        self.probes_avoided += probes;
-        self.persistent_probes += probes;
-    }
 }
 
 /// Largest head level for which the early-exit mutual-adjacency check is
@@ -140,18 +116,14 @@ const INLINE_BITS: usize = 64;
 ///
 /// `min_target` is the pruning bound: branches that cannot reach a clique of
 /// at least this size are cut. For full enumeration pass `ω̄` (ties kept);
-/// for find-one-better pass `best + 1`. `fused` selects the pipeline;
-/// `persistent` supplies the solve-lifetime core bitmap when the solver
-/// built one — the fused count kernel then answers every probe from it
-/// (single word tests, tallied into [`LocalBitsStats::persistent_probes`])
-/// and the unfused pipeline ignores it. `arena` supplies recycled scratch
-/// and absorbs the retired levels' buffers on return, including the error
-/// path.
+/// for find-one-better pass `best + 1`. `oracle` answers every adjacency
+/// probe: the core bitmap or the CSR, whichever the solver built. `fused`
+/// selects the pipeline. `arena` supplies recycled scratch and absorbs the
+/// retired levels' buffers on return, including the error path.
 ///
 /// Failures — genuine OOM or injected allocation/launch faults — surface as
 /// [`DeviceError`] with the arena released, so the caller can retry (fault
 /// recovery) or split the window (OOM).
-#[allow(clippy::too_many_arguments)] // mirrors the solver's knobs 1:1
 pub(crate) fn expand<O: EdgeOracle + ?Sized>(
     device: &Device,
     oracle: &O,
@@ -159,7 +131,6 @@ pub(crate) fn expand<O: EdgeOracle + ?Sized>(
     min_target: u32,
     early_exit_enabled: bool,
     fused: bool,
-    persistent: Option<&CoreBitmap>,
     arena: &mut LevelArena,
 ) -> Result<ExpansionOutcome, DeviceError> {
     let mut list = CliqueList::new();
@@ -170,14 +141,12 @@ pub(crate) fn expand<O: EdgeOracle + ?Sized>(
             clique_size: 0,
             level_entries,
             early_exit: false,
-            oracle_queries: 0,
-            local_bits: LocalBitsStats::default(),
+            probes: 0,
         });
     }
     list.push_level(level0);
 
-    let mut queries = 0u64;
-    let mut local_stats = LocalBitsStats::default();
+    let mut probes = 0u64;
     let grown = if fused {
         grow_fused(
             device,
@@ -186,10 +155,8 @@ pub(crate) fn expand<O: EdgeOracle + ?Sized>(
             &mut level_entries,
             min_target,
             early_exit_enabled,
-            persistent,
             arena,
-            &mut queries,
-            &mut local_stats,
+            &mut probes,
         )
     } else {
         grow_unfused(
@@ -200,7 +167,7 @@ pub(crate) fn expand<O: EdgeOracle + ?Sized>(
             min_target,
             early_exit_enabled,
             arena,
-            &mut queries,
+            &mut probes,
         )
     };
     let outcome = match grown {
@@ -217,8 +184,7 @@ pub(crate) fn expand<O: EdgeOracle + ?Sized>(
                 clique_size,
                 level_entries,
                 early_exit: true,
-                oracle_queries: queries,
-                local_bits: local_stats,
+                probes,
             }
         }
         Ok(None) => {
@@ -234,8 +200,7 @@ pub(crate) fn expand<O: EdgeOracle + ?Sized>(
                     clique_size: 0,
                     level_entries,
                     early_exit: false,
-                    oracle_queries: queries,
-                    local_bits: local_stats,
+                    probes,
                 }
             } else {
                 ExpansionOutcome {
@@ -243,8 +208,7 @@ pub(crate) fn expand<O: EdgeOracle + ?Sized>(
                     clique_size,
                     level_entries,
                     early_exit: false,
-                    oracle_queries: queries,
-                    local_bits: local_stats,
+                    probes,
                 }
             }
         }
@@ -266,9 +230,9 @@ fn recycle(arena: &mut LevelArena, list: &mut CliqueList) {
 }
 
 /// The fused level loop: record-and-replay adjacency bitmasks, threaded
-/// sublist tails, single-pass scan, arena-recycled scratch, and core-bitmap
-/// probes when `persistent` is set. Returns the early-exit clique when that
-/// check fires, `None` when the level loop drains normally.
+/// sublist tails, single-pass scan and arena-recycled scratch. Returns the
+/// early-exit clique when that check fires, `None` when the level loop
+/// drains normally.
 #[allow(clippy::too_many_arguments)]
 fn grow_fused<O: EdgeOracle + ?Sized>(
     device: &Device,
@@ -277,10 +241,8 @@ fn grow_fused<O: EdgeOracle + ?Sized>(
     level_entries: &mut Vec<usize>,
     min_target: u32,
     early_exit_enabled: bool,
-    persistent: Option<&CoreBitmap>,
     arena: &mut LevelArena,
-    queries: &mut u64,
-    local_stats: &mut LocalBitsStats,
+    probes: &mut u64,
 ) -> Result<Option<Vec<u32>>, DeviceError> {
     let exec = device.exec();
     let tracer = exec.tracer();
@@ -299,7 +261,7 @@ fn grow_fused<O: EdgeOracle + ?Sized>(
         let mut level_span = tracer
             .is_enabled()
             .then(|| tracer.span_with("bfs_level", &[("k", k as i64), ("entries", len as i64)]));
-        let queries_before = *queries;
+        let probes_before = *probes;
 
         // Candidates an entry must still find adjacent to reach the target;
         // the count walk stops the moment that becomes impossible.
@@ -334,47 +296,19 @@ fn grow_fused<O: EdgeOracle + ?Sized>(
 
         // Fused COUNTCLIQUES: the single adjacency walk records both the
         // pruned count and the raw adjacency bitmask the emit kernel will
-        // replay (see `scalar_count_walk` for the walk's invariants). With
-        // the core bitmap every adjacency answer is a single word test and
-        // the edge oracle is never touched.
-        match persistent {
-            Some(core) => count_level(
-                exec,
-                "bfs_count_cliques_persistent",
-                core,
-                vertex_id,
-                need,
-                spill_total,
-                arena,
-            )?,
-            None => count_level(
-                exec,
-                "bfs_count_cliques_fused",
-                oracle,
-                vertex_id,
-                need,
-                spill_total,
-                arena,
-            )?,
-        }
+        // replay (see `scalar_count_walk` for the walk's invariants).
+        count_level(exec, oracle, vertex_id, need, spill_total, arena)?;
 
         // Exact probe tally: a surviving entry always walked its whole tail
         // (a bailed walk implies pruning), a pruned entry recorded its
-        // truncated walk length in the dead mask slot. Core-bitmap walks
-        // made no oracle calls, so their word tests feed the avoided
-        // counters instead of `queries`.
-        let walked = arena
+        // truncated walk length in the dead mask slot.
+        *probes += arena
             .counts
             .iter()
             .zip(&arena.tails)
             .zip(&arena.masks)
             .map(|((&c, &t), &m)| if c > 0 { u64::from(t) } else { m })
             .sum::<u64>();
-        if persistent.is_some() {
-            local_stats.add_word_tests(walked);
-        } else {
-            *queries += walked;
-        }
 
         let total = gmc_dpp::try_exclusive_scan_into(exec, &arena.counts, &mut arena.offsets)?;
         if let Some(span) = level_span.as_mut() {
@@ -383,10 +317,7 @@ fn grow_fused<O: EdgeOracle + ?Sized>(
                 "pruned",
                 arena.counts.iter().filter(|&&c| c == 0).count() as i64,
             );
-            span.arg("oracle_queries", (*queries - queries_before) as i64);
-            if persistent.is_some() {
-                span.arg("persistent_probes", walked as i64);
-            }
+            span.arg("probes", (*probes - probes_before) as i64);
         }
         if total == 0 {
             return Ok(None);
@@ -464,18 +395,7 @@ fn grow_fused<O: EdgeOracle + ?Sized>(
         list.push_level(new_level);
 
         if early_exit_enabled {
-            // With the core bitmap the mutual-adjacency check probes it
-            // too; its word tests feed the same avoided tally so the on/off
-            // query invariant keeps holding exactly.
-            let clique = if let Some(core) = persistent {
-                let mut word_tests = 0u64;
-                let clique = try_early_exit(core, list, min_target, &mut word_tests);
-                local_stats.add_word_tests(word_tests);
-                clique
-            } else {
-                try_early_exit(oracle, list, min_target, queries)
-            };
-            if let Some(clique) = clique {
+            if let Some(clique) = try_early_exit(oracle, list, min_target, probes) {
                 return Ok(Some(clique));
             }
         }
@@ -483,15 +403,13 @@ fn grow_fused<O: EdgeOracle + ?Sized>(
 }
 
 /// Runs the fused count kernel over the head level: one bound-directed
-/// record walk per entry ([`scalar_count_walk`]) probing `probe` — the edge
-/// oracle or the core bitmap — which fills the arena's counts, masks and
-/// `spill_total` spill words. Spill words are assembled locally and each is
-/// stored exactly once (bailing entries zero-fill the rest of their span),
-/// so the side buffer needs no pre-zeroing.
-fn count_level<P: EdgeOracle + ?Sized>(
+/// record walk per entry ([`scalar_count_walk`]), which fills the arena's
+/// counts, masks and `spill_total` spill words. Spill words are assembled
+/// locally and each is stored exactly once (bailing entries zero-fill the
+/// rest of their span), so the side buffer needs no pre-zeroing.
+fn count_level<O: EdgeOracle + ?Sized>(
     exec: &Executor,
-    kernel: &'static str,
-    probe: &P,
+    oracle: &O,
     vertex_id: &[u32],
     need: usize,
     spill_total: usize,
@@ -505,12 +423,14 @@ fn count_level<P: EdgeOracle + ?Sized>(
     let spill_dst = UninitSlice::for_vec(&mut arena.spill, spill_total);
     // Cost hint: the walk visits exactly the entry's tail.
     let tail_cost = |i: usize| u64::from(tails[i]) + 1;
-    let launch = Launch::new(kernel, len).fused().weighted(&tail_cost);
+    let launch = Launch::new("bfs_count_cliques_fused", len)
+        .fused()
+        .weighted(&tail_cost);
     exec.try_run(launch, |i| {
         let t = tails[i] as usize;
         let spill_base = if t > INLINE_BITS { spill_offsets[i] } else { 0 };
         scalar_count_walk(
-            probe,
+            oracle,
             vertex_id,
             i,
             t,
@@ -532,7 +452,7 @@ fn count_level<P: EdgeOracle + ?Sized>(
 }
 
 /// One entry's bound-directed record walk — the body of the fused count
-/// kernel, over either the edge oracle or the core bitmap.
+/// kernel.
 ///
 /// The walk runs only while `connected + remaining >= need`, so a hopeless
 /// entry stops at the first position where pruning is already certain (an
@@ -607,7 +527,7 @@ fn grow_unfused<O: EdgeOracle + ?Sized>(
     min_target: u32,
     early_exit_enabled: bool,
     arena: &mut LevelArena,
-    queries: &mut u64,
+    probes: &mut u64,
 ) -> Result<Option<Vec<u32>>, DeviceError> {
     let exec = device.exec();
     let tracer = exec.tracer();
@@ -623,12 +543,12 @@ fn grow_unfused<O: EdgeOracle + ?Sized>(
         let mut level_span = tracer
             .is_enabled()
             .then(|| tracer.span_with("bfs_level", &[("k", k as i64), ("entries", len as i64)]));
-        let queries_before = *queries;
+        let probes_before = *probes;
 
         // Analytic query accounting: the count walk visits exactly the
         // sublist tail of every entry.
         arena.set_tails_from_sublists(sublist_id);
-        *queries += arena.tails.iter().map(|&t| u64::from(t)).sum::<u64>();
+        *probes += arena.tails.iter().map(|&t| u64::from(t)).sum::<u64>();
 
         // COUNTCLIQUES: adjacent successors within the sublist, pruned
         // against the target.
@@ -651,7 +571,7 @@ fn grow_unfused<O: EdgeOracle + ?Sized>(
         let (offsets, total) = gmc_dpp::try_exclusive_scan(exec, &counts)?;
 
         // The output kernel re-walks the full tail of every unpruned entry.
-        *queries += arena
+        *probes += arena
             .tails
             .iter()
             .zip(&counts)
@@ -662,7 +582,7 @@ fn grow_unfused<O: EdgeOracle + ?Sized>(
         if let Some(span) = level_span.as_mut() {
             span.arg("emitted", total as i64);
             span.arg("pruned", counts.iter().filter(|&&c| c == 0).count() as i64);
-            span.arg("oracle_queries", (*queries - queries_before) as i64);
+            span.arg("probes", (*probes - probes_before) as i64);
         }
         if total == 0 {
             return Ok(None);
@@ -708,7 +628,7 @@ fn grow_unfused<O: EdgeOracle + ?Sized>(
         list.push_level(new_level);
 
         if early_exit_enabled {
-            if let Some(clique) = try_early_exit(oracle, list, min_target, queries) {
+            if let Some(clique) = try_early_exit(oracle, list, min_target, probes) {
                 return Ok(Some(clique));
             }
         }
@@ -717,12 +637,12 @@ fn grow_unfused<O: EdgeOracle + ?Sized>(
 
 /// Checks whether the head level is a single, mutually-adjacent sublist; if
 /// so, returns `chain ∪ candidates` — provably the unique maximum clique
-/// still reachable. Oracle calls are tallied into `queries`.
+/// still reachable. Oracle calls are tallied into `probes`.
 fn try_early_exit<O: EdgeOracle + ?Sized>(
     oracle: &O,
     list: &CliqueList,
     min_target: u32,
-    queries: &mut u64,
+    probes: &mut u64,
 ) -> Option<Vec<u32>> {
     let head = list.head()?;
     let len = head.len();
@@ -736,7 +656,7 @@ fn try_early_exit<O: EdgeOracle + ?Sized>(
     let candidates = head.vertex_ids();
     for (i, &u) in candidates.iter().enumerate() {
         for &v in &candidates[i + 1..] {
-            *queries += 1;
+            *probes += 1;
             if !oracle.connected(u, v) {
                 return None;
             }
@@ -761,7 +681,7 @@ mod tests {
     use super::*;
     use crate::config::CandidateOrder;
     use crate::setup::build_two_clique_list;
-    use gmc_graph::{generators, Csr};
+    use gmc_graph::{generators, CoreBitmap, Csr};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Expands `graph`'s 2-clique list; `core` probes a core bitmap built
@@ -788,16 +708,15 @@ mod tests {
         let level0 =
             CliqueLevel::from_vecs(device.memory(), setup.vertex_id, setup.sublist_id).unwrap();
         let mut arena = LevelArena::new();
-        expand(
-            &device,
-            graph,
-            level0,
-            lower.max(2),
-            early_exit,
-            fused,
-            bitmap.as_ref(),
-            &mut arena,
-        )
+        let target = lower.max(2);
+        match &bitmap {
+            Some(bitmap) => expand(
+                &device, bitmap, level0, target, early_exit, fused, &mut arena,
+            ),
+            None => expand(
+                &device, graph, level0, target, early_exit, fused, &mut arena,
+            ),
+        }
         .unwrap()
     }
 
@@ -814,20 +733,25 @@ mod tests {
     }
 
     /// Wraps an oracle and counts actual `connected` calls, to pin the
-    /// analytic `oracle_queries` tally to reality.
-    struct CountingOracle<'a> {
-        inner: &'a Csr,
+    /// analytic probe tally to reality.
+    struct CountingOracle<'a, O> {
+        inner: &'a O,
         calls: AtomicU64,
     }
 
-    impl EdgeOracle for CountingOracle<'_> {
+    impl<'a, O: EdgeOracle> CountingOracle<'a, O> {
+        fn new(inner: &'a O) -> Self {
+            Self {
+                inner,
+                calls: AtomicU64::new(0),
+            }
+        }
+    }
+
+    impl<O: EdgeOracle> EdgeOracle for CountingOracle<'_, O> {
         fn connected(&self, u: u32, v: u32) -> bool {
             self.calls.fetch_add(1, Ordering::Relaxed);
             self.inner.connected(u, v)
-        }
-
-        fn footprint_bytes(&self) -> usize {
-            self.inner.footprint_bytes()
         }
     }
 
@@ -914,7 +838,7 @@ mod tests {
         let out = run(&g, 0, false);
         assert_eq!(out.clique_size, 0);
         assert!(out.cliques.is_empty());
-        assert_eq!(out.oracle_queries, 0);
+        assert_eq!(out.probes, 0);
     }
 
     #[test]
@@ -934,7 +858,7 @@ mod tests {
             CliqueLevel::from_vecs(device.memory(), setup.vertex_id, setup.sublist_id).unwrap();
         // Ask for cliques of size ≥ 5 in a K4.
         let mut arena = LevelArena::new();
-        let out = expand(&device, &g, level0, 5, false, true, None, &mut arena).unwrap();
+        let out = expand(&device, &g, level0, 5, false, true, &mut arena).unwrap();
         assert!(out.cliques.is_empty());
         assert_eq!(out.clique_size, 0);
     }
@@ -957,7 +881,7 @@ mod tests {
             let level0 =
                 CliqueLevel::from_vecs(device.memory(), setup.vertex_id, setup.sublist_id).unwrap();
             let mut arena = LevelArena::new();
-            let err = expand(&device, &g, level0, 2, false, fused, None, &mut arena);
+            let err = expand(&device, &g, level0, 2, false, fused, &mut arena);
             assert!(err.is_err(), "expected OOM (fused={fused})");
             // The failed expansion must leave nothing charged — the level
             // charges and any spill charge are all released on the way out.
@@ -997,8 +921,16 @@ mod tests {
         }
     }
 
-    fn counted(graph: &Csr, fused: bool) -> (ExpansionOutcome, u64) {
-        let device = Device::unlimited();
+    /// One expansion of `graph`'s full 2-clique list through a
+    /// call-counting wrapper around `oracle`: the outcome, the oracle's real
+    /// call count, and the kernels launched.
+    fn counted<O: EdgeOracle>(
+        device: &Device,
+        graph: &Csr,
+        oracle: &O,
+        early_exit: bool,
+        fused: bool,
+    ) -> (ExpansionOutcome, u64, gmc_dpp::LaunchStats) {
         let setup = build_two_clique_list(
             device.exec(),
             graph,
@@ -1010,13 +942,20 @@ mod tests {
         );
         let level0 =
             CliqueLevel::from_vecs(device.memory(), setup.vertex_id, setup.sublist_id).unwrap();
-        let oracle = CountingOracle {
-            inner: graph,
-            calls: AtomicU64::new(0),
-        };
-        let mut arena = LevelArena::new();
-        let out = expand(&device, &oracle, level0, 2, false, fused, None, &mut arena).unwrap();
-        (out, oracle.calls.load(Ordering::Relaxed))
+        let counting = CountingOracle::new(oracle);
+        let base = device.exec().stats();
+        let out = expand(
+            device,
+            &counting,
+            level0,
+            2,
+            early_exit,
+            fused,
+            &mut LevelArena::new(),
+        )
+        .unwrap();
+        let launches = device.exec().stats().since(&base);
+        (out, counting.calls.load(Ordering::Relaxed), launches)
     }
 
     #[test]
@@ -1029,50 +968,27 @@ mod tests {
             let device = Device::unlimited();
             let keep = vec![true; g.num_vertices()];
             let core = CoreBitmap::try_build(device.exec(), &g, &keep).unwrap();
-            let run = |persistent: Option<&CoreBitmap>| {
-                let setup = build_two_clique_list(
-                    device.exec(),
-                    &g,
-                    0,
-                    &g.degrees(),
-                    crate::config::OrientationRule::Degree,
-                    CandidateOrder::DegreeAscending,
-                    crate::config::SublistBound::Length,
-                );
-                let level0 =
-                    CliqueLevel::from_vecs(device.memory(), setup.vertex_id, setup.sublist_id)
-                        .unwrap();
-                let oracle = CountingOracle {
-                    inner: &g,
-                    calls: AtomicU64::new(0),
-                };
-                let mut arena = LevelArena::new();
-                let out = expand(
-                    &device, &oracle, level0, 2, early_exit, true, persistent, &mut arena,
-                )
-                .unwrap();
-                (out, oracle.calls.load(Ordering::Relaxed))
-            };
-            let (off, _) = run(None);
-            let (per, actual) = run(Some(&core));
+            let (off, off_calls, _) = counted(&device, &g, &g, early_exit, true);
+            let (per, per_calls, launches) = counted(&device, &g, &core, early_exit, true);
             assert_eq!(per.cliques, off.cliques, "{tag}");
             assert_eq!(per.level_entries, off.level_entries, "{tag}");
             assert_eq!(per.early_exit, off.early_exit, "{tag}");
-            // The edge oracle is never touched on the persistent path...
-            assert_eq!(actual, 0, "{tag}");
-            assert_eq!(per.oracle_queries, actual, "{tag}");
-            // ...every probe it would have made is a tallied word test...
-            assert_eq!(
-                per.oracle_queries + per.local_bits.probes_avoided,
-                off.oracle_queries,
-                "{tag}"
+            // Each tally is exact for the structure that answered...
+            assert_eq!(off.probes, off_calls, "{tag}");
+            assert_eq!(per.probes, per_calls, "{tag}");
+            // ...and the core bitmap answers exactly the probes the CSR
+            // walk made, so filing them as word tests reconciles.
+            assert_eq!(per.probes, off_calls, "{tag}");
+            // Nothing is rebuilt per level: the expansion launches no
+            // bitmap-building kernel.
+            assert!(
+                launches
+                    .per_kernel
+                    .iter()
+                    .all(|(name, _)| !name.starts_with("corebits_")),
+                "{tag}: {:?}",
+                launches.per_kernel
             );
-            assert_eq!(
-                per.local_bits.persistent_probes, per.local_bits.probes_avoided,
-                "{tag}"
-            );
-            // ...and nothing is ever rebuilt per level.
-            assert_eq!(per.local_bits.rows_built, 0, "{tag}");
         }
     }
 
@@ -1092,55 +1008,32 @@ mod tests {
         let level0 = |device: &Device| {
             CliqueLevel::from_vecs(device.memory(), (1..=70).collect(), vec![0; 70]).unwrap()
         };
-        let off = expand(
-            &device,
-            &g,
-            level0(&device),
-            2,
-            false,
-            true,
-            None,
-            &mut arena,
-        )
-        .unwrap();
-        let per = expand(
-            &device,
-            &g,
-            level0(&device),
-            2,
-            false,
-            true,
-            Some(&core),
-            &mut arena,
-        )
-        .unwrap();
+        let off = expand(&device, &g, level0(&device), 2, false, true, &mut arena).unwrap();
+        let per = expand(&device, &core, level0(&device), 2, false, true, &mut arena).unwrap();
         assert_eq!(per.cliques, vec![vec![0, 1, 2, 3]]);
         assert_eq!(per.cliques, off.cliques);
         assert_eq!(per.level_entries, off.level_entries);
-        assert_eq!(
-            per.oracle_queries + per.local_bits.probes_avoided,
-            off.oracle_queries
-        );
-        assert_eq!(per.local_bits.rows_built, 0);
+        assert_eq!(per.probes, off.probes);
         assert_eq!(device.memory().live(), 0);
     }
 
     #[test]
     fn oracle_query_counter_is_exact_and_fusion_skips_the_rewalk() {
         let g = generators::gnp(100, 0.3, 7);
-        let (fused, fused_actual) = counted(&g, true);
-        let (unfused, unfused_actual) = counted(&g, false);
+        let device = Device::unlimited();
+        let (fused, fused_actual, _) = counted(&device, &g, &g, false, true);
+        let (unfused, unfused_actual, _) = counted(&device, &g, &g, false, false);
         // The analytic tally must match the oracle's own call count.
-        assert_eq!(fused.oracle_queries, fused_actual);
-        assert_eq!(unfused.oracle_queries, unfused_actual);
+        assert_eq!(fused.probes, fused_actual);
+        assert_eq!(unfused.probes, unfused_actual);
         // On a dense graph most entries survive pruning, so the unfused
         // output kernel repeats nearly the whole count walk: fusion must
         // save at least 40% of the queries.
         assert!(
-            fused.oracle_queries * 10 <= unfused.oracle_queries * 6,
+            fused.probes * 10 <= unfused.probes * 6,
             "fused {} vs unfused {}",
-            fused.oracle_queries,
-            unfused.oracle_queries
+            fused.probes,
+            unfused.probes
         );
     }
 
@@ -1150,8 +1043,8 @@ mod tests {
         // the first few of them for depth. Tails straddle every 64-bit
         // word edge (63/64/65/66) and span several spill words at 129, so
         // the inline mask overflows into the spill buffer. Both fused
-        // walks — edge oracle and core bitmap — must match the unfused
-        // re-walk exactly, and the core walk must make no oracle calls.
+        // walks — CSR and core bitmap — must match the unfused re-walk
+        // exactly, with the same exact probe tally.
         for n in [2usize, 63, 64, 65, 66, 70, 129] {
             let k = n.min(5) as u32;
             let mut edges: Vec<(u32, u32)> = (1..=n as u32).map(|v| (0u32, v)).collect();
@@ -1163,16 +1056,15 @@ mod tests {
             let g = Csr::from_edges(n + 1, &edges);
             let device = Device::unlimited();
             let core = CoreBitmap::try_build(device.exec(), &g, &vec![true; n + 1]).unwrap();
+            let csr = CountingOracle::new(&g);
             let mut arena = LevelArena::new();
-            let mut expand_with = |fused: bool, persistent: Option<&CoreBitmap>| {
-                let level0 =
-                    CliqueLevel::from_vecs(device.memory(), (1..=n as u32).collect(), vec![0; n])
-                        .unwrap();
-                expand(&device, &g, level0, 2, false, fused, persistent, &mut arena).unwrap()
+            let level0 = || {
+                CliqueLevel::from_vecs(device.memory(), (1..=n as u32).collect(), vec![0; n])
+                    .unwrap()
             };
-            let unfused = expand_with(false, None);
-            let off = expand_with(true, None);
-            let on = expand_with(true, Some(&core));
+            let unfused = expand(&device, &g, level0(), 2, false, false, &mut arena).unwrap();
+            let off = expand(&device, &csr, level0(), 2, false, true, &mut arena).unwrap();
+            let on = expand(&device, &core, level0(), 2, false, true, &mut arena).unwrap();
             assert_eq!(
                 unfused.cliques,
                 vec![(0..=k).collect::<Vec<u32>>()],
@@ -1182,8 +1074,10 @@ mod tests {
                 assert_eq!(fused.cliques, unfused.cliques, "n={n} {tag}");
                 assert_eq!(fused.level_entries, unfused.level_entries, "n={n} {tag}");
             }
-            assert_eq!(on.oracle_queries, 0, "n={n}");
-            assert_eq!(on.local_bits.probes_avoided, off.oracle_queries, "n={n}");
+            // The core-bitmap walk's tally equals the CSR walk's real calls.
+            let calls = csr.calls.load(Ordering::Relaxed);
+            assert_eq!(off.probes, calls, "n={n}");
+            assert_eq!(on.probes, calls, "n={n}");
             assert_eq!(device.memory().live(), 0, "spill charges leaked (n={n})");
         }
     }
@@ -1228,7 +1122,7 @@ mod tests {
         let level0 =
             CliqueLevel::from_vecs(device.memory(), setup.vertex_id, setup.sublist_id).unwrap();
         let mut arena = LevelArena::new();
-        expand(device, graph, level0, 2, false, fused, None, &mut arena).unwrap()
+        expand(device, graph, level0, 2, false, fused, &mut arena).unwrap()
     }
 
     #[test]
@@ -1253,7 +1147,7 @@ mod tests {
                 let level0 =
                     CliqueLevel::from_vecs(device.memory(), setup.vertex_id, setup.sublist_id)
                         .unwrap();
-                let out = expand(&device, &g, level0, 2, false, true, None, &mut arena).unwrap();
+                let out = expand(&device, &g, level0, 2, false, true, &mut arena).unwrap();
                 if round == 0 {
                     reference.push(out.cliques);
                 } else {

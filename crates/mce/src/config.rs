@@ -15,41 +15,34 @@ pub enum OrientationRule {
     Index,
 }
 
-/// Which edge-membership structure the expansion kernels use (paper §III-3
-/// compares exactly these three; the paper picks binary search for its
-/// memory economy on large graphs).
+/// The edge-membership structure a solve probes when it builds no core
+/// bitmap: binary search on the CSR's sorted adjacency lists, the paper's
+/// choice (§III-3).
+///
+/// There is no menu. A solve probes exactly one structure: the core bitmap
+/// when [`SolverConfig::builds_core_bitmap`] builds one, the CSR
+/// otherwise. This single-valued type and [`SolverConfig::edge_index`]
+/// remain only so that callers which set them, such as the `perfbench/`
+/// benchmark, keep compiling; neither has any effect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EdgeIndexKind {
     /// Binary search on the CSR's sorted adjacency lists — `O(log d)` per
-    /// lookup, no extra memory. The paper's choice.
+    /// lookup, no extra memory.
     #[default]
     BinarySearch,
-    /// Dense bitset adjacency matrix — O(1) lookups, `n²/8` bytes charged
-    /// to device memory. Fast for small/dense graphs, prohibitive for
-    /// large ones.
-    Bitset,
-    /// Open-addressing edge hash table — O(1) expected lookups, `O(|E|)`
-    /// extra bytes charged to device memory (Lessley et al.'s choice).
-    Hash,
-    /// Bitset when `n²/8` fits comfortably (≤ 16 MiB and within a quarter
-    /// of the device budget), binary search otherwise — the "choose by
-    /// input size" policy of several prior solvers the paper cites.
-    Auto,
 }
 
-/// The adjacency-bitmap policy of the fused count kernel.
+/// The core-bitmap policy of the fused pipeline.
 ///
 /// The one bitmap is the `n_core × n_core` core-graph bitmap
 /// ([`gmc_graph::CoreBitmap`]), built once right after setup pruning and
 /// probed for the *entire* solve: every successor-adjacency test is a
-/// single word test, with no per-level rebuilds. Without it, every tail
-/// walks the bound-directed scalar record-and-replay path against the
-/// [`EdgeOracle`].
+/// single word test, with no per-level rebuilds. Without it, every probe is
+/// a binary search on the CSR. [`SolverConfig::builds_core_bitmap`] is the
+/// one place that applies this policy.
 ///
 /// Settable from the environment via `GMC_LOCAL_BITS=on|off|auto` (picked
 /// up by [`SolverConfig::default`]).
-///
-/// [`EdgeOracle`]: gmc_graph::EdgeOracle
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LocalBitsMode {
     /// Always try the core bitmap. A failed charge or build (device OOM,
@@ -57,13 +50,13 @@ pub enum LocalBitsMode {
     /// never aborts it.
     On,
     /// Never build the core bitmap: every tail walks the scalar
-    /// record-and-replay path (the PR 2 fused pipeline, bit for bit).
+    /// record-and-replay path against the CSR.
     Off,
     /// Budget-directed policy (the default): the core bitmap when its
-    /// `n_core²/8 + 4·n` bytes fit comfortably (≤ 16 MiB and within a
-    /// quarter of the device budget — the same gate as
-    /// [`EdgeIndexKind::Auto`]), the scalar walk otherwise. Degrades like
-    /// [`On`](LocalBitsMode::On) when the build fails.
+    /// `n_core²/8 + 4·n` bytes fit comfortably — at most 16 MiB and at
+    /// most a quarter of the device budget, see
+    /// [`SolverConfig::builds_core_bitmap`] — the scalar walk otherwise.
+    /// Degrades like [`On`](LocalBitsMode::On) when the build fails.
     #[default]
     Auto,
 }
@@ -90,6 +83,9 @@ impl std::fmt::Display for LocalBitsMode {
         })
     }
 }
+
+/// The largest core bitmap, in bytes, that [`LocalBitsMode::Auto`] builds.
+const CORE_BITMAP_AUTO_MAX_BYTES: usize = 16 << 20;
 
 impl LocalBitsMode {
     /// Reads `GMC_LOCAL_BITS` (`on`/`off`/`auto`), defaulting
@@ -244,7 +240,7 @@ pub struct SolverConfig {
     pub heuristic_seeds: Option<usize>,
     /// Edge orientation rule.
     pub orientation: OrientationRule,
-    /// Edge-membership structure for the expansion kernels.
+    /// Has no effect: see [`EdgeIndexKind`].
     pub edge_index: EdgeIndexKind,
     /// Candidate ordering within sublists.
     pub candidate_order: CandidateOrder,
@@ -266,9 +262,9 @@ pub struct SolverConfig {
     /// `false` selects the paper-literal count → scan → re-walk pipeline —
     /// kept as the ablation baseline.
     pub fused: bool,
-    /// Whether the fused count kernel probes the solve-lifetime core
-    /// bitmap or walks the edge oracle (no effect on the unfused
-    /// pipeline). See [`LocalBitsMode`].
+    /// Whether the fused pipeline probes the solve-lifetime core bitmap or
+    /// the CSR (the unfused pipeline always probes the CSR). See
+    /// [`LocalBitsMode`].
     pub local_bits: LocalBitsMode,
     /// How the executor maps launches onto workers for the duration of the
     /// solve: the solver installs this [`Schedule`] on the device executor
@@ -290,6 +286,27 @@ pub struct SolverConfig {
     /// set bit for bit. Defaults to `GMC_FAULTS`
     /// (`seed=S,alloc=R,launch=R,retries=N`) or `None` when unset.
     pub faults: Option<FaultPlan>,
+}
+
+impl SolverConfig {
+    /// Whether a solve under this configuration builds a core bitmap of
+    /// `footprint` bytes on a device of `capacity` bytes: the one home of
+    /// the core-bitmap policy, shared by the solver and by `gmc-serve`'s
+    /// admission control.
+    ///
+    /// Only the fused pipeline probes a core bitmap. [`LocalBitsMode::On`]
+    /// always builds it and [`LocalBitsMode::Off`] never does;
+    /// [`LocalBitsMode::Auto`] builds it when it fits comfortably, at most
+    /// 16 MiB and at most a quarter of `capacity`.
+    /// A build that then fails degrades the solve to the CSR walk.
+    pub fn builds_core_bitmap(&self, footprint: usize, capacity: usize) -> bool {
+        self.fused
+            && match self.local_bits {
+                LocalBitsMode::On => true,
+                LocalBitsMode::Auto => footprint <= CORE_BITMAP_AUTO_MAX_BYTES.min(capacity / 4),
+                LocalBitsMode::Off => false,
+            }
+    }
 }
 
 impl Default for SolverConfig {
@@ -351,6 +368,28 @@ mod tests {
         for bad in ["persistent", "PERSISTENT", "banana"] {
             assert!(LocalBitsMode::from_str(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn core_bitmap_gate_holds_at_each_limit_and_fails_one_byte_over() {
+        let config = |local_bits: LocalBitsMode, fused: bool| SolverConfig {
+            local_bits,
+            fused,
+            ..SolverConfig::default()
+        };
+        let auto = config(LocalBitsMode::Auto, true);
+        // The quarter-of-capacity limit.
+        assert!(auto.builds_core_bitmap(1000, 4000));
+        assert!(!auto.builds_core_bitmap(1001, 4000));
+        // The absolute limit, on a device too large for the quarter to bind.
+        let max = CORE_BITMAP_AUTO_MAX_BYTES;
+        assert!(auto.builds_core_bitmap(max, usize::MAX));
+        assert!(!auto.builds_core_bitmap(max + 1, usize::MAX));
+        // `On` ignores both limits, `Off` and the unfused pipeline never
+        // build.
+        assert!(config(LocalBitsMode::On, true).builds_core_bitmap(max + 1, 4000));
+        assert!(!config(LocalBitsMode::Off, true).builds_core_bitmap(0, usize::MAX));
+        assert!(!config(LocalBitsMode::On, false).builds_core_bitmap(0, usize::MAX));
     }
 
     #[test]

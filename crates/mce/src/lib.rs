@@ -41,7 +41,7 @@ use gmc_dpp::{
     Cancelled, Device, DeviceError, DeviceOom, FaultInjector, FaultStats, LaunchStats, Schedule,
     ScheduleStats, Tracer,
 };
-use gmc_graph::{BitMatrix, CoreBitmap, Csr, EdgeOracle, HashAdjacency};
+use gmc_graph::{CoreBitmap, Csr, EdgeOracle};
 use gmc_heuristic::{run_heuristic, HeuristicKind, HeuristicResult};
 use std::time::{Duration, Instant};
 
@@ -162,7 +162,36 @@ impl SolveStats {
             1.0 - self.setup.initial_entries as f64 / self.setup.total_oriented_edges as f64
         }
     }
+
+    /// Files an expansion's exact probe tally: as core-bitmap word tests
+    /// when the solve probed a core bitmap of `core_bytes` charged bytes,
+    /// as edge-oracle queries otherwise. The window block, when present,
+    /// gets the same figures.
+    fn file_probes(&mut self, probes: u64, core_bytes: Option<u64>) {
+        let (oracle_queries, local_bits) = match core_bytes {
+            Some(persistent_bytes) => (
+                0,
+                LocalBitsStats {
+                    rows_built: 0,
+                    probes_avoided: probes,
+                    persistent_probes: probes,
+                    persistent_bytes,
+                },
+            ),
+            None => (probes, LocalBitsStats::default()),
+        };
+        self.oracle_queries = oracle_queries;
+        self.local_bits = local_bits;
+        if let Some(window) = self.window.as_mut() {
+            window.oracle_queries = oracle_queries;
+            window.local_bits = local_bits;
+        }
+    }
 }
+
+/// An expansion's result: the maximum cliques found, the clique number, and
+/// whether the cliques are the complete enumeration.
+type Found = (Vec<Vec<u32>>, u32, bool);
 
 /// Result of a maximum clique solve.
 #[derive(Debug, Clone)]
@@ -243,12 +272,6 @@ impl MaxCliqueSolver {
     /// Sets the candidate ordering within sublists.
     pub fn candidate_order(mut self, order: CandidateOrder) -> Self {
         self.config.candidate_order = order;
-        self
-    }
-
-    /// Sets the edge-membership structure used by the expansion kernels.
-    pub fn edge_index(mut self, kind: EdgeIndexKind) -> Self {
-        self.config.edge_index = kind;
         self
     }
 
@@ -445,28 +468,16 @@ impl MaxCliqueSolver {
         stats.setup = setup.stats;
         stats.setup_time = setup_start.elapsed();
 
-        // Phase 3: expansion, through the configured edge oracle. The
-        // dispatch happens once here so the per-edge-check hot loops are
-        // monomorphised over the concrete oracle type.
+        // Phase 3: expansion over the solve's one edge-membership structure
+        // (see `expand_once`).
         device.exec().check_cancelled()?;
         let expansion_start = Instant::now();
         let min_target = heuristic.lower_bound().max(2);
         let mut expansion_span = tracer
             .is_enabled()
             .then(|| tracer.span_with("expansion", &[("min_target", i64::from(min_target))]));
-        let oracle = self.build_oracle(graph)?;
-        let (mut cliques, clique_number, complete) = match &oracle {
-            BuiltOracle::Csr(g) => {
-                self.run_expansion(graph, *g, setup, &heuristic, min_target, &mut stats)?
-            }
-            BuiltOracle::Bits(bits, _) => {
-                self.run_expansion(graph, bits, setup, &heuristic, min_target, &mut stats)?
-            }
-            BuiltOracle::Hash(hash, _) => {
-                self.run_expansion(graph, hash, setup, &heuristic, min_target, &mut stats)?
-            }
-        };
-        drop(oracle);
+        let (mut cliques, clique_number, complete) =
+            self.run_expansion(graph, setup, &heuristic, min_target, &mut stats)?;
         if let Some(span) = expansion_span.as_mut() {
             span.arg("oracle_queries", stats.oracle_queries as i64);
             span.arg("clique_number", i64::from(clique_number));
@@ -501,24 +512,21 @@ impl MaxCliqueSolver {
         })
     }
 
-    /// The expansion phase, generic over the edge oracle so the count/emit
-    /// kernels inline the concrete `connected` implementation.
+    /// The expansion phase.
     ///
     /// When [`SolverConfig::faults`] holds an active plan, the injector is
-    /// armed on the device for exactly this phase (heuristic, setup and
-    /// oracle construction run fault-free) and injected faults that escape
-    /// the inner recovery rungs — core-bitmap fallback, window retry/shrink
-    /// inside the sweep — are retried here from a clean slate, up to the
-    /// plan's cap.
-    fn run_expansion<O: EdgeOracle>(
+    /// armed on the device for exactly this phase (heuristic and setup run
+    /// fault-free) and injected faults that escape the inner recovery
+    /// rungs — core-bitmap fallback, window retry/shrink inside the sweep —
+    /// are retried here from a clean slate, up to the plan's cap.
+    fn run_expansion(
         &self,
         graph: &Csr,
-        oracle: &O,
         setup: setup::SetupOutput,
         heuristic: &HeuristicResult,
         min_target: u32,
         stats: &mut SolveStats,
-    ) -> Result<(Vec<Vec<u32>>, u32, bool), SolveError> {
+    ) -> Result<Found, SolveError> {
         let device = &self.device;
         let injector = self
             .config
@@ -529,7 +537,7 @@ impl MaxCliqueSolver {
             // Fault-free: one attempt, setup arrays moved straight into the
             // first level. Launch faults cannot occur without an injector.
             return self
-                .expand_once(graph, oracle, setup, heuristic, min_target, stats, None)
+                .expand_once(graph, setup, heuristic, min_target, stats, None)
                 .map_err(|err| match err {
                     DeviceError::Oom(oom) => SolveError::DeviceOom(oom),
                     DeviceError::Cancelled(cancelled) => SolveError::Cancelled(cancelled),
@@ -555,7 +563,6 @@ impl MaxCliqueSolver {
             };
             match self.expand_once(
                 graph,
-                oracle,
                 attempt_setup,
                 heuristic,
                 min_target,
@@ -597,8 +604,43 @@ impl MaxCliqueSolver {
 
     /// One expansion attempt (full BFS or windowed), shared by the
     /// fault-free path and the retry loop above.
-    #[allow(clippy::too_many_arguments)] // mirrors run_expansion plus the injector
-    fn expand_once<O: EdgeOracle>(
+    ///
+    /// The attempt probes exactly one edge-membership structure: the core
+    /// bitmap when [`build_core_bitmap`](Self::build_core_bitmap) returns
+    /// one, the CSR otherwise. The count and emit kernels are monomorphised
+    /// over it, and the attempt's probe tally is filed against it.
+    fn expand_once(
+        &self,
+        graph: &Csr,
+        setup: setup::SetupOutput,
+        heuristic: &HeuristicResult,
+        min_target: u32,
+        stats: &mut SolveStats,
+        injector: Option<&FaultInjector>,
+    ) -> Result<Found, DeviceError> {
+        // Building the core bitmap here — inside the armed region, once per
+        // attempt — means a fault-ladder retry releases and rebuilds it
+        // from scratch like every other expansion structure, and the
+        // attempt-scoped guard keeps its bytes charged for the whole
+        // expansion (windowed or not).
+        let core = self.build_core_bitmap(graph, &setup.keep, injector)?;
+        let (found, probes) = match &core {
+            Some((bitmap, _)) => {
+                self.expand_with(graph, bitmap, setup, heuristic, min_target, stats, injector)?
+            }
+            None => {
+                self.expand_with(graph, graph, setup, heuristic, min_target, stats, injector)?
+            }
+        };
+        stats.file_probes(probes, core.map(|(_, guard)| guard.bytes() as u64));
+        Ok(found)
+    }
+
+    /// Runs the full or windowed expansion with every adjacency probe
+    /// answered by `oracle`, returning what it found and the exact number
+    /// of probes it made.
+    #[allow(clippy::too_many_arguments)] // expand_once's arguments plus the oracle
+    fn expand_with<O: EdgeOracle>(
         &self,
         graph: &Csr,
         oracle: &O,
@@ -607,81 +649,58 @@ impl MaxCliqueSolver {
         min_target: u32,
         stats: &mut SolveStats,
         injector: Option<&FaultInjector>,
-    ) -> Result<(Vec<Vec<u32>>, u32, bool), DeviceError> {
+    ) -> Result<(Found, u64), DeviceError> {
         let device = &self.device;
-        // Building the core bitmap here — inside the armed region, once per
-        // attempt — means a fault-ladder retry releases and rebuilds it
-        // from scratch like every other expansion structure, and the
-        // attempt-scoped guard keeps its bytes charged for the whole
-        // expansion (windowed or not).
-        let core = self.build_core_bitmap(graph, &setup.keep, injector)?;
-        let persistent = core.as_ref().map(|(bitmap, _)| bitmap);
-        let found = match &self.config.window {
-            None => {
-                let level0 =
-                    CliqueLevel::from_vecs(device.memory(), setup.vertex_id, setup.sublist_id)?;
-                let mut arena = arena::LevelArena::new();
-                let outcome = bfs::expand(
-                    device,
-                    oracle,
-                    level0,
-                    min_target,
-                    self.config.early_exit,
-                    self.config.fused,
-                    persistent,
-                    &mut arena,
-                )?;
-                stats.level_entries = outcome.level_entries;
-                stats.early_exit = outcome.early_exit;
-                stats.oracle_queries = outcome.oracle_queries;
-                stats.local_bits = outcome.local_bits;
-                debug_assert!(
-                    outcome.clique_size as u32 >= heuristic.lower_bound(),
-                    "exact search lost the heuristic witness"
-                );
-                (outcome.cliques, outcome.clique_size as u32, true)
-            }
-            Some(window_config) => {
-                let mut outcome = window::windowed_search(
-                    device,
-                    graph,
-                    oracle,
-                    &setup,
-                    window_config,
-                    &heuristic.clique,
-                    min_target,
-                    self.config.early_exit,
-                    self.config.fused,
-                    persistent,
-                    injector,
-                )?;
-                if let Some((_, guard)) = &core {
-                    outcome.stats.local_bits.persistent_bytes = guard.bytes() as u64;
-                }
-                stats.oracle_queries = outcome.stats.oracle_queries;
-                stats.local_bits = outcome.stats.local_bits;
-                stats.window = Some(outcome.stats);
-                (
-                    outcome.cliques,
-                    outcome.clique_size as u32,
-                    outcome.complete,
-                )
-            }
+        let Some(window_config) = &self.config.window else {
+            let level0 =
+                CliqueLevel::from_vecs(device.memory(), setup.vertex_id, setup.sublist_id)?;
+            let mut arena = arena::LevelArena::new();
+            let outcome = bfs::expand(
+                device,
+                oracle,
+                level0,
+                min_target,
+                self.config.early_exit,
+                self.config.fused,
+                &mut arena,
+            )?;
+            stats.level_entries = outcome.level_entries;
+            stats.early_exit = outcome.early_exit;
+            debug_assert!(
+                outcome.clique_size as u32 >= heuristic.lower_bound(),
+                "exact search lost the heuristic witness"
+            );
+            let found = (outcome.cliques, outcome.clique_size as u32, true);
+            return Ok((found, outcome.probes));
         };
-        if let Some((_, guard)) = &core {
-            stats.local_bits.persistent_bytes = guard.bytes() as u64;
-        }
-        Ok(found)
+        let outcome = window::windowed_search(
+            device,
+            graph,
+            oracle,
+            &setup,
+            window_config,
+            &heuristic.clique,
+            min_target,
+            self.config.early_exit,
+            self.config.fused,
+            injector,
+        )?;
+        stats.window = Some(outcome.stats);
+        let found = (
+            outcome.cliques,
+            outcome.clique_size as u32,
+            outcome.complete,
+        );
+        Ok((found, outcome.probes))
     }
 
     /// Builds the core bitmap for one expansion attempt, or returns `None`
-    /// when the fused pipeline should walk the edge oracle instead.
+    /// when the expansion should probe the CSR instead.
     ///
     /// Returns the built bitmap with its memory guard (bytes stay charged
-    /// while the expansion runs). Policy: `On` always tries to build;
-    /// `Auto` builds when the footprint clears the same fits-comfortably
-    /// gate as the bitset edge oracle (≤ 16 MiB and ≤ a quarter of the
-    /// device budget); `Off` and the unfused pipeline never build.
+    /// while the expansion runs). Whether to build is
+    /// [`SolverConfig::builds_core_bitmap`]'s decision, against the
+    /// device's capacity; an empty core has nothing to build.
     ///
     /// Any build failure except cancellation — genuine OOM on the charge,
     /// or an injected alloc/launch fault — degrades to the scalar walk
@@ -696,14 +715,11 @@ impl MaxCliqueSolver {
         let device = &self.device;
         let n_core = keep.iter().filter(|&&kept| kept).count();
         let footprint = CoreBitmap::footprint_for(n_core, graph.num_vertices());
-        let wanted = self.config.fused
-            && n_core > 0
-            && match self.config.local_bits {
-                LocalBitsMode::On => true,
-                LocalBitsMode::Auto => footprint <= (16 << 20).min(device.memory().capacity() / 4),
-                LocalBitsMode::Off => false,
-            };
-        if !wanted {
+        if n_core == 0
+            || !self
+                .config
+                .builds_core_bitmap(footprint, device.memory().capacity())
+        {
             return Ok(None);
         }
         let built = device
@@ -735,45 +751,6 @@ impl MaxCliqueSolver {
         }
     }
 
-    /// Builds the configured edge-membership oracle, charging any extra
-    /// footprint (bitset matrix, hash table) against the device budget for
-    /// the duration of the expansion.
-    fn build_oracle<'g>(&self, graph: &'g Csr) -> Result<BuiltOracle<'g>, DeviceOom> {
-        let kind = match self.config.edge_index {
-            EdgeIndexKind::Auto => {
-                let n = graph.num_vertices();
-                let bitset_bytes = n * n.div_ceil(64) * 8;
-                let budget = self.device.memory().capacity();
-                if n > 0 && bitset_bytes <= (16 << 20).min(budget / 4) {
-                    EdgeIndexKind::Bitset
-                } else {
-                    EdgeIndexKind::BinarySearch
-                }
-            }
-            other => other,
-        };
-        // Charge *before* building: the footprints are computable from the
-        // graph's shape alone, so an over-budget oracle fails fast with
-        // DeviceOom instead of first materialising the full structure.
-        Ok(match kind {
-            EdgeIndexKind::BinarySearch | EdgeIndexKind::Auto => BuiltOracle::Csr(graph),
-            EdgeIndexKind::Bitset => {
-                let guard = self
-                    .device
-                    .memory()
-                    .try_charge(BitMatrix::footprint_for(graph.num_vertices()))?;
-                BuiltOracle::Bits(BitMatrix::build(self.device.exec(), graph), guard)
-            }
-            EdgeIndexKind::Hash => {
-                let guard = self
-                    .device
-                    .memory()
-                    .try_charge(HashAdjacency::footprint_for(graph.num_edges()))?;
-                BuiltOracle::Hash(HashAdjacency::build(graph), guard)
-            }
-        })
-    }
-
     /// Per-vertex pruning upper-bound basis: core numbers when the heuristic
     /// computed them, vertex degrees otherwise (§II-B2).
     fn pruning_thresholds(&self, graph: &Csr, heuristic: &HeuristicResult) -> Vec<u32> {
@@ -781,35 +758,6 @@ impl MaxCliqueSolver {
             .core_numbers
             .clone()
             .unwrap_or_else(|| graph.degrees())
-    }
-}
-
-/// The solver's edge oracle: either a borrow of the resident CSR or an
-/// auxiliary structure charged against the device budget.
-enum BuiltOracle<'g> {
-    Csr(&'g Csr),
-    // The guards hold the structures' device-memory charges until the
-    // expansion finishes.
-    Bits(BitMatrix, #[allow(dead_code)] gmc_dpp::MemoryGuard),
-    Hash(HashAdjacency, #[allow(dead_code)] gmc_dpp::MemoryGuard),
-}
-
-impl EdgeOracle for BuiltOracle<'_> {
-    #[inline]
-    fn connected(&self, u: u32, v: u32) -> bool {
-        match self {
-            BuiltOracle::Csr(g) => g.connected(u, v),
-            BuiltOracle::Bits(b, _) => b.connected(u, v),
-            BuiltOracle::Hash(h, _) => h.connected(u, v),
-        }
-    }
-
-    fn footprint_bytes(&self) -> usize {
-        match self {
-            BuiltOracle::Csr(g) => g.footprint_bytes(),
-            BuiltOracle::Bits(b, _) => b.footprint_bytes(),
-            BuiltOracle::Hash(h, _) => h.footprint_bytes(),
-        }
     }
 }
 
@@ -999,48 +947,6 @@ mod tests {
         assert!(s.total_time >= s.expansion_time);
         assert_eq!(s.setup.total_oriented_edges, g.num_edges());
         assert!(s.pruning_fraction() >= 0.0 && s.pruning_fraction() <= 1.0);
-    }
-
-    #[test]
-    fn all_edge_indexes_agree() {
-        let g = generators::gnp(120, 0.15, 77);
-        let reference = solver().solve(&g).unwrap();
-        for kind in [
-            EdgeIndexKind::BinarySearch,
-            EdgeIndexKind::Bitset,
-            EdgeIndexKind::Hash,
-            EdgeIndexKind::Auto,
-        ] {
-            let r = solver().edge_index(kind).solve(&g).unwrap();
-            assert_eq!(r.clique_number, reference.clique_number, "{kind:?}");
-            assert_eq!(r.cliques, reference.cliques, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn bitset_oracle_charges_device_memory() {
-        // n = 2048 → bitset is 2048 × 32 × 8 = 512 KiB; a budget below that
-        // must OOM when the bitset is requested but succeed with the CSR.
-        let g = generators::gnp(2048, 0.004, 79);
-        let budget = 256 * 1024;
-        let ok = MaxCliqueSolver::new(Device::with_memory_budget(budget))
-            .edge_index(EdgeIndexKind::BinarySearch)
-            .solve(&g);
-        assert!(ok.is_ok());
-        let oom = MaxCliqueSolver::new(Device::with_memory_budget(budget))
-            .edge_index(EdgeIndexKind::Bitset)
-            .solve(&g);
-        assert!(matches!(oom, Err(SolveError::DeviceOom(_))));
-    }
-
-    #[test]
-    fn auto_picks_bitset_only_when_it_fits() {
-        // Tiny graph + roomy budget → Auto should behave like Bitset and
-        // still agree with the reference.
-        let g = generators::gnp(100, 0.2, 81);
-        let r = solver().edge_index(EdgeIndexKind::Auto).solve(&g).unwrap();
-        let reference = solver().solve(&g).unwrap();
-        assert_eq!(r.cliques, reference.cliques);
     }
 
     #[test]

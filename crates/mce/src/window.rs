@@ -30,7 +30,8 @@ use crate::config::{WindowConfig, WindowOrdering};
 use crate::setup::SetupOutput;
 use gmc_cliquelist::CliqueLevel;
 use gmc_dpp::{Device, DeviceError, FaultInjector, Launch, LaunchError, SharedSlice};
-use gmc_graph::{CoreBitmap, Csr, EdgeOracle};
+use gmc_graph::{Csr, EdgeOracle};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Counters from a windowed run, reported in [`SolveStats`].
@@ -53,9 +54,16 @@ pub struct WindowStats {
     /// (recursive mode).
     pub sublist_recursions: usize,
     /// Exact number of edge-oracle `connected` calls across all windows
-    /// (expansion walks plus recursive child-level construction).
+    /// (expansion walks plus recursive child-level construction); zero when
+    /// the core bitmap answered them. The solver files the windows' probe
+    /// tally here and in [`SolveStats::oracle_queries`] alike.
+    ///
+    /// [`SolveStats::oracle_queries`]: crate::SolveStats::oracle_queries
     pub oracle_queries: u64,
-    /// Core-bitmap counters summed over all windows.
+    /// Core-bitmap counters over all windows, the same figures as
+    /// [`SolveStats::local_bits`].
+    ///
+    /// [`SolveStats::local_bits`]: crate::SolveStats::local_bits
     pub local_bits: LocalBitsStats,
     /// Window attempts retried after an injected fault (fault injection
     /// only; real OOM goes through `window_splits`).
@@ -83,6 +91,9 @@ pub(crate) struct WindowOutcome {
     pub stats: WindowStats,
     /// True when the result enumerates every maximum clique.
     pub complete: bool,
+    /// Exact adjacency probes across all windows (expansion walks plus
+    /// recursive child-level construction), for the solver to file.
+    pub probes: u64,
 }
 
 /// Shared incumbent across windows and recursion levels.
@@ -146,17 +157,18 @@ impl Incumbent {
     }
 }
 
-/// Immutable context threaded through the recursion.
+/// Context threaded through the recursion.
 struct SearchCtx<'a, O: EdgeOracle + ?Sized> {
     device: &'a Device,
+    /// The solve's one edge-membership structure: every window and
+    /// recursive child-level build probes it.
     oracle: &'a O,
     config: &'a WindowConfig,
     early_exit: bool,
     fused: bool,
-    /// Solve-lifetime core adjacency bitmap (built once by the solver
-    /// before the sweep); every window and recursive child-level build
-    /// probes it instead of the edge oracle.
-    persistent: Option<&'a CoreBitmap>,
+    /// Adjacency probes of every successful window attempt and child-level
+    /// build, shared by concurrent sweep workers.
+    probes: AtomicU64,
     /// Armed injector (shares counters with the device's copy); `None` in
     /// fault-free runs.
     injector: Option<FaultInjector>,
@@ -248,7 +260,6 @@ pub(crate) fn windowed_search<O: EdgeOracle + ?Sized>(
     min_enum_target: u32,
     early_exit: bool,
     fused: bool,
-    persistent: Option<&CoreBitmap>,
     injector: Option<&FaultInjector>,
 ) -> Result<WindowOutcome, DeviceError> {
     let tracer = device.exec().tracer();
@@ -288,7 +299,7 @@ pub(crate) fn windowed_search<O: EdgeOracle + ?Sized>(
         config,
         early_exit,
         fused,
-        persistent,
+        probes: AtomicU64::new(0),
         injector: injector.cloned(),
         max_retries: injector.map_or(0, |inj| inj.plan().max_retries),
     };
@@ -318,12 +329,14 @@ pub(crate) fn windowed_search<O: EdgeOracle + ?Sized>(
         span.arg("bound_improvements", stats.bound_improvements as i64);
     }
     drop(search_span);
+    let probes = ctx.probes.into_inner();
     if config.enumerate_all {
         Ok(WindowOutcome {
             clique_size: incumbent.collected_size,
             cliques: incumbent.collected,
             stats,
             complete: true,
+            probes,
         })
     } else {
         let cliques = if incumbent.best_clique.is_empty() {
@@ -336,6 +349,7 @@ pub(crate) fn windowed_search<O: EdgeOracle + ?Sized>(
             cliques,
             stats,
             complete: false,
+            probes,
         })
     }
 }
@@ -464,7 +478,6 @@ fn process_window<O: EdgeOracle + ?Sized>(
                         target_local,
                         ctx.early_exit,
                         ctx.fused,
-                        ctx.persistent,
                         arena,
                     )
                 });
@@ -475,8 +488,7 @@ fn process_window<O: EdgeOracle + ?Sized>(
                 .peak_window_bytes
                 .max(ctx.device.memory().peak().saturating_sub(live_base));
             if let Ok(outcome) = &attempt {
-                stats.oracle_queries += outcome.oracle_queries;
-                stats.local_bits.accumulate(outcome.local_bits);
+                ctx.probes.fetch_add(outcome.probes, Ordering::Relaxed);
             }
         }
 
@@ -644,18 +656,9 @@ fn process_window<O: EdgeOracle + ?Sized>(
 
     let (child_vertex, child_sublist) = build_child_level(ctx, vertex_id)?;
     // Both child-level kernels walk every ordered candidate pair: exactly
-    // len·(len−1) adjacency probes. With the core bitmap those are word
-    // tests, not oracle calls, so the tally moves to the avoided columns and
-    // the `queries + avoided == scalar` invariant still holds.
-    {
-        let pair_probes = (vertex_id.len() * (vertex_id.len() - 1)) as u64;
-        let mut stats = stats.lock().expect("stats lock poisoned");
-        if ctx.persistent.is_some() {
-            stats.local_bits.add_word_tests(pair_probes);
-        } else {
-            stats.oracle_queries += pair_probes;
-        }
-    }
+    // len·(len−1) adjacency probes.
+    let pair_probes = (vertex_id.len() * (vertex_id.len() - 1)) as u64;
+    ctx.probes.fetch_add(pair_probes, Ordering::Relaxed);
     let mut child_prefix = prefix.to_vec();
     child_prefix.push(source);
     search_slice(
@@ -699,7 +702,6 @@ fn parallel_window_sweep<O: EdgeOracle + ?Sized>(
     let first_error: Mutex<Option<DeviceError>> = Mutex::new(None);
     // Per-worker balance slots (windows drained, busy nanoseconds): each
     // worker writes only its own pair, read after the scope joins.
-    use std::sync::atomic::{AtomicU64, Ordering};
     let drained: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
     let busy_ns: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
     let sweep_start = std::time::Instant::now();
@@ -798,17 +800,13 @@ fn build_child_level<O: EdgeOracle + ?Sized>(
 ) -> Result<(Vec<u32>, Vec<u32>), LaunchError> {
     let exec = ctx.device.exec();
     let len = candidates.len();
-    let oracle = ctx.oracle;
     // Every candidate descends from the setup list, so each survives core
-    // pruning and the core bitmap (when built) covers all pairs.
-    let adjacent = |a: u32, b: u32| match ctx.persistent {
-        Some(core) => core.probe(a, b),
-        None => oracle.connected(a, b),
-    };
+    // pruning and the core bitmap (when it is the oracle) covers all pairs.
+    let oracle = ctx.oracle;
     let counts: Vec<usize> = exec.try_map(Launch::new("window_count_sublists", len), |i| {
         candidates[i + 1..]
             .iter()
-            .filter(|&&c| adjacent(candidates[i], c))
+            .filter(|&&c| oracle.connected(candidates[i], c))
             .count()
     })?;
     let (offsets, total) = gmc_dpp::try_exclusive_scan(exec, &counts)?;
@@ -820,7 +818,7 @@ fn build_child_level<O: EdgeOracle + ?Sized>(
         exec.try_run(Launch::new("window_expand_sublists", len), |i| {
             let mut cursor = offsets[i];
             for &c in &candidates[i + 1..] {
-                if adjacent(candidates[i], c) {
+                if oracle.connected(candidates[i], c) {
                     // SAFETY: each source writes its own disjoint span.
                     unsafe {
                         vertex_shared.write(cursor, c);
@@ -863,7 +861,7 @@ mod tests {
         target: u32,
     ) -> Result<WindowOutcome, DeviceError> {
         windowed_search(
-            device, graph, graph, setup, cfg, witness, target, false, true, None, None,
+            device, graph, graph, setup, cfg, witness, target, false, true, None,
         )
     }
 
@@ -884,7 +882,6 @@ mod tests {
             2,
             false,
             false,
-            None,
             &mut LevelArena::new(),
         )
         .unwrap()
@@ -1039,7 +1036,6 @@ mod tests {
             2,
             false,
             true,
-            None,
             &mut LevelArena::new(),
         )
         .unwrap();

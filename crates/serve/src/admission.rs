@@ -60,23 +60,19 @@ pub fn full_solve_estimate(graph: &Csr, degeneracy: u32) -> usize {
 }
 
 /// Bytes the core bitmap would pre-charge on this partition, or 0 when the
-/// solver would not build it. Admission runs before
-/// setup pruning, so the core size is bounded conservatively by the whole
-/// vertex set (`n_core = n`): `n²/8` matrix bytes plus `4n` for the
-/// renumber table. `Auto` mirrors the solver's own gate — the
-/// footprint must fit within the smaller of 16 MiB and a quarter of the
-/// partition — so admission never charges for a bitmap the solver would
-/// decline to build.
+/// solver would not build it. Admission runs before setup pruning, so the
+/// core size is bounded conservatively by the whole vertex set
+/// (`n_core = n`): `n²/8` matrix bytes plus `4n` for the renumber table.
+/// The decision is the solver's own,
+/// [`SolverConfig::builds_core_bitmap`] against the partition, so
+/// admission never charges for a bitmap the solver would decline to build.
 pub fn core_bitmap_bytes(graph: &Csr, config: &SolverConfig, partition_bytes: usize) -> usize {
-    if !config.fused {
-        return 0;
-    }
     let n = graph.num_vertices();
     let footprint = CoreBitmap::footprint_for(n, n);
-    match config.local_bits {
-        LocalBitsMode::On => footprint,
-        LocalBitsMode::Auto if footprint <= (16 << 20).min(partition_bytes / 4) => footprint,
-        _ => 0,
+    if config.builds_core_bitmap(footprint, partition_bytes) {
+        footprint
+    } else {
+        0
     }
 }
 
@@ -204,6 +200,30 @@ mod tests {
         // the solver's own gate and degrade ladder handle the shortfall.
         let auto = SolverConfig::default();
         assert_eq!(admit(&graph, &auto, partition), Admission::Accept);
+    }
+
+    #[test]
+    fn core_bitmap_bytes_follows_the_solver_gate_at_its_limit() {
+        let graph = generators::gnp(400, 0.3, 5);
+        let n = graph.num_vertices();
+        let footprint = CoreBitmap::footprint_for(n, n);
+        let auto = SolverConfig {
+            local_bits: LocalBitsMode::Auto,
+            ..SolverConfig::default()
+        };
+        // Exactly at the quarter-partition limit, then one byte over it.
+        for (partition, charged) in [(4 * footprint, footprint), (4 * (footprint - 1), 0)] {
+            assert_eq!(
+                auto.builds_core_bitmap(footprint, partition),
+                charged > 0,
+                "partition {partition}"
+            );
+            assert_eq!(
+                core_bitmap_bytes(&graph, &auto, partition),
+                charged,
+                "partition {partition}"
+            );
+        }
     }
 
     #[test]

@@ -67,17 +67,17 @@ pub fn graph_fingerprint(graph: &Csr) -> u64 {
 
 /// Fingerprint of the result-affecting solver knobs.
 ///
-/// Included: heuristic kind and seed count, orientation, edge index,
-/// candidate order, sublist bound, witness polish, the full window
-/// configuration, early exit, fused pipeline, local-bits mode.
+/// Included: heuristic kind and seed count, orientation, candidate order,
+/// sublist bound, witness polish, the full window configuration, early
+/// exit, fused pipeline, local-bits mode.
 ///
-/// Excluded (proven result-invariant): `schedule`, `faults`, `trace`.
+/// Excluded (proven result-invariant): `schedule`, `faults`, `trace`, and
+/// `edge_index`, which has a single value.
 pub fn config_fingerprint(config: &SolverConfig) -> u64 {
     let mut h = Fnv1a::new();
     config.heuristic.hash(&mut h);
     config.heuristic_seeds.hash(&mut h);
     config.orientation.hash(&mut h);
-    config.edge_index.hash(&mut h);
     config.candidate_order.hash(&mut h);
     config.sublist_bound.hash(&mut h);
     config.polish_witness.hash(&mut h);

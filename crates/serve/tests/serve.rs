@@ -6,8 +6,8 @@ use gmc_dpp::{CancelToken, Device, DeviceMemory, Executor, FaultPlan, Schedule, 
 use gmc_graph::generators;
 use gmc_heuristic::HeuristicKind;
 use gmc_mce::{
-    CandidateOrder, EdgeIndexKind, LocalBitsMode, MaxCliqueSolver, OrientationRule, SolveError,
-    SolverConfig, SublistBound, WindowConfig, WindowOrdering,
+    CandidateOrder, LocalBitsMode, MaxCliqueSolver, OrientationRule, SolveError, SolverConfig,
+    SublistBound, WindowConfig, WindowOrdering,
 };
 use gmc_serve::{
     config_fingerprint, loadgen, LoadConfig, ServeConfig, ServeError, SolveJob, SolveService,
@@ -41,10 +41,6 @@ fn fingerprint_flips_on_every_result_affecting_knob() {
         (
             "orientation",
             Box::new(|c| c.orientation = OrientationRule::Index),
-        ),
-        (
-            "edge_index",
-            Box::new(|c| c.edge_index = EdgeIndexKind::Bitset),
         ),
         (
             "candidate_order",

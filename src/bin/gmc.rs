@@ -16,7 +16,7 @@
 use gpu_max_clique::graph::{generators, io, kcore, Csr};
 use gpu_max_clique::heuristic::HeuristicKind;
 use gpu_max_clique::mce::{
-    EdgeIndexKind, MaxCliqueSolver, SolveError, SolverConfig, WindowConfig, WindowOrdering,
+    MaxCliqueSolver, SolveError, SolverConfig, WindowConfig, WindowOrdering,
 };
 use gpu_max_clique::prelude::{Device, FaultPlan};
 use std::io::Write;
@@ -43,7 +43,6 @@ SOLVE OPTIONS:
     --enumerate-windows  enumerate all maximum cliques in windowed mode
     --recursive <D>      recursive windowing up to depth D
     --parallel-windows <N>  process N windows concurrently
-    --edge-index <bin|bitset|hash|auto>       edge lookup structure
     --no-early-exit      disable the early-exit optimisation
     --faults <spec>      inject deterministic device faults and exercise the
                          recovery ladder; spec like seed=1,alloc=0.05,launch=0.02,retries=8
@@ -123,13 +122,63 @@ const BOOLEAN_FLAGS: &[&str] = &[
     "no-persist",
 ];
 
+/// The flags each subcommand accepts, as listed in `gmc help`.
+const SOLVE_FLAGS: &[&str] = &[
+    "heuristic",
+    "budget-mb",
+    "workers",
+    "window",
+    "window-order",
+    "enumerate-windows",
+    "recursive",
+    "parallel-windows",
+    "no-early-exit",
+    "faults",
+    "randomize",
+    "max-print",
+    "verify",
+    "json",
+];
+const INFO_FLAGS: &[&str] = &[];
+const GENERATE_FLAGS: &[&str] = &["out", "param"];
+const SERVE_FLAGS: &[&str] = &[
+    "pool",
+    "queue",
+    "cache-mb",
+    "budget-mb",
+    "jobs",
+    "repeats",
+    "deadline-jobs",
+    "vertices",
+    "seed",
+    "json",
+];
+const VERIFY_FLAGS: &[&str] = &[
+    "seed",
+    "budget-ms",
+    "max-cases",
+    "max-failures",
+    "regressions",
+    "replay-only",
+    "no-persist",
+    "sabotage",
+    "json",
+];
+
 impl Options {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses the arguments of `gmc <command>`, rejecting any flag not in
+    /// `accepted`.
+    fn parse(args: &[String], command: &str, accepted: &[&str]) -> Result<Self, String> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut i = 0;
         while i < args.len() {
             if let Some(name) = args[i].strip_prefix("--") {
+                if !accepted.contains(&name) {
+                    return Err(format!(
+                        "unknown option `--{name}` for `gmc {command}`; see `gmc help`"
+                    ));
+                }
                 if BOOLEAN_FLAGS.contains(&name) {
                     flags.push((name.to_string(), None));
                 } else {
@@ -187,7 +236,7 @@ fn fail(message: String) -> ExitCode {
 }
 
 fn cmd_solve(args: &[String]) -> ExitCode {
-    let opts = match Options::parse(args) {
+    let opts = match Options::parse(args, "solve", SOLVE_FLAGS) {
         Ok(o) => o,
         Err(e) => return fail(e),
     };
@@ -213,15 +262,6 @@ fn cmd_solve(args: &[String]) -> ExitCode {
             "multi-degree" => HeuristicKind::MultiDegree,
             "multi-core" => HeuristicKind::MultiCore,
             other => return fail(format!("unknown heuristic `{other}`")),
-        };
-    }
-    if let Some(kind) = opts.get("edge-index") {
-        config.edge_index = match kind {
-            "bin" => EdgeIndexKind::BinarySearch,
-            "bitset" => EdgeIndexKind::Bitset,
-            "hash" => EdgeIndexKind::Hash,
-            "auto" => EdgeIndexKind::Auto,
-            other => return fail(format!("unknown edge index `{other}`")),
         };
     }
     config.early_exit = !opts.has("no-early-exit");
@@ -430,7 +470,7 @@ fn cmd_solve(args: &[String]) -> ExitCode {
 }
 
 fn cmd_info(args: &[String]) -> ExitCode {
-    let opts = match Options::parse(args) {
+    let opts = match Options::parse(args, "info", INFO_FLAGS) {
         Ok(o) => o,
         Err(e) => return fail(e),
     };
@@ -465,7 +505,7 @@ fn cmd_info(args: &[String]) -> ExitCode {
 }
 
 fn cmd_generate(args: &[String]) -> ExitCode {
-    let opts = match Options::parse(args) {
+    let opts = match Options::parse(args, "generate", GENERATE_FLAGS) {
         Ok(o) => o,
         Err(e) => return fail(e),
     };
@@ -597,7 +637,7 @@ fn cmd_generate(args: &[String]) -> ExitCode {
 fn cmd_verify(args: &[String]) -> ExitCode {
     use gpu_max_clique::verify::{self, Sabotage, VerifyConfig};
 
-    let opts = match Options::parse(args) {
+    let opts = match Options::parse(args, "verify", VERIFY_FLAGS) {
         Ok(o) => o,
         Err(e) => return fail(e),
     };
@@ -724,7 +764,7 @@ fn cmd_verify(args: &[String]) -> ExitCode {
 fn cmd_serve(args: &[String]) -> ExitCode {
     use gpu_max_clique::serve::{loadgen, LoadConfig, ServeConfig, SolveService};
 
-    let opts = match Options::parse(args) {
+    let opts = match Options::parse(args, "serve", SERVE_FLAGS) {
         Ok(o) => o,
         Err(e) => return fail(e),
     };

@@ -60,8 +60,8 @@ pub mod prelude {
     pub use gmc_graph::{Csr, EdgeOracle, GraphBuilder};
     pub use gmc_heuristic::HeuristicKind;
     pub use gmc_mce::{
-        CandidateOrder, EdgeIndexKind, MaxCliqueSolver, OrientationRule, SolveError, SolveResult,
-        SolverConfig, WindowConfig, WindowOrdering,
+        CandidateOrder, MaxCliqueSolver, OrientationRule, SolveError, SolveResult, SolverConfig,
+        WindowConfig, WindowOrdering,
     };
     pub use gmc_pmc::{MaximalCliques, ParallelBranchBound, ReferenceEnumerator};
     pub use gmc_serve::{ServeConfig, ServeError, SolveJob, SolveService};

@@ -168,22 +168,49 @@ fn generate_then_solve_roundtrip() {
 }
 
 #[test]
-fn edge_index_flag_accepted() {
-    let path = write_graph("gmc_cli_ei.edges", "0 1\n1 2\n0 2\n");
-    for kind in ["bin", "bitset", "hash", "auto"] {
+fn unknown_options_are_rejected_by_name() {
+    let path = write_graph("gmc_cli_unknown.edges", "0 1\n1 2\n0 2\n");
+    // A removed flag and a misspelt one must fail loudly instead of being
+    // silently ignored.
+    for (flag, value) in [("--edge-index", "bitset"), ("--budjet-mb", "4")] {
         let out = gmc()
-            .args([
-                "solve",
-                path.to_str().unwrap(),
-                "--edge-index",
-                kind,
-                "--json",
-            ])
+            .args(["solve", path.to_str().unwrap(), flag, value])
             .output()
             .expect("run gmc");
-        assert!(out.status.success(), "{kind}");
-        assert!(String::from_utf8_lossy(&out.stdout).contains("\"clique_number\":3"));
+        assert!(!out.status.success(), "{flag} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown option `{flag}`")),
+            "{flag}: {err}"
+        );
+        assert!(err.contains("gmc help"), "{flag}: {err}");
     }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn solve_accepts_documented_options() {
+    let path = write_graph("gmc_cli_documented.edges", "0 1\n1 2\n0 2\n2 3\n");
+    let out = gmc()
+        .args([
+            "solve",
+            path.to_str().unwrap(),
+            "--budget-mb",
+            "4",
+            "--workers",
+            "2",
+            "--window",
+            "2",
+            "--json",
+        ])
+        .output()
+        .expect("run gmc");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("\"clique_number\":3"));
     std::fs::remove_file(&path).ok();
 }
 

@@ -1,33 +1,17 @@
 //! Integration tests for the features beyond the paper's implementation:
-//! edge oracles, recursive windowing, Moon–Moser auto sizing, the colouring
+//! recursive windowing, Moon–Moser auto sizing, the colouring
 //! sublist bound, witness polishing, Bron–Kerbosch cross-checks, SIMT
 //! simulators and result verification — all validated against the oracle on
 //! corpus data.
 
 use gpu_max_clique::corpus::{corpus, Tier};
 use gpu_max_clique::graph::generators;
-use gpu_max_clique::mce::{verify_result, SublistBound, WindowConfig};
+use gpu_max_clique::mce::{verify_result, LocalBitsMode, SublistBound, WindowConfig};
 use gpu_max_clique::pmc::{simt, MaximalCliques, ReferenceEnumerator};
 use gpu_max_clique::prelude::*;
 
 fn solver() -> MaxCliqueSolver {
     MaxCliqueSolver::new(Device::unlimited())
-}
-
-#[test]
-fn edge_oracles_agree_across_corpus_sample() {
-    for spec in corpus(Tier::Smoke).into_iter().step_by(6) {
-        let graph = spec.load();
-        let reference = solver().solve(&graph).unwrap();
-        for kind in [
-            EdgeIndexKind::Bitset,
-            EdgeIndexKind::Hash,
-            EdgeIndexKind::Auto,
-        ] {
-            let result = solver().edge_index(kind).solve(&graph).unwrap();
-            assert_eq!(result.cliques, reference.cliques, "{} {kind:?}", spec.name);
-        }
-    }
 }
 
 #[test]
@@ -133,7 +117,7 @@ fn verification_passes_on_every_solver_mode() {
         solver().heuristic(HeuristicKind::None),
         solver().polish_witness(true),
         solver().sublist_bound(SublistBound::Coloring),
-        solver().edge_index(EdgeIndexKind::Bitset),
+        solver().local_bits(LocalBitsMode::On),
         solver().windowed(WindowConfig {
             size: 16,
             enumerate_all: true,

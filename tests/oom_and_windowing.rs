@@ -187,7 +187,7 @@ fn heuristic_phase_oom_is_reported() {
 use gmc_dpp::prop::{self, gens, shrinks, Config};
 use gmc_dpp::{prop_assert_eq, Rng};
 use gpu_max_clique::graph::Csr;
-use gpu_max_clique::mce::{EdgeIndexKind, SolverConfig};
+use gpu_max_clique::mce::{LocalBitsMode, SolverConfig};
 use gpu_max_clique::prelude::FaultPlan;
 
 /// A fault-injection case: a G(28, 0.25) edge list plus the fault-plan
@@ -237,11 +237,12 @@ fn prop_faulted_solves_match_fault_free_across_workers_and_oracles() {
         |case| {
             let (edges, fault_seed) = case;
             let graph = Csr::from_edges(28, edges);
-            for kind in [EdgeIndexKind::BinarySearch, EdgeIndexKind::Hash] {
+            // Both probe sources: the CSR walk and the core bitmap.
+            for local_bits in [LocalBitsMode::Off, LocalBitsMode::On] {
                 for workers in [1usize, 2, 8] {
                     let baseline_config = SolverConfig {
                         faults: None, // never inherit GMC_FAULTS
-                        edge_index: kind,
+                        local_bits,
                         ..SolverConfig::default()
                     };
                     let baseline = MaxCliqueSolver::with_config(
@@ -257,7 +258,7 @@ fn prop_faulted_solves_match_fault_free_across_workers_and_oracles() {
                     let faulted = MaxCliqueSolver::with_config(device.clone(), faulted_config)
                         .solve(&graph)
                         .map_err(|e| {
-                            format!("faulted solve failed ({kind:?}, workers {workers}): {e}")
+                            format!("faulted solve failed ({local_bits}, workers {workers}): {e}")
                         })?;
 
                     prop_assert_eq!(faulted.clique_number, baseline.clique_number);

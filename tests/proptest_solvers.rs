@@ -336,9 +336,9 @@ fn oom_never_returns_a_wrong_answer() {
 fn fused_pipeline_is_indistinguishable_from_unfused() {
     // The fused record-and-replay expansion must reproduce the unfused
     // baseline bit for bit — same cliques, same level shapes, same early
-    // exits — across random graphs, worker counts and edge oracles, while
-    // never making more oracle queries.
-    use gpu_max_clique::mce::EdgeIndexKind;
+    // exits — across random graphs, worker counts and probe sources (the
+    // CSR walk and the core bitmap), while never making more probes.
+    use gpu_max_clique::mce::LocalBitsMode;
     prop::check_with(
         config(),
         "fused_pipeline_is_indistinguishable_from_unfused",
@@ -347,10 +347,10 @@ fn fused_pipeline_is_indistinguishable_from_unfused() {
         |case| {
             let graph = csr(case);
             for workers in [1usize, 2, 8] {
-                for oracle in [EdgeIndexKind::BinarySearch, EdgeIndexKind::Bitset] {
+                for local in [LocalBitsMode::Off, LocalBitsMode::On] {
                     let solve = |fused: bool| {
                         MaxCliqueSolver::new(Device::new(workers, usize::MAX))
-                            .edge_index(oracle)
+                            .local_bits(local)
                             .fused(fused)
                             .solve(&graph)
                             .unwrap()
@@ -360,7 +360,10 @@ fn fused_pipeline_is_indistinguishable_from_unfused() {
                     prop_assert_eq!(&f.cliques, &u.cliques);
                     prop_assert_eq!(&f.stats.level_entries, &u.stats.level_entries);
                     prop_assert_eq!(f.stats.early_exit, u.stats.early_exit);
-                    prop_assert!(f.stats.oracle_queries <= u.stats.oracle_queries);
+                    prop_assert!(
+                        f.stats.oracle_queries + f.stats.local_bits.probes_avoided
+                            <= u.stats.oracle_queries
+                    );
                 }
             }
             Ok(())
@@ -372,10 +375,10 @@ fn fused_pipeline_is_indistinguishable_from_unfused() {
 fn local_bitmap_path_is_indistinguishable_from_scalar() {
     // The core-bitmap probe path must be a pure strength reduction: same
     // cliques, same level shapes, same early exits as the scalar fused walk
-    // and the unfused baseline, for every edge oracle and worker count. Its
-    // accounting must reconcile exactly — every scalar probe is either
-    // performed or reported as a core-bitmap word test, never dropped.
-    use gpu_max_clique::mce::{EdgeIndexKind, LocalBitsMode, LocalBitsStats};
+    // and the unfused baseline, for every worker count. Its accounting must
+    // reconcile exactly — every scalar probe is either performed or
+    // reported as a core-bitmap word test, never dropped.
+    use gpu_max_clique::mce::{LocalBitsMode, LocalBitsStats};
     prop::check_with(
         config(),
         "local_bitmap_path_is_indistinguishable_from_scalar",
@@ -384,36 +387,28 @@ fn local_bitmap_path_is_indistinguishable_from_scalar() {
         |case| {
             let graph = csr(case);
             for workers in [1usize, 2, 8] {
-                for kind in [
-                    EdgeIndexKind::BinarySearch,
-                    EdgeIndexKind::Bitset,
-                    EdgeIndexKind::Hash,
-                    EdgeIndexKind::Auto,
-                ] {
-                    let solve = |fused: bool, local: LocalBitsMode| {
-                        MaxCliqueSolver::new(Device::new(workers, usize::MAX))
-                            .edge_index(kind)
-                            .fused(fused)
-                            .local_bits(local)
-                            .solve(&graph)
-                            .unwrap()
-                    };
-                    let off = solve(true, LocalBitsMode::Off);
-                    let unfused = solve(false, LocalBitsMode::Off);
-                    prop_assert_eq!(&off.cliques, &unfused.cliques);
-                    prop_assert_eq!(&off.stats.level_entries, &unfused.stats.level_entries);
-                    prop_assert_eq!(off.stats.local_bits, LocalBitsStats::default());
-                    for local in [LocalBitsMode::On, LocalBitsMode::Auto] {
-                        let on = solve(true, local);
-                        prop_assert_eq!(on.clique_number, off.clique_number);
-                        prop_assert_eq!(&on.cliques, &off.cliques);
-                        prop_assert_eq!(&on.stats.level_entries, &off.stats.level_entries);
-                        prop_assert_eq!(on.stats.early_exit, off.stats.early_exit);
-                        prop_assert_eq!(
-                            on.stats.oracle_queries + on.stats.local_bits.probes_avoided,
-                            off.stats.oracle_queries
-                        );
-                    }
+                let solve = |fused: bool, local: LocalBitsMode| {
+                    MaxCliqueSolver::new(Device::new(workers, usize::MAX))
+                        .fused(fused)
+                        .local_bits(local)
+                        .solve(&graph)
+                        .unwrap()
+                };
+                let off = solve(true, LocalBitsMode::Off);
+                let unfused = solve(false, LocalBitsMode::Off);
+                prop_assert_eq!(&off.cliques, &unfused.cliques);
+                prop_assert_eq!(&off.stats.level_entries, &unfused.stats.level_entries);
+                prop_assert_eq!(off.stats.local_bits, LocalBitsStats::default());
+                for local in [LocalBitsMode::On, LocalBitsMode::Auto] {
+                    let on = solve(true, local);
+                    prop_assert_eq!(on.clique_number, off.clique_number);
+                    prop_assert_eq!(&on.cliques, &off.cliques);
+                    prop_assert_eq!(&on.stats.level_entries, &off.stats.level_entries);
+                    prop_assert_eq!(on.stats.early_exit, off.stats.early_exit);
+                    prop_assert_eq!(
+                        on.stats.oracle_queries + on.stats.local_bits.probes_avoided,
+                        off.stats.oracle_queries
+                    );
                 }
             }
             Ok(())
@@ -428,7 +423,7 @@ fn local_bitmaps_cross_the_inline_spill_boundary() {
     // the inline word only, above it the spill words too. Both sides must
     // stay bit-identical to the scalar walk; the fringe vertices vary the
     // sublist lengths around the core.
-    use gpu_max_clique::mce::{EdgeIndexKind, LocalBitsMode};
+    use gpu_max_clique::mce::LocalBitsMode;
     prop::check_with(
         config_with(8),
         "local_bitmaps_cross_the_inline_spill_boundary",
@@ -457,31 +452,28 @@ fn local_bitmaps_cross_the_inline_spill_boundary() {
         |case| {
             let graph = csr(case);
             for workers in [1usize, 8] {
-                for kind in [EdgeIndexKind::BinarySearch, EdgeIndexKind::Bitset] {
-                    let solve = |local: LocalBitsMode| {
-                        MaxCliqueSolver::new(Device::new(workers, usize::MAX))
-                            .edge_index(kind)
-                            .fused(true)
-                            .local_bits(local)
-                            .solve(&graph)
-                            .unwrap()
-                    };
-                    let off = solve(LocalBitsMode::Off);
-                    for local in [LocalBitsMode::On, LocalBitsMode::Auto] {
-                        let on = solve(local);
-                        prop_assert_eq!(on.clique_number, off.clique_number);
-                        prop_assert_eq!(&on.cliques, &off.cliques);
-                        prop_assert_eq!(&on.stats.level_entries, &off.stats.level_entries);
-                        prop_assert_eq!(
-                            on.stats.oracle_queries + on.stats.local_bits.probes_avoided,
-                            off.stats.oracle_queries
-                        );
-                        // Both modes build the core bitmap on this roomy
-                        // device, so every probe is a word test.
-                        prop_assert!(on.stats.local_bits.persistent_bytes > 0);
-                        prop_assert!(on.stats.local_bits.persistent_probes > 0);
-                        prop_assert_eq!(on.stats.oracle_queries, 0);
-                    }
+                let solve = |local: LocalBitsMode| {
+                    MaxCliqueSolver::new(Device::new(workers, usize::MAX))
+                        .fused(true)
+                        .local_bits(local)
+                        .solve(&graph)
+                        .unwrap()
+                };
+                let off = solve(LocalBitsMode::Off);
+                for local in [LocalBitsMode::On, LocalBitsMode::Auto] {
+                    let on = solve(local);
+                    prop_assert_eq!(on.clique_number, off.clique_number);
+                    prop_assert_eq!(&on.cliques, &off.cliques);
+                    prop_assert_eq!(&on.stats.level_entries, &off.stats.level_entries);
+                    prop_assert_eq!(
+                        on.stats.oracle_queries + on.stats.local_bits.probes_avoided,
+                        off.stats.oracle_queries
+                    );
+                    // Both modes build the core bitmap on this roomy
+                    // device, so every probe is a word test.
+                    prop_assert!(on.stats.local_bits.persistent_bytes > 0);
+                    prop_assert!(on.stats.local_bits.persistent_probes > 0);
+                    prop_assert_eq!(on.stats.oracle_queries, 0);
                 }
             }
             Ok(())
@@ -490,82 +482,74 @@ fn local_bitmaps_cross_the_inline_spill_boundary() {
 }
 
 #[test]
-fn persistent_tier_is_indistinguishable_across_oracles_workers_and_windows() {
+fn persistent_tier_is_indistinguishable_across_workers_and_windows() {
     // The core bitmap and the scalar walk must be bit-for-bit
     // interchangeable — same cliques, same level shapes, same early exits —
-    // across edge oracles, worker counts, and the windowed and unwindowed
-    // drivers, with exact probe reconciliation throughout. An armed fault
+    // across worker counts and the windowed and unwindowed searches, with
+    // exact probe reconciliation throughout. An armed fault
     // plan rides along on one worker count: injected OOM or launch faults
     // during the one-time bitmap build must degrade to the scalar walk (or
     // recover by retry), never abort or change output.
-    use gpu_max_clique::mce::{EdgeIndexKind, LocalBitsMode};
+    use gpu_max_clique::mce::LocalBitsMode;
     use gpu_max_clique::prelude::FaultPlan;
     prop::check_with(
         config_with(12),
-        "persistent_tier_is_indistinguishable_across_oracles_workers_and_windows",
+        "persistent_tier_is_indistinguishable_across_workers_and_windows",
         |rng| arb_graph(rng, 16),
         shrink_graph,
         |case| {
             let graph = csr(case);
             for workers in [1usize, 2, 8] {
-                for kind in [
-                    EdgeIndexKind::BinarySearch,
-                    EdgeIndexKind::Bitset,
-                    EdgeIndexKind::Hash,
-                ] {
-                    for windowed in [false, true] {
-                        let solve = |local: LocalBitsMode, faults: Option<FaultPlan>| {
-                            let mut solver = MaxCliqueSolver::new(Device::new(workers, usize::MAX))
-                                .edge_index(kind)
-                                .fused(true)
-                                .local_bits(local)
-                                .faults(faults);
-                            if windowed {
-                                solver = solver.windowed(WindowConfig {
-                                    size: 8,
-                                    enumerate_all: true,
-                                    ..WindowConfig::default()
-                                });
-                            }
-                            solver.solve(&graph).unwrap()
-                        };
-                        let off = solve(LocalBitsMode::Off, None);
-                        let on = solve(LocalBitsMode::On, None);
-                        prop_assert_eq!(on.clique_number, off.clique_number);
-                        prop_assert_eq!(&on.cliques, &off.cliques);
-                        prop_assert_eq!(&on.stats.level_entries, &off.stats.level_entries);
-                        prop_assert_eq!(on.stats.early_exit, off.stats.early_exit);
+                for windowed in [false, true] {
+                    let solve = |local: LocalBitsMode, faults: Option<FaultPlan>| {
+                        let mut solver = MaxCliqueSolver::new(Device::new(workers, usize::MAX))
+                            .fused(true)
+                            .local_bits(local)
+                            .faults(faults);
+                        if windowed {
+                            solver = solver.windowed(WindowConfig {
+                                size: 8,
+                                enumerate_all: true,
+                                ..WindowConfig::default()
+                            });
+                        }
+                        solver.solve(&graph).unwrap()
+                    };
+                    let off = solve(LocalBitsMode::Off, None);
+                    let on = solve(LocalBitsMode::On, None);
+                    prop_assert_eq!(on.clique_number, off.clique_number);
+                    prop_assert_eq!(&on.cliques, &off.cliques);
+                    prop_assert_eq!(&on.stats.level_entries, &off.stats.level_entries);
+                    prop_assert_eq!(on.stats.early_exit, off.stats.early_exit);
+                    prop_assert_eq!(
+                        on.stats.oracle_queries + on.stats.local_bits.probes_avoided,
+                        off.stats.oracle_queries
+                    );
+                    // Nothing is rebuilt per level, and every avoided
+                    // probe came from the core bitmap.
+                    prop_assert_eq!(on.stats.local_bits.rows_built, 0);
+                    prop_assert_eq!(
+                        on.stats.local_bits.persistent_probes,
+                        on.stats.local_bits.probes_avoided
+                    );
+                    // Tiny graphs can resolve before any window runs
+                    // (no window stats block); when windows did run,
+                    // the solve-level block must mirror theirs.
+                    if let Some(w) = on.stats.window.as_ref() {
+                        prop_assert_eq!(on.stats.local_bits, w.local_bits);
+                    }
+                    if workers == 2 {
+                        let plan: FaultPlan = "seed=5,alloc=0.02,launch=0.02,retries=64"
+                            .parse()
+                            .expect("plan parses");
+                        let faulted = solve(LocalBitsMode::On, Some(plan));
+                        prop_assert_eq!(&faulted.cliques, &off.cliques);
                         prop_assert_eq!(
-                            on.stats.oracle_queries + on.stats.local_bits.probes_avoided,
+                            faulted.stats.oracle_queries + faulted.stats.local_bits.probes_avoided,
                             off.stats.oracle_queries
                         );
-                        // Nothing is rebuilt per level, and every avoided
-                        // probe came from the core bitmap.
-                        prop_assert_eq!(on.stats.local_bits.rows_built, 0);
-                        prop_assert_eq!(
-                            on.stats.local_bits.persistent_probes,
-                            on.stats.local_bits.probes_avoided
-                        );
-                        // Tiny graphs can resolve before any window runs
-                        // (no window stats block); when windows did run,
-                        // the solve-level block must mirror theirs.
-                        if let Some(w) = on.stats.window.as_ref() {
-                            prop_assert_eq!(on.stats.local_bits, w.local_bits);
-                        }
-                        if workers == 2 {
-                            let plan: FaultPlan = "seed=5,alloc=0.02,launch=0.02,retries=64"
-                                .parse()
-                                .expect("plan parses");
-                            let faulted = solve(LocalBitsMode::On, Some(plan));
-                            prop_assert_eq!(&faulted.cliques, &off.cliques);
-                            prop_assert_eq!(
-                                faulted.stats.oracle_queries
-                                    + faulted.stats.local_bits.probes_avoided,
-                                off.stats.oracle_queries
-                            );
-                            let f = faulted.stats.faults;
-                            prop_assert_eq!(f.recovered(), f.injected());
-                        }
+                        let f = faulted.stats.faults;
+                        prop_assert_eq!(f.recovered(), f.injected());
                     }
                 }
             }
