@@ -33,7 +33,7 @@ pub use local_search::polish_clique;
 pub use multi::multi_run;
 pub use single::single_run;
 
-use gmc_dpp::{Device, DeviceOom, Launch};
+use gmc_dpp::{Device, DeviceOom, Executor, Launch};
 use gmc_graph::{kcore, Csr};
 use std::time::Duration;
 
@@ -134,9 +134,10 @@ impl HeuristicResult {
 /// assert!(graph.is_clique(&result.clique));
 /// ```
 ///
-/// The returned witness is always verified to be a clique; heuristic
-/// buffers are charged against the device budget, so a pathological graph
-/// can surface [`DeviceOom`] here rather than in the exact phase.
+/// The returned witness is always verified to be a clique, in release
+/// builds too: a check of ω̄(ω̄−1)/2 adjacency probes. Heuristic buffers are
+/// charged against the device budget, so a pathological graph can surface
+/// [`DeviceOom`] here rather than in the exact phase.
 pub fn run_heuristic(
     device: &Device,
     graph: &Csr,
@@ -160,14 +161,7 @@ pub fn run_heuristic(
                 let cores = kcore::core_numbers_parallel(device.exec(), graph);
                 drop(_kcore_span);
                 core_time = core_start.elapsed();
-                // Core numbers tie heavily (whole subgraphs share one core),
-                // so break ties by degree: same greedy *bound* semantics,
-                // much better pick quality on near-regular-core graphs.
-                let exec = device.exec();
-                let n = graph.num_vertices();
-                let keys = exec.map(Launch::new("heuristic_core_keys", n), |v| {
-                    (cores[v].min(0xF_FFFF) << 12) | (graph.degree(v as u32) as u32).min(0xFFF)
-                });
+                let keys = core_degree_keys(device.exec(), graph, &cores);
                 core_numbers = Some(cores);
                 keys
             } else {
@@ -181,7 +175,7 @@ pub fn run_heuristic(
             }
         }
     };
-    debug_assert!(graph.is_clique(&clique), "heuristic returned a non-clique");
+    assert!(graph.is_clique(&clique), "heuristic returned a non-clique");
     if let Some(span) = run_span.as_mut() {
         span.arg("lower_bound", clique.len() as i64);
     }
@@ -192,6 +186,18 @@ pub fn run_heuristic(
         core_numbers,
         total_time: start.elapsed(),
         core_time,
+    })
+}
+
+/// The ordering keys of the core-number variants. Core numbers tie heavily
+/// (whole subgraphs share one core), so ties break by degree: the core
+/// number fills the high 20 bits and the degree the low 12, which keeps the
+/// greedy *bound* semantics with much better pick quality on
+/// near-regular-core graphs.
+pub(crate) fn core_degree_keys(exec: &Executor, graph: &Csr, cores: &[u32]) -> Vec<u32> {
+    let launch = Launch::new("heuristic_core_keys", graph.num_vertices());
+    exec.map(launch, |v| {
+        (cores[v].min(0xF_FFFF) << 12) | (graph.degree(v as u32) as u32).min(0xFFF)
     })
 }
 

@@ -3,22 +3,30 @@
 //! `h` instances of the greedy heuristic run simultaneously, one per seed
 //! vertex, as segments of a single data-parallel computation:
 //!
-//! 1. Seed segments with each seed's neighborhood (`SETUPNEIGHBORTHRESHOLDS`).
-//! 2. Each iteration: a segmented arg-max picks the best candidate per
-//!    segment, a per-segment kernel flags candidates connected to the pick
-//!    (`CHECKCONNECTIONS`), a stable select compacts survivors, and empty
-//!    segments are removed with a second select plus an offset-rebuilding
-//!    scan.
-//! 3. Iterate until every segment is empty; the best clique across all runs
-//!    is the bound (the paper tracks only the iteration count — the size —
-//!    whereas we also track the witness vertices per segment).
+//! 1. Seed segments with each seed's neighborhood (`SETUPNEIGHBORTHRESHOLDS`),
+//!    so every segment starts as a sorted CSR row.
+//! 2. Each round: a segmented arg-max picks the best candidate per segment.
+//!    One kernel per segment (`CHECKCONNECTIONS`) intersects the segment
+//!    with its pick's sorted CSR row, flagging the candidates adjacent to
+//!    the pick and counting them. A stable select compacts survivors, which
+//!    keeps every segment sorted, and empty segments are removed with a
+//!    second select plus an offset-rebuilding scan.
+//! 3. Iterate until every segment is empty. The paper tracks only the
+//!    round count (the clique size); each round here also keeps its picks
+//!    and the map from its segments to the previous round's, so the
+//!    winner's witness is read back along those maps at the end.
 
 use gmc_dpp::{Device, DeviceOom, Launch, SharedSlice};
 use gmc_graph::Csr;
 
+/// A pick's CSR row this many times longer than the segment is galloped
+/// through rather than merged.
+const GALLOP_RATIO: usize = 8;
+
 /// Runs `h` parallel greedy instances seeded by the `h` highest-threshold
-/// vertices. Returns the largest witness clique found across all instances
-/// (ties broken toward the better-seeded instance).
+/// vertices. Returns the largest witness clique found across all instances.
+/// Ties go to the *last* of the longest runs in seed order, i.e. the
+/// worst-seeded one.
 pub fn multi_run(
     device: &Device,
     graph: &Csr,
@@ -48,8 +56,12 @@ pub fn multi_run(
     offsets.push(total);
 
     // The neighbor and threshold arrays live in device memory for the whole
-    // run; later iterations only shrink, so charging the initial footprint
-    // covers the peak.
+    // run; the charge covers their initial footprint, 8 bytes per entry,
+    // and nothing else, so it is not the peak. Each `select_flagged` output
+    // is built while its input is still alive, and neither `flags` (one
+    // byte per entry) nor the per-segment arrays are charged: the entry
+    // arrays alone reach 13 bytes per entry in the first round, about 1.6×
+    // the charge.
     let _charge = device
         .memory()
         .try_charge(total * 2 * std::mem::size_of::<u32>())?;
@@ -75,15 +87,13 @@ pub fn multi_run(
         });
     }
 
-    // Per-instance cliques-in-progress, indexed by seed position. A
-    // segment's clique keeps growing until the segment dies; the final
-    // answer is the longest.
-    let mut cliques: Vec<Vec<u32>> = seeds.iter().map(|&s| vec![s]).collect();
-    // seg_owner[s] = which instance current segment s belongs to.
-    let (mut offsets, survivors) = gmc_dpp::remove_empty_segments(exec, &offsets);
-    let mut seg_owner: Vec<usize> = survivors;
-    // Compact the value arrays to match (initially empty segments hold no
-    // values, so the arrays are unchanged; this keeps the invariant simple).
+    // `parent[s]` is the previous round's index of current segment s; for
+    // the first round it is the seed position. Each round keeps its picks
+    // and its parent map, which is all the winner's witness needs.
+    let (mut offsets, mut parent) = gmc_dpp::remove_empty_segments(exec, &offsets);
+    let mut rounds: Vec<(Vec<u32>, Vec<usize>)> = Vec::new();
+    // Sized for the first round; later rounds only shrink.
+    let mut flags = vec![false; total];
 
     while offsets.len() > 1 {
         let num_segments = offsets.len() - 1;
@@ -95,58 +105,181 @@ pub fn multi_run(
         let chosen: Vec<u32> = exec.map(Launch::new("heuristic_pick_argmax", num_segments), |s| {
             neighbors[arg[s].expect("segments are non-empty")]
         });
-        for s in 0..num_segments {
-            cliques[seg_owner[s]].push(chosen[s]);
-        }
 
-        // CHECKCONNECTIONS: one virtual thread per segment flags candidates
-        // adjacent to the segment's pick. The pick itself is never adjacent
-        // to itself, so it drops out automatically.
-        let mut flags = vec![false; neighbors.len()];
+        // CHECKCONNECTIONS: one virtual thread per segment intersects the
+        // segment with its pick's CSR row, flagging and counting survivors.
+        // The pick is not in its own row, so it drops out.
+        let flags = &mut flags[..neighbors.len()];
+        let mut counts = vec![0usize; num_segments];
         {
-            let flags_shared = SharedSlice::new(&mut flags);
+            let flags_shared = SharedSlice::new(flags);
+            let counts_shared = SharedSlice::new(&mut counts);
             let segment_cost = |s: usize| (offsets[s + 1] - offsets[s]) as u64;
             let launch =
                 Launch::new("heuristic_check_connections", num_segments).weighted(&segment_cost);
             exec.run(launch, |s| {
-                let v = chosen[s];
-                for (i, &u) in neighbors[offsets[s]..offsets[s + 1]].iter().enumerate() {
+                let (start, end) = (offsets[s], offsets[s + 1]);
+                let row = graph.neighbors(chosen[s]);
+                let survivors = intersect(&neighbors[start..end], row, |i, adjacent| {
                     // SAFETY: segments are disjoint spans.
-                    unsafe { flags_shared.write(offsets[s] + i, graph.has_edge(u, v)) };
-                }
+                    unsafe { flags_shared.write(start + i, adjacent) }
+                });
+                // SAFETY: one write per segment index.
+                unsafe { counts_shared.write(s, survivors) };
             });
         }
 
-        // Per-segment survivor counts, then stable compaction of both value
-        // arrays (stability keeps segments contiguous).
-        let launch = Launch::new("heuristic_survivor_counts", num_segments);
-        let counts: Vec<usize> = exec.map(launch, |s| {
-            flags[offsets[s]..offsets[s + 1]]
-                .iter()
-                .filter(|&&f| f)
-                .count()
-        });
-        neighbors = gmc_dpp::select_flagged(exec, &neighbors, &flags);
-        nbr_thresholds = gmc_dpp::select_flagged(exec, &nbr_thresholds, &flags);
+        // Stable compaction of both value arrays (stability keeps segments
+        // contiguous and sorted).
+        neighbors = gmc_dpp::select_flagged(exec, &neighbors, flags);
+        nbr_thresholds = gmc_dpp::select_flagged(exec, &nbr_thresholds, flags);
 
         // Rebuild offsets and drop dead segments.
         let (mut new_offsets, total) = gmc_dpp::exclusive_scan(exec, &counts);
         new_offsets.push(total);
         let (compacted_offsets, survivors) = gmc_dpp::remove_empty_segments(exec, &new_offsets);
-        seg_owner = survivors.iter().map(|&s| seg_owner[s]).collect();
+        rounds.push((chosen, std::mem::replace(&mut parent, survivors)));
         offsets = compacted_offsets;
     }
 
-    let best = cliques.into_iter().max_by_key(Vec::len).unwrap_or_default();
-    debug_assert!(graph.is_clique(&best));
-    Ok(best)
+    // The runs alive in the final round are the longest, in seed order, so
+    // the winner is its last segment (seed position h − 1 if no round ran).
+    let mut witness = Vec::with_capacity(rounds.len() + 1);
+    let mut position = rounds.last().map_or(h, |(picks, _)| picks.len()) - 1;
+    for (picks, parent) in rounds.iter().rev() {
+        witness.push(picks[position]);
+        position = parent[position];
+    }
+    witness.push(seeds[position]);
+    witness.reverse();
+    Ok(witness)
+}
+
+/// Reports, for each candidate of the sorted `segment`, whether it is in
+/// the sorted `row`, and returns how many are. A two-pointer merge walks
+/// both lists; when the row is more than [`GALLOP_RATIO`] times longer,
+/// each candidate gallops through the rest of the row instead.
+fn intersect(segment: &[u32], row: &[u32], mut flag: impl FnMut(usize, bool)) -> usize {
+    let gallop = row.len() > GALLOP_RATIO * segment.len();
+    let mut j = 0;
+    let mut found = 0;
+    for (i, &u) in segment.iter().enumerate() {
+        if gallop {
+            j += lower_bound_galloping(&row[j..], u);
+        } else {
+            while j < row.len() && row[j] < u {
+                j += 1;
+            }
+        }
+        let adjacent = j < row.len() && row[j] == u;
+        found += adjacent as usize;
+        flag(i, adjacent);
+    }
+    found
+}
+
+/// The index of the first element of sorted `row` not below `target`:
+/// doubling steps bracket it, then a binary search finds it.
+fn lower_bound_galloping(row: &[u32], target: u32) -> usize {
+    let mut bound = 1;
+    while bound < row.len() && row[bound] < target {
+        bound *= 2;
+    }
+    let low = bound / 2;
+    low + row[low..bound.min(row.len())].partition_point(|&x| x < target)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::single_run;
-    use gmc_graph::generators;
+    use gmc_graph::{generators, kcore};
+
+    /// Algorithm 1 one seed at a time: seeds in stable descending-threshold
+    /// order, each run growing from its seed's sorted row by taking the
+    /// first max-threshold candidate and keeping the candidates adjacent to
+    /// it. The last of the longest runs wins.
+    fn sequential_multi_run(graph: &Csr, thresholds: &[u32], h: usize) -> Vec<u32> {
+        let mut seeds: Vec<u32> = (0..graph.num_vertices() as u32).collect();
+        seeds.sort_by_key(|&v| std::cmp::Reverse(thresholds[v as usize]));
+        let mut best = Vec::new();
+        for &seed in seeds.iter().take(h.max(1)) {
+            let mut run = vec![seed];
+            let mut candidates = graph.neighbors(seed).to_vec();
+            while let Some(pick) = candidates.iter().copied().reduce(|top, u| {
+                if thresholds[u as usize] > thresholds[top as usize] {
+                    u
+                } else {
+                    top
+                }
+            }) {
+                run.push(pick);
+                candidates.retain(|&u| graph.has_edge(u, pick));
+            }
+            if run.len() >= best.len() {
+                best = run;
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn witness_equals_sequential_reference() {
+        let mut graphs: Vec<Csr> = [(90, 0.04), (70, 0.15), (50, 0.4), (40, 0.8)]
+            .into_iter()
+            .flat_map(|(n, p)| (0..3).map(move |seed| generators::gnp(n, p, seed)))
+            .collect();
+        graphs.push(generators::plant_clique(&generators::gnp(150, 0.05, 3), 11, 4).0);
+        graphs.push(Csr::empty(4));
+        for (id, graph) in graphs.iter().enumerate() {
+            let n = graph.num_vertices();
+            let cores = kcore::core_numbers(graph);
+            let core_keys = crate::core_degree_keys(Device::unlimited().exec(), graph, &cores);
+            for keys in [graph.degrees(), core_keys] {
+                for h in [1, 7, n / 3 + 1, n] {
+                    let expected = sequential_multi_run(graph, &keys, h);
+                    for workers in [1, 4] {
+                        let device = Device::new(workers, usize::MAX);
+                        let witness = multi_run(&device, graph, &keys, h).unwrap();
+                        assert_eq!(witness, expected, "graph {id}, h {h}, {workers} workers");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn intersection_flags_row_members_on_merge_and_gallop_paths() {
+        let row: Vec<u32> = (0..200).map(|x| 3 * x + 1).collect();
+        let segments: [Vec<u32>; 4] = [
+            (0..40).map(|x| 5 * x).collect(),      // merge: row ≤ 8× segment
+            (0..10).map(|x| 67 * x + 1).collect(), // gallop, past the row's end
+            vec![1, 2, 598, 1000],
+            Vec::new(),
+        ];
+        for segment in &segments {
+            let mut flags = vec![None; segment.len()];
+            let found = intersect(segment, &row, |i, adjacent| flags[i] = Some(adjacent));
+            let expected: Vec<_> = segment
+                .iter()
+                .map(|u| Some(row.binary_search(u).is_ok()))
+                .collect();
+            assert_eq!(flags, expected, "{segment:?}");
+            assert_eq!(found, expected.iter().filter(|&&f| f == Some(true)).count());
+        }
+    }
+
+    #[test]
+    fn ties_go_to_the_last_of_the_longest_runs() {
+        // Two disjoint triangles: every run has length 3, so the worst-
+        // seeded run wins even when vertex 0 is the best-seeded by far.
+        let g = Csr::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]);
+        let device = Device::unlimited();
+        let mut keys = g.degrees();
+        assert_eq!(multi_run(&device, &g, &keys, 6).unwrap(), [5, 3, 4]);
+        keys[0] = 9;
+        assert_eq!(multi_run(&device, &g, &keys, 6).unwrap(), [5, 3, 4]);
+    }
 
     #[test]
     fn finds_planted_clique_from_any_seed() {
