@@ -131,7 +131,6 @@ fn schedule_decomposition_counters_match_the_committed_record() {
          the decomposition must not depend on workers)"
     );
     assert_eq!(delta.dynamic_launches, 1);
-    assert_eq!(delta.weighted_launches, 1);
 }
 
 #[test]

@@ -188,8 +188,8 @@ struct ExecutorInner {
     schedule_static: AtomicBool,
     /// Scheduling/balance counters (see [`Executor::schedule_stats`]).
     sched_stats: ScheduleCells,
-    /// One balance slot per worker, reused across launches (launches never
-    /// overlap — `run_on_pool` asserts `pending == 0`).
+    /// One balance slot per worker, reused across launches (pooled launches
+    /// never overlap — `run_on_pool` asserts `pending == 0`).
     balance: Vec<BalanceSlot>,
     /// Simulated fixed cost per launch, in nanoseconds (see
     /// [`Executor::set_launch_overhead`]).
@@ -222,7 +222,11 @@ struct ExecutorInner {
 /// contiguous chunks, so output is deterministic and independent of the
 /// worker count.
 ///
-/// Cloning an `Executor` is cheap and shares the pool.
+/// Cloning an `Executor` is cheap and shares the pool. The pool runs one
+/// launch at a time: a pooled launch issued from a second thread while
+/// another is in flight panics. Grids that run inline never touch the pool.
+/// Solvers that run concurrently therefore need one executor each, as the
+/// slots of a `gmc-serve` pool have.
 #[derive(Clone)]
 pub struct Executor {
     inner: Arc<ExecutorInner>,
@@ -897,7 +901,10 @@ impl Executor {
         });
         {
             let mut st = shared.lock_state();
-            debug_assert_eq!(st.pending, 0, "overlapping launches are not allowed");
+            // Checked in release builds too, before the state is touched: a
+            // second launcher would overwrite the in-flight task, and both
+            // would wait forever.
+            assert_eq!(st.pending, 0, "overlapping launches are not allowed");
             st.task = Some(ptr);
             st.generation += 1;
             st.pending = self.inner.num_workers;
@@ -1160,7 +1167,6 @@ mod tests {
                             let s = exec.schedule_stats().since(&sched_before);
                             assert_eq!(s.pool_launches, u64::from(pooled), "{ctx}");
                             assert_eq!(s.dynamic_launches, u64::from(dynamic), "{ctx}");
-                            assert_eq!(s.weighted_launches, u64::from(dynamic), "{ctx}");
                             if pooled {
                                 assert_eq!(s.morsels, morsels, "{ctx}");
                                 assert!(
@@ -1458,5 +1464,43 @@ mod tests {
         // The pool must still be usable afterwards.
         let out = exec.map(Launch::new("after_boom", 10_000), |i| i as u32);
         assert_eq!(out[123], 123);
+    }
+
+    #[test]
+    fn overlapping_pooled_launch_panics_and_leaves_the_first_intact() {
+        // Thread A's pooled launch stays in flight until its index 0 is
+        // released. A launch from thread B on the same pool must panic, in
+        // release builds too, instead of overwriting A's task.
+        let exec = Executor::new(2);
+        exec.set_sequential_grid_limit(0);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (started_tx, release_rx) = (Mutex::new(started_tx), Mutex::new(release_rx));
+        std::thread::scope(|scope| {
+            let a = scope.spawn(|| {
+                exec.map(Launch::new("held", 64), |i| {
+                    if i == 0 {
+                        started_tx.lock().unwrap().send(()).unwrap();
+                        release_rx.lock().unwrap().recv().unwrap();
+                    }
+                    3 * i as u32
+                })
+            });
+            started_rx.recv().unwrap();
+            let b = scope.spawn(|| exec.run(Launch::new("overlapping", 64), |_| {}));
+            let panic = b.join().expect_err("the overlapping launch must panic");
+            let message = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                message.contains("overlapping launches are not allowed"),
+                "{message}"
+            );
+            release_tx.send(()).unwrap();
+            let out = a.join().expect("the first launch completes");
+            assert_eq!(out, (0..64).map(|i| 3 * i).collect::<Vec<u32>>());
+        });
     }
 }

@@ -83,7 +83,9 @@ pub use stats::{KernelStats, LaunchStats, ScheduleStats};
 pub use gmc_trace::{TraceSession, Tracer};
 
 /// Bundles an executor with a device-memory budget: the "device" everything
-/// in the reproduction runs on. Cloning shares both.
+/// in the reproduction runs on. Cloning shares both, and the shared
+/// [`Executor`] pool runs one launch at a time, so solvers that run
+/// concurrently need one executor each (see [`Device::from_parts`]).
 #[derive(Clone)]
 pub struct Device {
     exec: Executor,

@@ -73,7 +73,6 @@ impl StatsCells {
 pub(crate) struct ScheduleCells {
     pub pool_launches: AtomicU64,
     pub dynamic_launches: AtomicU64,
-    pub weighted_launches: AtomicU64,
     pub morsels: AtomicU64,
     pub max_worker_morsels: AtomicU64,
     pub makespan_ns: AtomicU64,
@@ -81,11 +80,7 @@ pub(crate) struct ScheduleCells {
 }
 
 impl ScheduleCells {
-    /// Records one pooled launch's balance measurement. Dynamic launches
-    /// are exactly the cost-weighted ones (see [`Schedule::Auto`]), so a
-    /// dynamic launch moves both of those counters.
-    ///
-    /// [`Schedule::Auto`]: crate::Schedule::Auto
+    /// Records one pooled launch's balance measurement.
     pub(crate) fn record(
         &self,
         dynamic: bool,
@@ -97,7 +92,6 @@ impl ScheduleCells {
         self.pool_launches.fetch_add(1, Ordering::Relaxed);
         if dynamic {
             self.dynamic_launches.fetch_add(1, Ordering::Relaxed);
-            self.weighted_launches.fetch_add(1, Ordering::Relaxed);
         }
         self.morsels.fetch_add(morsels, Ordering::Relaxed);
         self.max_worker_morsels
@@ -111,7 +105,6 @@ impl ScheduleCells {
         ScheduleStats {
             pool_launches: self.pool_launches.load(Ordering::Relaxed),
             dynamic_launches: self.dynamic_launches.load(Ordering::Relaxed),
-            weighted_launches: self.weighted_launches.load(Ordering::Relaxed),
             morsels: self.morsels.load(Ordering::Relaxed),
             max_worker_morsels: self.max_worker_morsels.load(Ordering::Relaxed),
             makespan_ns: self.makespan_ns.load(Ordering::Relaxed),
@@ -122,7 +115,6 @@ impl ScheduleCells {
     pub(crate) fn reset(&self) {
         self.pool_launches.store(0, Ordering::Relaxed);
         self.dynamic_launches.store(0, Ordering::Relaxed);
-        self.weighted_launches.store(0, Ordering::Relaxed);
         self.morsels.store(0, Ordering::Relaxed);
         self.max_worker_morsels.store(0, Ordering::Relaxed);
         self.makespan_ns.store(0, Ordering::Relaxed);
@@ -138,9 +130,9 @@ impl ScheduleCells {
 /// and machines, and asserted so by the determinism suite), whereas these
 /// counters measure *how* the pool executed — which launches took the pool,
 /// how morsels spread over workers, and wall-clock busy times. The
-/// structural subset here (`dynamic_launches`, `weighted_launches`,
-/// `morsels`) is still deterministic for a fixed worker count, but the
-/// timing fields and per-worker claim maxima are not.
+/// structural subset here (`dynamic_launches`, `morsels`) is still
+/// deterministic for a fixed worker count, but the timing fields and
+/// per-worker claim maxima are not.
 ///
 /// [`Executor`]: crate::Executor
 /// [`Executor::schedule_stats`]: crate::Executor::schedule_stats
@@ -150,13 +142,10 @@ pub struct ScheduleStats {
     /// limit on a multi-worker executor); the rest ran inline.
     pub pool_launches: u64,
     /// Pooled launches dispatched by dynamic morsel claiming: weighted
-    /// launches under [`Schedule::Auto`](crate::Schedule::Auto). Also
-    /// counted in `pool_launches`.
+    /// launches ([`Launch::weighted`](crate::Launch::weighted)) under
+    /// [`Schedule::Auto`](crate::Schedule::Auto). Also counted in
+    /// `pool_launches`.
     pub dynamic_launches: u64,
-    /// Dynamic launches whose morsel boundaries were cut from caller-supplied
-    /// per-entry cost hints ([`Launch::weighted`](crate::Launch::weighted)).
-    /// Every dynamic launch is weighted, so this equals `dynamic_launches`.
-    pub weighted_launches: u64,
     /// Work units claimed across pooled launches: morsels for dynamic
     /// launches, non-empty static chunks otherwise. Decompositions are
     /// worker-count independent, so for dynamic launches this is too.
@@ -181,9 +170,6 @@ impl ScheduleStats {
             dynamic_launches: self
                 .dynamic_launches
                 .saturating_sub(earlier.dynamic_launches),
-            weighted_launches: self
-                .weighted_launches
-                .saturating_sub(earlier.weighted_launches),
             morsels: self.morsels.saturating_sub(earlier.morsels),
             max_worker_morsels: self
                 .max_worker_morsels

@@ -145,7 +145,8 @@ pub enum WindowOrdering {
     Random(u64),
 }
 
-/// Configuration of the windowed search variant (paper §IV-E).
+/// Configuration of the windowed search variant (paper §IV-E). Windows are
+/// expanded one at a time, in order.
 ///
 /// ```
 /// use gmc_dpp::Device;
@@ -180,15 +181,6 @@ pub struct WindowConfig {
     /// be split, and a single over-large sublist be re-windowed one search
     /// level deeper, recursively.
     pub max_depth: usize,
-    /// Top-level windows processed concurrently — the paper's other §V-C3
-    /// sketch ("multiple windows could be explored simultaneously by
-    /// different thread blocks"). `1` (the paper's implementation) keeps the
-    /// strictly sequential window loop. Larger values share the incumbent
-    /// across in-flight windows; all concurrent windows charge the same
-    /// device budget, trading memory back for parallel work. The clique
-    /// *set* is unchanged; in find-one mode the particular witness returned
-    /// may vary between runs when several maximum cliques exist.
-    pub parallel_windows: usize,
 }
 
 impl WindowConfig {
@@ -199,14 +191,7 @@ impl WindowConfig {
             ordering: WindowOrdering::default(),
             enumerate_all: false,
             max_depth: 1,
-            parallel_windows: 1,
         }
-    }
-
-    /// Processes up to `count` top-level windows concurrently.
-    pub fn parallel(mut self, count: usize) -> Self {
-        self.parallel_windows = count.max(1);
-        self
     }
 
     /// Enables recursive windowing down to `depth` levels.

@@ -165,10 +165,9 @@ impl SolveStats {
 
     /// Files an expansion's exact probe tally: as core-bitmap word tests
     /// when the solve probed a core bitmap of `core_bytes` charged bytes,
-    /// as edge-oracle queries otherwise. The window block, when present,
-    /// gets the same figures.
+    /// as edge-oracle queries otherwise.
     fn file_probes(&mut self, probes: u64, core_bytes: Option<u64>) {
-        let (oracle_queries, local_bits) = match core_bytes {
+        (self.oracle_queries, self.local_bits) = match core_bytes {
             Some(persistent_bytes) => (
                 0,
                 LocalBitsStats {
@@ -180,12 +179,6 @@ impl SolveStats {
             ),
             None => (probes, LocalBitsStats::default()),
         };
-        self.oracle_queries = oracle_queries;
-        self.local_bits = local_bits;
-        if let Some(window) = self.window.as_mut() {
-            window.oracle_queries = oracle_queries;
-            window.local_bits = local_bits;
-        }
     }
 }
 
@@ -1027,11 +1020,7 @@ mod tests {
         let (wf, wu) = (windowed(true), windowed(false));
         assert_eq!(wf.cliques, fused.cliques);
         assert_eq!(wu.cliques, fused.cliques);
-        let (wfq, wuq) = (
-            wf.stats.window.unwrap().oracle_queries,
-            wu.stats.window.unwrap().oracle_queries,
-        );
-        assert_eq!(wf.stats.oracle_queries, wfq);
+        let (wfq, wuq) = (wf.stats.oracle_queries, wu.stats.oracle_queries);
         let wf_probes = wfq + wf.stats.local_bits.probes_avoided;
         assert!(
             wf_probes > 0 && wf_probes < wuq,
@@ -1081,11 +1070,6 @@ mod tests {
         assert_eq!(wlb.rows_built, 0);
         assert!(wlb.persistent_bytes > 0);
         assert_eq!(wlb.persistent_probes, wlb.probes_avoided);
-        assert_eq!(
-            won.stats.local_bits,
-            won.stats.window.unwrap().local_bits,
-            "solver stats mirror the window tally"
-        );
         assert_eq!(
             won.stats.oracle_queries + wlb.probes_avoided,
             woff.stats.oracle_queries

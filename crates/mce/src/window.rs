@@ -23,20 +23,26 @@
 //! and a single sublist too large for any window is re-windowed one search
 //! level deeper (its candidate pairs become the 2-clique list of an induced
 //! subproblem whose results carry the committed chain as a prefix).
+//!
+//! Windows are expanded one at a time, in order, as in the paper. Each
+//! window's launches already occupy every worker of the device's pool,
+//! which runs one launch at a time.
 
 use crate::arena::LevelArena;
-use crate::bfs::{expand, LocalBitsStats};
+use crate::bfs::expand;
 use crate::config::{WindowConfig, WindowOrdering};
 use crate::setup::SetupOutput;
 use gmc_cliquelist::CliqueLevel;
 use gmc_dpp::{Device, DeviceError, FaultInjector, Launch, LaunchError, SharedSlice};
 use gmc_graph::{Csr, EdgeOracle};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-/// Counters from a windowed run, reported in [`SolveStats`].
+/// Counters from a windowed run, reported in [`SolveStats`]. The run's
+/// adjacency probes are filed once, in [`SolveStats::oracle_queries`] or
+/// [`SolveStats::local_bits`], not here.
 ///
 /// [`SolveStats`]: crate::SolveStats
+/// [`SolveStats::oracle_queries`]: crate::SolveStats::oracle_queries
+/// [`SolveStats::local_bits`]: crate::SolveStats::local_bits
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowStats {
     /// Number of windows actually expanded (including retries after splits
@@ -53,36 +59,12 @@ pub struct WindowStats {
     /// Times an over-large single sublist was re-windowed one level deeper
     /// (recursive mode).
     pub sublist_recursions: usize,
-    /// Exact number of edge-oracle `connected` calls across all windows
-    /// (expansion walks plus recursive child-level construction); zero when
-    /// the core bitmap answered them. The solver files the windows' probe
-    /// tally here and in [`SolveStats::oracle_queries`] alike.
-    ///
-    /// [`SolveStats::oracle_queries`]: crate::SolveStats::oracle_queries
-    pub oracle_queries: u64,
-    /// Core-bitmap counters over all windows, the same figures as
-    /// [`SolveStats::local_bits`].
-    ///
-    /// [`SolveStats::local_bits`]: crate::SolveStats::local_bits
-    pub local_bits: LocalBitsStats,
     /// Window attempts retried after an injected fault (fault injection
     /// only; real OOM goes through `window_splits`).
     pub fault_retries: usize,
     /// Windows split in half after repeated injected faults (the bounded
     /// geometric backoff of the recovery ladder).
     pub fault_shrinks: usize,
-    /// OS workers the concurrent window sweep ran with (largest sweep, when
-    /// the fault ladder retried); `0` when the sweep was never concurrent.
-    pub sweep_workers: usize,
-    /// Windows drained by the busiest sweep worker, summed over sweeps —
-    /// the window-level analogue of the launch-level
-    /// "morsels claimed per worker" skew signal in
-    /// [`gmc_dpp::ScheduleStats`].
-    pub sweep_drained_max: usize,
-    /// Total sweep-worker idle time: the gap between each worker's busy
-    /// span and the sweep's wall clock, summed over workers and sweeps.
-    /// Large values mean a few heavy windows serialised the sweep.
-    pub sweep_idle_ns: u64,
 }
 
 pub(crate) struct WindowOutcome {
@@ -96,7 +78,7 @@ pub(crate) struct WindowOutcome {
     pub probes: u64,
 }
 
-/// Shared incumbent across windows and recursion levels.
+/// The best result so far, carried across windows and recursion levels.
 struct Incumbent {
     enumerate: bool,
     min_enum_target: u32,
@@ -157,8 +139,11 @@ impl Incumbent {
     }
 }
 
-/// Context threaded through the recursion.
-struct SearchCtx<'a, O: EdgeOracle + ?Sized> {
+/// One windowed search: what every window reads (device, oracle,
+/// configuration) and what every window updates (incumbent, counters,
+/// probe tally, level scratch). Windows run one at a time, in order, so the
+/// sweep owns all of it.
+struct Sweep<'a, O: EdgeOracle + ?Sized> {
     device: &'a Device,
     /// The solve's one edge-membership structure: every window and
     /// recursive child-level build probes it.
@@ -166,14 +151,18 @@ struct SearchCtx<'a, O: EdgeOracle + ?Sized> {
     config: &'a WindowConfig,
     early_exit: bool,
     fused: bool,
-    /// Adjacency probes of every successful window attempt and child-level
-    /// build, shared by concurrent sweep workers.
-    probes: AtomicU64,
     /// Armed injector (shares counters with the device's copy); `None` in
     /// fault-free runs.
-    injector: Option<FaultInjector>,
+    injector: Option<&'a FaultInjector>,
     /// Per-window retry cap from the fault plan (0 when fault-free).
     max_retries: u32,
+    incumbent: Incumbent,
+    stats: WindowStats,
+    /// Adjacency probes of every successful window attempt and child-level
+    /// build.
+    probes: u64,
+    /// Level scratch grown by the first window and recycled by the rest.
+    arena: LevelArena,
 }
 
 /// Reorders whole sublists of the 2-clique list according to `ordering`.
@@ -266,10 +255,7 @@ pub(crate) fn windowed_search<O: EdgeOracle + ?Sized>(
     let mut search_span = tracer.is_enabled().then(|| {
         tracer.span_with(
             "windowed_search",
-            &[
-                ("entries", setup.vertex_id.len() as i64),
-                ("parallel_windows", config.parallel_windows as i64),
-            ],
+            &[("entries", setup.vertex_id.len() as i64)],
         )
     });
     let (vertex_id, sublist_id) = reorder_sublists(
@@ -280,56 +266,39 @@ pub(crate) fn windowed_search<O: EdgeOracle + ?Sized>(
         config.ordering,
     )?;
 
-    let stats = WindowStats {
-        nominal_size: config.size,
-        ..WindowStats::default()
-    };
-    // In find-one mode the heuristic witness seeds the incumbent; in
-    // enumerate mode the witness is *not* pre-collected (it will be re-found
-    // inside its own window, avoiding duplicates).
-    let incumbent = Mutex::new(Incumbent::new(
-        config.enumerate_all,
-        min_enum_target,
-        witness,
-    ));
-    let stats_lock = Mutex::new(stats);
-    let ctx = SearchCtx {
+    let mut sweep = Sweep {
         device,
         oracle,
         config,
         early_exit,
         fused,
-        probes: AtomicU64::new(0),
-        injector: injector.cloned(),
+        injector,
         max_retries: injector.map_or(0, |inj| inj.plan().max_retries),
+        // In find-one mode the heuristic witness seeds the incumbent; in
+        // enumerate mode the witness is *not* pre-collected (it will be
+        // re-found inside its own window, avoiding duplicates).
+        incumbent: Incumbent::new(config.enumerate_all, min_enum_target, witness),
+        stats: WindowStats {
+            nominal_size: config.size,
+            ..WindowStats::default()
+        },
+        probes: 0,
+        arena: LevelArena::new(),
     };
-    if config.parallel_windows <= 1 {
-        // One arena serves every window of the sweep: level scratch grown by
-        // the first window is recycled by all the rest.
-        let mut arena = LevelArena::new();
-        search_slice(
-            &ctx,
-            &vertex_id,
-            &sublist_id,
-            &[],
-            0,
-            &incumbent,
-            &stats_lock,
-            &mut arena,
-        )?;
-    } else {
-        parallel_window_sweep(&ctx, &vertex_id, &sublist_id, &incumbent, &stats_lock)?;
-    }
+    sweep.search_slice(&vertex_id, &sublist_id, &[], 0)?;
 
-    let mut stats = stats_lock.into_inner().expect("stats lock poisoned");
-    let incumbent = incumbent.into_inner().expect("incumbent lock poisoned");
+    let Sweep {
+        mut stats,
+        incumbent,
+        probes,
+        ..
+    } = sweep;
     stats.bound_improvements = incumbent.improvements;
     if let Some(span) = search_span.as_mut() {
         span.arg("num_windows", stats.num_windows as i64);
         span.arg("bound_improvements", stats.bound_improvements as i64);
     }
     drop(search_span);
-    let probes = ctx.probes.into_inner();
     if config.enumerate_all {
         Ok(WindowOutcome {
             clique_size: incumbent.collected_size,
@@ -386,261 +355,216 @@ fn auto_window_end(sublist_id: &[u32], start: usize, budget_entries: usize) -> u
     end
 }
 
-/// Cuts `vertex_id`/`sublist_id` into windows and processes each.
-#[allow(clippy::too_many_arguments)] // one slot per recursion invariant
-fn search_slice<O: EdgeOracle + ?Sized>(
-    ctx: &SearchCtx<'_, O>,
-    vertex_id: &[u32],
-    sublist_id: &[u32],
-    prefix: &[u32],
-    depth: usize,
-    incumbent: &Mutex<Incumbent>,
-    stats: &Mutex<WindowStats>,
-    arena: &mut LevelArena,
-) -> Result<(), DeviceError> {
-    let mut start = 0usize;
-    while start < vertex_id.len() {
-        let end = if ctx.config.size == 0 {
-            auto_window_end(sublist_id, start, auto_budget_entries(ctx.device))
-        } else {
-            window_end(sublist_id, start, start + ctx.config.size)
-        };
-        process_window(
-            ctx,
-            &vertex_id[start..end],
-            &sublist_id[start..end],
-            prefix,
-            depth,
-            incumbent,
-            stats,
-            arena,
-        )?;
-        start = end;
-    }
-    Ok(())
+/// Whether a window holds more than one sublist, so it can be halved at a
+/// sublist boundary.
+fn spans_sublists(sublist_id: &[u32]) -> bool {
+    sublist_id.windows(2).any(|w| w[0] != w[1])
 }
 
-/// Expands one window. Injected faults are retried in place (and the window
-/// halved after repeated faults — bounded geometric backoff) up to the fault
-/// plan's retry cap; on real OOM, splits or recurses when recursive
-/// windowing is enabled and depth remains.
-#[allow(clippy::too_many_arguments)] // one slot per recursion invariant
-fn process_window<O: EdgeOracle + ?Sized>(
-    ctx: &SearchCtx<'_, O>,
-    vertex_id: &[u32],
-    sublist_id: &[u32],
-    prefix: &[u32],
-    depth: usize,
-    incumbent: &Mutex<Incumbent>,
-    stats: &Mutex<WindowStats>,
-    arena: &mut LevelArena,
-) -> Result<(), DeviceError> {
-    if vertex_id.is_empty() {
-        return Ok(());
-    }
-    // Window boundaries are launch boundaries: a tripped token stops the
-    // sweep here before the window charges anything.
-    ctx.device.exec().check_cancelled()?;
-    // Entries of this window extend `prefix`, so the local pruning target
-    // shrinks by the committed chain length. (Concurrent windows may read a
-    // slightly stale target; staleness only weakens pruning, never
-    // correctness. Fault retries reuse the attempt's target so a recovered
-    // window reports exactly what the fault-free run would have.)
-    let target_local = incumbent
-        .lock()
-        .expect("incumbent lock poisoned")
-        .target()
-        .saturating_sub(prefix.len() as u32)
-        .max(2);
-    let tracer = ctx.device.exec().tracer();
-    let mut window_span = tracer.is_enabled().then(|| {
-        tracer.span_with(
-            "window",
-            &[
-                ("entries", vertex_id.len() as i64),
-                ("depth", depth as i64),
-                ("target", i64::from(target_local)),
-            ],
-        )
-    });
-    let mut fault_attempts = 0u32;
-    let err = loop {
-        let live_base = ctx.device.memory().live();
-        ctx.device.memory().reset_peak();
-        let attempt =
-            CliqueLevel::from_vecs(ctx.device.memory(), vertex_id.to_vec(), sublist_id.to_vec())
-                .map_err(DeviceError::from)
-                .and_then(|level0| {
-                    expand(
-                        ctx.device,
-                        ctx.oracle,
-                        level0,
-                        target_local,
-                        ctx.early_exit,
-                        ctx.fused,
-                        arena,
-                    )
-                });
-        {
-            let mut stats = stats.lock().expect("stats lock poisoned");
-            stats.num_windows += 1;
-            stats.peak_window_bytes = stats
-                .peak_window_bytes
-                .max(ctx.device.memory().peak().saturating_sub(live_base));
-            if let Ok(outcome) = &attempt {
-                ctx.probes.fetch_add(outcome.probes, Ordering::Relaxed);
-            }
+impl<O: EdgeOracle + ?Sized> Sweep<'_, O> {
+    /// Cuts `vertex_id`/`sublist_id` into windows and processes each.
+    fn search_slice(
+        &mut self,
+        vertex_id: &[u32],
+        sublist_id: &[u32],
+        prefix: &[u32],
+        depth: usize,
+    ) -> Result<(), DeviceError> {
+        let mut start = 0usize;
+        while start < vertex_id.len() {
+            let end = if self.config.size == 0 {
+                auto_window_end(sublist_id, start, auto_budget_entries(self.device))
+            } else {
+                window_end(sublist_id, start, start + self.config.size)
+            };
+            self.process_window(
+                &vertex_id[start..end],
+                &sublist_id[start..end],
+                prefix,
+                depth,
+            )?;
+            start = end;
         }
+        Ok(())
+    }
 
-        match attempt {
-            Ok(outcome) => {
-                if let Some(span) = window_span.as_mut() {
-                    span.arg("found", outcome.clique_size as i64);
-                }
-                if outcome.clique_size > 0 {
-                    let size = outcome.clique_size + prefix.len();
-                    let cliques: Vec<Vec<u32>> = outcome
-                        .cliques
-                        .into_iter()
-                        .map(|c| {
-                            let mut full = prefix.to_vec();
-                            full.extend(c);
-                            full
-                        })
-                        .collect();
-                    incumbent
-                        .lock()
-                        .expect("incumbent lock poisoned")
-                        .offer(cliques, size);
-                }
-                return Ok(());
-            }
-            Err(err) => {
-                let Some(injector) = ctx.injector.as_ref().filter(|_| err.is_injected()) else {
-                    // Real OOM: retries after a split (or the deeper
-                    // re-windowing below) nest inside this window's span.
+    /// Processes the two halves of a window split at the sublist boundary
+    /// nearest its middle, first half first. The window must span more than
+    /// one sublist.
+    fn process_halves(
+        &mut self,
+        vertex_id: &[u32],
+        sublist_id: &[u32],
+        prefix: &[u32],
+        depth: usize,
+    ) -> Result<(), DeviceError> {
+        let mid = window_end(sublist_id, 0, vertex_id.len() / 2).clamp(1, vertex_id.len() - 1);
+        self.process_window(&vertex_id[..mid], &sublist_id[..mid], prefix, depth)?;
+        self.process_window(&vertex_id[mid..], &sublist_id[mid..], prefix, depth)
+    }
+
+    /// Expands one window. Injected faults are retried in place (and the
+    /// window halved after repeated faults — bounded geometric backoff) up
+    /// to the fault plan's retry cap; on real OOM, splits or recurses when
+    /// recursive windowing is enabled and depth remains.
+    fn process_window(
+        &mut self,
+        vertex_id: &[u32],
+        sublist_id: &[u32],
+        prefix: &[u32],
+        depth: usize,
+    ) -> Result<(), DeviceError> {
+        if vertex_id.is_empty() {
+            return Ok(());
+        }
+        let device = self.device;
+        // Window boundaries are launch boundaries: a tripped token stops
+        // the sweep here before the window charges anything.
+        device.exec().check_cancelled()?;
+        // Entries of this window extend `prefix`, so the local pruning
+        // target shrinks by the committed chain length. Fault retries reuse
+        // the attempt's target so a recovered window reports exactly what
+        // the fault-free run would have.
+        let target_local = self
+            .incumbent
+            .target()
+            .saturating_sub(prefix.len() as u32)
+            .max(2);
+        let tracer = device.exec().tracer();
+        let mut window_span = tracer.is_enabled().then(|| {
+            tracer.span_with(
+                "window",
+                &[
+                    ("entries", vertex_id.len() as i64),
+                    ("depth", depth as i64),
+                    ("target", i64::from(target_local)),
+                ],
+            )
+        });
+        let mut fault_attempts = 0u32;
+        let err = loop {
+            let live_base = device.memory().live();
+            device.memory().reset_peak();
+            let attempt =
+                CliqueLevel::from_vecs(device.memory(), vertex_id.to_vec(), sublist_id.to_vec())
+                    .map_err(DeviceError::from)
+                    .and_then(|level0| {
+                        expand(
+                            device,
+                            self.oracle,
+                            level0,
+                            target_local,
+                            self.early_exit,
+                            self.fused,
+                            &mut self.arena,
+                        )
+                    });
+            self.stats.num_windows += 1;
+            self.stats.peak_window_bytes = self
+                .stats
+                .peak_window_bytes
+                .max(device.memory().peak().saturating_sub(live_base));
+
+            match attempt {
+                Ok(outcome) => {
+                    self.probes += outcome.probes;
                     if let Some(span) = window_span.as_mut() {
-                        span.arg("oom", 1);
+                        span.arg("found", outcome.clique_size as i64);
                     }
-                    break err;
-                };
-                fault_attempts += 1;
-                if fault_attempts > ctx.max_retries {
-                    // Past the cap the fault is propagated, not recovered;
-                    // the solver's outer loop turns it into a typed error.
-                    return Err(err);
+                    if outcome.clique_size > 0 {
+                        let size = outcome.clique_size + prefix.len();
+                        let cliques: Vec<Vec<u32>> = outcome
+                            .cliques
+                            .into_iter()
+                            .map(|c| {
+                                let mut full = prefix.to_vec();
+                                full.extend(c);
+                                full
+                            })
+                            .collect();
+                        self.incumbent.offer(cliques, size);
+                    }
+                    return Ok(());
                 }
-                // `expand` released its arena charges on the way out; make
-                // the window's footprint provably zero before retrying.
-                arena.release_charges();
-                injector.note_recovery(&err);
-                stats.lock().expect("stats lock poisoned").fault_retries += 1;
-                if tracer.is_enabled() {
-                    tracer.instant(
-                        "fault_window_retry",
-                        &[
-                            ("attempt", i64::from(fault_attempts)),
-                            ("entries", vertex_id.len() as i64),
-                        ],
-                    );
-                }
-                let num_sublists = 1 + sublist_id.windows(2).filter(|w| w[0] != w[1]).count();
-                if fault_attempts >= 2 && num_sublists > 1 {
-                    // Repeated faults: halve the window at a sublist
-                    // boundary. Each half restarts its own retry budget, and
-                    // single-sublist windows can shrink no further, so the
-                    // backoff is geometric and bounded.
-                    injector.note_window_shrink();
-                    stats.lock().expect("stats lock poisoned").fault_shrinks += 1;
+                Err(err) => {
+                    let Some(injector) = self.injector.filter(|_| err.is_injected()) else {
+                        // Real OOM: retries after a split (or the deeper
+                        // re-windowing below) nest inside this window's span.
+                        if let Some(span) = window_span.as_mut() {
+                            span.arg("oom", 1);
+                        }
+                        break err;
+                    };
+                    fault_attempts += 1;
+                    if fault_attempts > self.max_retries {
+                        // Past the cap the fault is propagated, not
+                        // recovered; the solver's outer loop turns it into a
+                        // typed error.
+                        return Err(err);
+                    }
+                    // `expand` released its arena charges on the way out;
+                    // make the window's footprint provably zero before
+                    // retrying.
+                    self.arena.release_charges();
+                    injector.note_recovery(&err);
+                    self.stats.fault_retries += 1;
                     if tracer.is_enabled() {
                         tracer.instant(
-                            "fault_window_shrink",
-                            &[("entries", vertex_id.len() as i64)],
+                            "fault_window_retry",
+                            &[
+                                ("attempt", i64::from(fault_attempts)),
+                                ("entries", vertex_id.len() as i64),
+                            ],
                         );
                     }
-                    let mid = window_end(sublist_id, 0, vertex_id.len() / 2)
-                        .clamp(1, vertex_id.len() - 1);
-                    drop(window_span);
-                    process_window(
-                        ctx,
-                        &vertex_id[..mid],
-                        &sublist_id[..mid],
-                        prefix,
-                        depth,
-                        incumbent,
-                        stats,
-                        arena,
-                    )?;
-                    return process_window(
-                        ctx,
-                        &vertex_id[mid..],
-                        &sublist_id[mid..],
-                        prefix,
-                        depth,
-                        incumbent,
-                        stats,
-                        arena,
-                    );
+                    if fault_attempts >= 2 && spans_sublists(sublist_id) {
+                        // Repeated faults: halve the window. Each half
+                        // restarts its own retry budget, and single-sublist
+                        // windows can shrink no further, so the backoff is
+                        // geometric and bounded.
+                        injector.note_window_shrink();
+                        self.stats.fault_shrinks += 1;
+                        if tracer.is_enabled() {
+                            tracer.instant(
+                                "fault_window_shrink",
+                                &[("entries", vertex_id.len() as i64)],
+                            );
+                        }
+                        drop(window_span);
+                        return self.process_halves(vertex_id, sublist_id, prefix, depth);
+                    }
                 }
             }
+        };
+
+        // Cancellation propagates as-is: splitting a cancelled window would
+        // only spawn halves that cancel at their own first poll.
+        if matches!(err, DeviceError::Cancelled(_)) {
+            return Err(err);
         }
-    };
+        // The paper's windowing propagates OOM; the recursive extension
+        // keeps subdividing while depth remains.
+        if self.config.max_depth <= 1 {
+            return Err(err);
+        }
+        if spans_sublists(sublist_id) {
+            self.stats.window_splits += 1;
+            return self.process_halves(vertex_id, sublist_id, prefix, depth);
+        }
+        if depth + 1 >= self.config.max_depth {
+            return Err(err);
+        }
 
-    // Cancellation propagates as-is: splitting a cancelled window would
-    // only spawn halves that cancel at their own first poll.
-    if matches!(err, DeviceError::Cancelled(_)) {
-        return Err(err);
-    }
-    // The paper's windowing propagates OOM; the recursive extension keeps
-    // subdividing while depth remains.
-    if ctx.config.max_depth <= 1 {
-        return Err(err);
-    }
-    let num_sublists = 1 + sublist_id.windows(2).filter(|w| w[0] != w[1]).count();
-    if num_sublists > 1 {
-        // Binary split at the sublist boundary nearest the middle.
-        stats.lock().expect("stats lock poisoned").window_splits += 1;
-        let mid = window_end(sublist_id, 0, vertex_id.len() / 2).clamp(1, vertex_id.len() - 1);
-        process_window(
-            ctx,
-            &vertex_id[..mid],
-            &sublist_id[..mid],
-            prefix,
-            depth,
-            incumbent,
-            stats,
-            arena,
-        )?;
-        return process_window(
-            ctx,
-            &vertex_id[mid..],
-            &sublist_id[mid..],
-            prefix,
-            depth,
-            incumbent,
-            stats,
-            arena,
-        );
-    }
-    if depth + 1 >= ctx.config.max_depth {
-        return Err(err);
-    }
+        // A single sublist whose subtree exceeds the budget: re-window one
+        // level deeper. Its candidate pairs form the 2-clique list of the
+        // induced subproblem, with the source vertex joining the prefix.
+        self.stats.sublist_recursions += 1;
+        let source = sublist_id[0];
 
-    // A single sublist whose subtree exceeds the budget: re-window one
-    // level deeper. Its candidate pairs form the 2-clique list of the
-    // induced subproblem, with the source vertex joining the prefix.
-    stats
-        .lock()
-        .expect("stats lock poisoned")
-        .sublist_recursions += 1;
-    let source = sublist_id[0];
-
-    // The (prefix, source, candidate) 2-level cliques are not represented in
-    // the subproblem (its cliques have ≥ 2 vertices = parent ≥ 3); offer
-    // them here in case ω is exactly `|prefix| + 2`.
-    {
-        let mut incumbent = incumbent.lock().expect("incumbent lock poisoned");
-        if (prefix.len() + 2) as u32 >= incumbent.target() {
+        // The (prefix, source, candidate) 2-level cliques are not
+        // represented in the subproblem (its cliques have ≥ 2 vertices =
+        // parent ≥ 3); offer them here in case ω is exactly `|prefix| + 2`.
+        if (prefix.len() + 2) as u32 >= self.incumbent.target() {
             let pairs: Vec<Vec<u32>> = vertex_id
                 .iter()
                 .map(|&c| {
@@ -650,186 +574,57 @@ fn process_window<O: EdgeOracle + ?Sized>(
                     clique
                 })
                 .collect();
-            incumbent.offer(pairs, prefix.len() + 2);
+            self.incumbent.offer(pairs, prefix.len() + 2);
         }
+
+        let (child_vertex, child_sublist) = self.build_child_level(vertex_id)?;
+        // Both child-level kernels walk every ordered candidate pair:
+        // exactly len·(len−1) adjacency probes.
+        self.probes += (vertex_id.len() * (vertex_id.len() - 1)) as u64;
+        let mut child_prefix = prefix.to_vec();
+        child_prefix.push(source);
+        self.search_slice(&child_vertex, &child_sublist, &child_prefix, depth + 1)
     }
 
-    let (child_vertex, child_sublist) = build_child_level(ctx, vertex_id)?;
-    // Both child-level kernels walk every ordered candidate pair: exactly
-    // len·(len−1) adjacency probes.
-    let pair_probes = (vertex_id.len() * (vertex_id.len() - 1)) as u64;
-    ctx.probes.fetch_add(pair_probes, Ordering::Relaxed);
-    let mut child_prefix = prefix.to_vec();
-    child_prefix.push(source);
-    search_slice(
-        ctx,
-        &child_vertex,
-        &child_sublist,
-        &child_prefix,
-        depth + 1,
-        incumbent,
-        stats,
-        arena,
-    )
-}
-
-/// Concurrent top-level window sweep (paper §V-C3's "multiple windows ...
-/// simultaneously by different thread blocks"): the windows are cut up
-/// front, then `parallel_windows` OS threads drain them from a shared
-/// cursor, all offering into one locked incumbent. Recursion inside any
-/// window stays sequential within its thread.
-fn parallel_window_sweep<O: EdgeOracle + ?Sized>(
-    ctx: &SearchCtx<'_, O>,
-    vertex_id: &[u32],
-    sublist_id: &[u32],
-    incumbent: &Mutex<Incumbent>,
-    stats: &Mutex<WindowStats>,
-) -> Result<(), DeviceError> {
-    // Cut all top-level windows first.
-    let mut ranges: Vec<(usize, usize)> = Vec::new();
-    let mut start = 0usize;
-    while start < vertex_id.len() {
-        let end = if ctx.config.size == 0 {
-            auto_window_end(sublist_id, start, auto_budget_entries(ctx.device))
-        } else {
-            window_end(sublist_id, start, start + ctx.config.size)
-        };
-        ranges.push((start, end));
-        start = end;
-    }
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let workers = ctx.config.parallel_windows.min(ranges.len()).max(1);
-    let first_error: Mutex<Option<DeviceError>> = Mutex::new(None);
-    // Per-worker balance slots (windows drained, busy nanoseconds): each
-    // worker writes only its own pair, read after the scope joins.
-    let drained: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-    let busy_ns: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-    let sweep_start = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let cursor = &cursor;
-            let ranges = &ranges;
-            let first_error = &first_error;
-            let drained = &drained;
-            let busy_ns = &busy_ns;
-            scope.spawn(move || {
-                let began = std::time::Instant::now();
-                let mut windows_drained = 0u64;
-                // Arenas are not shared across threads: each worker recycles
-                // its own scratch over the windows it drains.
-                let mut arena = LevelArena::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(s, e)) = ranges.get(i) else { break };
-                    windows_drained += 1;
-                    let outcome = process_window(
-                        ctx,
-                        &vertex_id[s..e],
-                        &sublist_id[s..e],
-                        &[],
-                        0,
-                        incumbent,
-                        stats,
-                        &mut arena,
-                    );
-                    if let Err(err) = outcome {
-                        let mut slot = first_error.lock().expect("error lock poisoned");
-                        if slot.is_none() {
-                            *slot = Some(err);
-                        } else if err.is_injected() {
-                            // A sibling error already escapes this sweep; an
-                            // injected fault absorbed here is recovered by
-                            // the caller's retry of the whole sweep, so it
-                            // must be tallied exactly once — now.
-                            if let Some(inj) = ctx.injector.as_ref() {
-                                inj.note_recovery(&err);
-                            }
-                        }
-                        break;
-                    }
-                }
-                drained[w].store(windows_drained, Ordering::Relaxed);
-                busy_ns[w].store(began.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            });
-        }
-    });
-    // Window-level imbalance: the busiest worker's drain count and the gap
-    // between each worker's busy span and the sweep wall clock.
-    let wall_ns = sweep_start.elapsed().as_nanos() as u64;
-    let drained_max = drained
-        .iter()
-        .map(|d| d.load(Ordering::Relaxed))
-        .max()
-        .unwrap_or(0);
-    let idle_ns: u64 = busy_ns
-        .iter()
-        .map(|b| wall_ns.saturating_sub(b.load(Ordering::Relaxed)))
-        .sum();
-    {
-        let mut st = stats.lock().expect("stats lock poisoned");
-        st.sweep_workers = st.sweep_workers.max(workers);
-        st.sweep_drained_max += drained_max as usize;
-        st.sweep_idle_ns += idle_ns;
-    }
-    let tracer = ctx.device.exec().tracer();
-    if tracer.is_enabled() {
-        tracer.instant(
-            "window_sweep_balance",
-            &[
-                ("workers", workers as i64),
-                ("windows", ranges.len() as i64),
-                ("drained_max", drained_max as i64),
-                ("idle_ns", idle_ns as i64),
-            ],
-        );
-        tracer.counter("window_sweep_idle_ns", idle_ns as i64);
-    }
-    match first_error.into_inner().expect("error lock poisoned") {
-        Some(err) => Err(err),
-        None => Ok(()),
-    }
-}
-
-/// Builds the next-level candidate arrays for one over-large sublist: an
-/// entry `(c_i, c_j)` for every ordered pair of adjacent candidates. The
-/// sublist's candidate order carries over, so each deeper clique still has a
-/// unique monotone path.
-fn build_child_level<O: EdgeOracle + ?Sized>(
-    ctx: &SearchCtx<'_, O>,
-    candidates: &[u32],
-) -> Result<(Vec<u32>, Vec<u32>), LaunchError> {
-    let exec = ctx.device.exec();
-    let len = candidates.len();
-    // Every candidate descends from the setup list, so each survives core
-    // pruning and the core bitmap (when it is the oracle) covers all pairs.
-    let oracle = ctx.oracle;
-    let counts: Vec<usize> = exec.try_map(Launch::new("window_count_sublists", len), |i| {
-        candidates[i + 1..]
-            .iter()
-            .filter(|&&c| oracle.connected(candidates[i], c))
-            .count()
-    })?;
-    let (offsets, total) = gmc_dpp::try_exclusive_scan(exec, &counts)?;
-    let mut child_vertex = vec![0u32; total];
-    let mut child_sublist = vec![0u32; total];
-    {
-        let vertex_shared = SharedSlice::new(&mut child_vertex);
-        let sublist_shared = SharedSlice::new(&mut child_sublist);
-        exec.try_run(Launch::new("window_expand_sublists", len), |i| {
-            let mut cursor = offsets[i];
-            for &c in &candidates[i + 1..] {
-                if oracle.connected(candidates[i], c) {
-                    // SAFETY: each source writes its own disjoint span.
-                    unsafe {
-                        vertex_shared.write(cursor, c);
-                        sublist_shared.write(cursor, candidates[i]);
-                    }
-                    cursor += 1;
-                }
-            }
+    /// Builds the next-level candidate arrays for one over-large sublist: an
+    /// entry `(c_i, c_j)` for every ordered pair of adjacent candidates. The
+    /// sublist's candidate order carries over, so each deeper clique still
+    /// has a unique monotone path.
+    fn build_child_level(&self, candidates: &[u32]) -> Result<(Vec<u32>, Vec<u32>), LaunchError> {
+        let exec = self.device.exec();
+        let len = candidates.len();
+        // Every candidate descends from the setup list, so each survives
+        // core pruning and the core bitmap (when it is the oracle) covers
+        // all pairs.
+        let oracle = self.oracle;
+        let counts: Vec<usize> = exec.try_map(Launch::new("window_count_sublists", len), |i| {
+            candidates[i + 1..]
+                .iter()
+                .filter(|&&c| oracle.connected(candidates[i], c))
+                .count()
         })?;
+        let (offsets, total) = gmc_dpp::try_exclusive_scan(exec, &counts)?;
+        let mut child_vertex = vec![0u32; total];
+        let mut child_sublist = vec![0u32; total];
+        {
+            let vertex_shared = SharedSlice::new(&mut child_vertex);
+            let sublist_shared = SharedSlice::new(&mut child_sublist);
+            exec.try_run(Launch::new("window_expand_sublists", len), |i| {
+                let mut cursor = offsets[i];
+                for &c in &candidates[i + 1..] {
+                    if oracle.connected(candidates[i], c) {
+                        // SAFETY: each source writes its own disjoint span.
+                        unsafe {
+                            vertex_shared.write(cursor, c);
+                            sublist_shared.write(cursor, candidates[i]);
+                        }
+                        cursor += 1;
+                    }
+                }
+            })?;
+        }
+        Ok((child_vertex, child_sublist))
     }
-    Ok((child_vertex, child_sublist))
 }
 
 #[cfg(test)]
@@ -1164,55 +959,6 @@ mod tests {
         assert_eq!(auto_window_end(&sublists, 5, 1), 9);
         // Large budget: everything in one window.
         assert_eq!(auto_window_end(&sublists, 0, usize::MAX), 9);
-    }
-
-    #[test]
-    fn parallel_windows_enumerate_the_same_set() {
-        let g = generators::gnp(60, 0.25, 51);
-        let setup = prepared(&g, 0);
-        let expected = normalize(reference_expand(&g, &setup).cliques);
-        for workers in [2, 4] {
-            let device = Device::new(2, usize::MAX);
-            let cfg = WindowConfig {
-                size: 8,
-                enumerate_all: true,
-                parallel_windows: workers,
-                ..WindowConfig::default()
-            };
-            let out = search(&device, &g, &setup, &cfg, &[], 2).unwrap();
-            assert_eq!(normalize(out.cliques), expected, "workers {workers}");
-            assert!(out.complete);
-        }
-    }
-
-    #[test]
-    fn parallel_windows_find_one_returns_a_maximum() {
-        let g = generators::gnp(70, 0.2, 53);
-        let setup = prepared(&g, 0);
-        let reference = reference_expand(&g, &setup);
-        let device = Device::new(2, usize::MAX);
-        let cfg = WindowConfig {
-            size: 4,
-            parallel_windows: 3,
-            ..WindowConfig::default()
-        };
-        let out = search(&device, &g, &setup, &cfg, &[], 2).unwrap();
-        assert_eq!(out.clique_size, reference.clique_size);
-        assert!(g.is_clique(&out.cliques[0]));
-    }
-
-    #[test]
-    fn parallel_windows_propagate_oom_and_release_memory() {
-        let g = generators::gnp(100, 0.3, 55);
-        let setup = prepared(&g, 0);
-        let device = Device::with_memory_budget(2 * 1024);
-        let cfg = WindowConfig {
-            size: usize::MAX / 2,
-            parallel_windows: 4,
-            ..WindowConfig::default()
-        };
-        assert!(search(&device, &g, &setup, &cfg, &[], 2).is_err());
-        assert_eq!(device.memory().live(), 0);
     }
 
     #[test]

@@ -91,7 +91,6 @@ pub fn config_fingerprint(config: &SolverConfig) -> u64 {
             w.ordering.hash(&mut h);
             w.enumerate_all.hash(&mut h);
             w.max_depth.hash(&mut h);
-            w.parallel_windows.hash(&mut h);
         }
     }
     config.early_exit.hash(&mut h);

@@ -42,7 +42,6 @@ SOLVE OPTIONS:
     --window-order <index|asc|desc|random>   sublist order for windows
     --enumerate-windows  enumerate all maximum cliques in windowed mode
     --recursive <D>      recursive windowing up to depth D
-    --parallel-windows <N>  process N windows concurrently
     --no-early-exit      disable the early-exit optimisation
     --faults <spec>      inject deterministic device faults and exercise the
                          recovery ladder; spec like seed=1,alloc=0.05,launch=0.02,retries=8
@@ -131,7 +130,6 @@ const SOLVE_FLAGS: &[&str] = &[
     "window-order",
     "enumerate-windows",
     "recursive",
-    "parallel-windows",
     "no-early-exit",
     "faults",
     "randomize",
@@ -285,11 +283,6 @@ fn cmd_solve(args: &[String]) -> ExitCode {
             }
             match opts.get_parsed::<usize>("recursive") {
                 Ok(Some(depth)) => window.max_depth = depth.max(1),
-                Ok(None) => {}
-                Err(e) => return fail(e),
-            }
-            match opts.get_parsed::<usize>("parallel-windows") {
-                Ok(Some(count)) => window.parallel_windows = count.max(1),
                 Ok(None) => {}
                 Err(e) => return fail(e),
             }

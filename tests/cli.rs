@@ -70,8 +70,6 @@ fn solve_windowed_with_options() {
             "2",
             "--recursive",
             "3",
-            "--parallel-windows",
-            "2",
             "--window-order",
             "asc",
             "--heuristic",
@@ -170,9 +168,13 @@ fn generate_then_solve_roundtrip() {
 #[test]
 fn unknown_options_are_rejected_by_name() {
     let path = write_graph("gmc_cli_unknown.edges", "0 1\n1 2\n0 2\n");
-    // A removed flag and a misspelt one must fail loudly instead of being
+    // Removed flags and a misspelt one must fail loudly instead of being
     // silently ignored.
-    for (flag, value) in [("--edge-index", "bitset"), ("--budjet-mb", "4")] {
+    for (flag, value) in [
+        ("--edge-index", "bitset"),
+        ("--parallel-windows", "2"),
+        ("--budjet-mb", "4"),
+    ] {
         let out = gmc()
             .args(["solve", path.to_str().unwrap(), flag, value])
             .output()

@@ -156,25 +156,24 @@ fn windowed_find_one_is_maximum() {
 }
 
 #[test]
-fn parallel_and_recursive_windows_equal_oracle() {
+fn recursive_windows_equal_oracle() {
     prop::check_with(
         config(),
-        "parallel_and_recursive_windows_equal_oracle",
+        "recursive_windows_equal_oracle",
         |rng| {
             (
                 arb_graph(rng, 14),
                 rng.gen_range(1usize..12),
-                rng.gen_range(1usize..4),
                 rng.gen_range(1usize..6),
             )
         },
-        |(case, size, workers, depth)| {
+        |(case, size, depth)| {
             shrink_graph(case)
                 .into_iter()
-                .map(|c| (c, *size, *workers, *depth))
+                .map(|c| (c, *size, *depth))
                 .collect()
         },
-        |(case, size, workers, depth)| {
+        |(case, size, depth)| {
             let graph = csr(case);
             let (omega, cliques) = ReferenceEnumerator::enumerate(&graph);
             let result = MaxCliqueSolver::new(Device::new(2, usize::MAX))
@@ -182,7 +181,6 @@ fn parallel_and_recursive_windows_equal_oracle() {
                     size: *size,
                     enumerate_all: true,
                     max_depth: *depth,
-                    parallel_windows: *workers,
                     ..WindowConfig::default()
                 })
                 .solve(&graph)
@@ -532,12 +530,6 @@ fn persistent_tier_is_indistinguishable_across_workers_and_windows() {
                         on.stats.local_bits.persistent_probes,
                         on.stats.local_bits.probes_avoided
                     );
-                    // Tiny graphs can resolve before any window runs
-                    // (no window stats block); when windows did run,
-                    // the solve-level block must mirror theirs.
-                    if let Some(w) = on.stats.window.as_ref() {
-                        prop_assert_eq!(on.stats.local_bits, w.local_bits);
-                    }
                     if workers == 2 {
                         let plan: FaultPlan = "seed=5,alloc=0.02,launch=0.02,retries=64"
                             .parse()

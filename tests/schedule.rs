@@ -1,13 +1,12 @@
 //! Scheduling integration: `Auto`'s cost-cut morsel claiming must actually
-//! rebalance a starved grid, the solver must plumb `ScheduleStats` through
-//! `SolveStats`, and the parallel window sweep must report its per-worker
-//! drain/idle counters.
+//! rebalance a starved grid, and the solver must plumb `ScheduleStats`
+//! through `SolveStats`.
 
 use std::time::{Duration, Instant};
 
 use gpu_max_clique::dpp::DEFAULT_MORSEL_GRAIN;
 use gpu_max_clique::graph::generators;
-use gpu_max_clique::mce::{MaxCliqueSolver, WindowConfig};
+use gpu_max_clique::mce::MaxCliqueSolver;
 use gpu_max_clique::prelude::{Device, Executor, Launch, Schedule};
 
 /// Busy-work proportional to `units`; opaque to the optimiser so the loop
@@ -97,7 +96,6 @@ fn weighted_launches_feed_schedule_stats() {
     let stats = exec.schedule_stats();
     assert_eq!(stats.pool_launches, 1);
     assert_eq!(stats.dynamic_launches, 1);
-    assert_eq!(stats.weighted_launches, 1);
     assert_eq!(stats.morsels, GRID.div_ceil(DEFAULT_MORSEL_GRAIN) as u64);
     assert!(stats.max_worker_morsels >= 1);
     assert!(stats.imbalance() >= 1.0 || stats.imbalance() == 0.0);
@@ -114,9 +112,8 @@ fn solver_reports_schedule_stats_per_solve() {
         .solve(&graph)
         .unwrap();
     assert!(dynamic.stats.sched.pool_launches > 0);
-    assert!(dynamic.stats.sched.dynamic_launches > 0);
     assert!(
-        dynamic.stats.sched.weighted_launches > 0,
+        dynamic.stats.sched.dynamic_launches > 0,
         "the fused pipeline issues cost-weighted launches"
     );
     assert!(dynamic.stats.sched.morsels >= dynamic.stats.sched.dynamic_launches);
@@ -137,53 +134,4 @@ fn solver_reports_schedule_stats_per_solve() {
         .solve(&graph)
         .unwrap();
     assert_eq!(device.exec().schedule(), Schedule::Auto);
-}
-
-#[test]
-fn parallel_window_sweep_reports_worker_balance() {
-    let graph = generators::gnp(120, 0.18, 9);
-    let result = MaxCliqueSolver::new(Device::new(4, usize::MAX))
-        .windowed(WindowConfig {
-            enumerate_all: true,
-            ..WindowConfig::with_size(64).parallel(4)
-        })
-        .solve(&graph)
-        .unwrap();
-    let w = result
-        .stats
-        .window
-        .expect("windowed solve has window stats");
-    assert!(
-        w.sweep_workers >= 2,
-        "sweep ran on {} workers",
-        w.sweep_workers
-    );
-    assert!(
-        w.sweep_drained_max >= 1 && w.sweep_drained_max <= w.num_windows,
-        "drained-max {} out of range (windows {})",
-        w.sweep_drained_max,
-        w.num_windows
-    );
-    // Idle time is wall-clock minus busy summed over workers; it can be
-    // zero on a perfectly balanced sweep but must never exceed workers x
-    // the sweep wall clock, which total_time bounds from above.
-    let bound = result.stats.total_time.as_nanos() as u64 * w.sweep_workers as u64;
-    assert!(
-        w.sweep_idle_ns <= bound,
-        "idle {} > bound {}",
-        w.sweep_idle_ns,
-        bound
-    );
-
-    // The sequential sweep records no parallel-drain counters.
-    let sequential = MaxCliqueSolver::new(Device::new(4, usize::MAX))
-        .windowed(WindowConfig {
-            enumerate_all: true,
-            ..WindowConfig::with_size(64)
-        })
-        .solve(&graph)
-        .unwrap();
-    let sw = sequential.stats.window.expect("window stats");
-    assert_eq!(sw.sweep_workers, 0);
-    assert_eq!(result.cliques, sequential.cliques);
 }
