@@ -3,8 +3,9 @@
 //! After setup pruning the solver can build one n_core×n_core adjacency
 //! bitmap and answer every successor-adjacency probe for the rest of the
 //! solve with single word tests (`LocalBitsMode::On`), instead of walking
-//! the scalar edge oracle (`Off`); `Auto` builds it only when it fits
-//! comfortably in the device budget. This bench quantifies the three modes
+//! the scalar edge oracle (`Off`); `Auto` builds it only when the first
+//! BFS level's walk makes at least one probe per bitmap byte and the bitmap
+//! fits comfortably in the device budget. This bench quantifies the three modes
 //! against each other: wall clock on dense and sparse representatives,
 //! plus a probe sweep whose counters prove the core bitmap rebuilds
 //! nothing after the one-time build.

@@ -115,7 +115,7 @@ const PRUNED: u32 = u32::MAX;
 
 /// A *persistent* core-graph adjacency bitmap: the dense bitset matrix of
 /// the subgraph induced by the vertices that survive k-core pruning,
-/// renumbered into a degeneracy-ordered dense ID space.
+/// renumbered into a dense ID space in ascending original id.
 ///
 /// The GPU clique literature (Almasri et al.) materialises a binary-encoded
 /// induced subgraph once after preprocessing and probes it for the rest of
@@ -130,7 +130,8 @@ const PRUNED: u32 = u32::MAX;
 /// list only carries survivors, so this holds on the hot path by
 /// construction).
 pub struct CoreBitmap {
-    /// `new_of_old[old_id]` — dense degeneracy-ordered id, or [`PRUNED`].
+    /// `new_of_old[old_id]` — the number of survivors below `old_id`, or
+    /// [`PRUNED`].
     new_of_old: Vec<u32>,
     /// `n_core × n_core` adjacency over the dense id space.
     matrix: BitMatrix,
@@ -153,10 +154,13 @@ impl CoreBitmap {
     pub fn try_build(exec: &Executor, graph: &Csr, keep: &[bool]) -> Result<Self, DeviceError> {
         assert_eq!(keep.len(), graph.num_vertices(), "keep mask length");
         exec.check_cancelled()?;
-        // Degeneracy order over the full graph, filtered to the survivors:
-        // the dense ID space inherits the orientation the search uses.
-        let (order, _) = crate::kcore::degeneracy_order(graph);
-        let old_of_new: Vec<u32> = order.into_iter().filter(|&v| keep[v as usize]).collect();
+        // Survivor `i` in ascending original id gets dense id `i`: the
+        // exclusive scan of the keep mask, compacted. No probe answer
+        // depends on the numbering, so it costs one pass over the mask and
+        // none over the edges.
+        let old_of_new: Vec<u32> = (0..keep.len() as u32)
+            .filter(|&v| keep[v as usize])
+            .collect();
         let n_core = old_of_new.len();
         let mut new_of_old = vec![PRUNED; graph.num_vertices()];
         {
@@ -301,6 +305,9 @@ mod tests {
             assert!(core.covers(v));
         }
         assert!(!core.covers(1));
+        // Survivors are numbered densely in ascending original id.
+        let dense: Vec<u32> = kept.iter().map(|&v| core.new_of_old[v as usize]).collect();
+        assert_eq!(dense, (0..kept.len() as u32).collect::<Vec<_>>());
         for &u in &kept {
             for &v in &kept {
                 assert_eq!(core.probe(u, v), g.has_edge(u, v), "({u},{v})");

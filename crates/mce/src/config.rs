@@ -52,9 +52,10 @@ pub enum LocalBitsMode {
     /// Never build the core bitmap: every tail walks the scalar
     /// record-and-replay path against the CSR.
     Off,
-    /// Budget-directed policy (the default): the core bitmap when its
-    /// `n_core²/8 + 4·n` bytes fit comfortably — at most 16 MiB and at
-    /// most a quarter of the device budget, see
+    /// Priced policy (the default): the core bitmap when the first BFS
+    /// level's walk bound makes at least one probe per byte of its
+    /// `n_core²/8 + 4·n` footprint, and that footprint fits comfortably —
+    /// at most 16 MiB and at most a quarter of the device budget, see
     /// [`SolverConfig::builds_core_bitmap`] — the scalar walk otherwise.
     /// Degrades like [`On`](LocalBitsMode::On) when the build fails.
     #[default]
@@ -86,6 +87,13 @@ impl std::fmt::Display for LocalBitsMode {
 
 /// The largest core bitmap, in bytes, that [`LocalBitsMode::Auto`] builds.
 const CORE_BITMAP_AUTO_MAX_BYTES: usize = 16 << 20;
+
+/// The price [`LocalBitsMode::Auto`] asks of a core bitmap: first-level
+/// probes per footprint byte. The build writes every byte, and each probe
+/// the bitmap answers saves one CSR binary search; below one probe per
+/// byte the build costs more than the probes win back (EXPERIMENTS.md has
+/// the per-graph record).
+const CORE_BITMAP_AUTO_MIN_PROBES_PER_BYTE: u64 = 1;
 
 impl LocalBitsMode {
     /// Reads `GMC_LOCAL_BITS` (`on`/`off`/`auto`), defaulting
@@ -275,20 +283,38 @@ pub struct SolverConfig {
 
 impl SolverConfig {
     /// Whether a solve under this configuration builds a core bitmap of
-    /// `footprint` bytes on a device of `capacity` bytes: the one home of
-    /// the core-bitmap policy, shared by the solver and by `gmc-serve`'s
-    /// admission control.
+    /// `footprint` bytes on a device of `capacity` bytes, when its first
+    /// BFS level walks `first_level_walk` probes
+    /// ([`SetupStats::first_level_walk`]): the one home of the core-bitmap
+    /// policy, shared by the solver and by `gmc-serve`'s admission control.
     ///
     /// Only the fused pipeline probes a core bitmap. [`LocalBitsMode::On`]
     /// always builds it and [`LocalBitsMode::Off`] never does;
-    /// [`LocalBitsMode::Auto`] builds it when it fits comfortably, at most
-    /// 16 MiB and at most a quarter of `capacity`.
-    /// A build that then fails degrades the solve to the CSR walk.
-    pub fn builds_core_bitmap(&self, footprint: usize, capacity: usize) -> bool {
+    /// [`LocalBitsMode::Auto`] builds it when both limits hold:
+    ///
+    /// * price: the walk makes at least one probe per footprint byte;
+    /// * budget: the footprint is at most 16 MiB and at most a quarter of
+    ///   `capacity`.
+    ///
+    /// A caller that runs before setup passes `u64::MAX` as the walk, which
+    /// leaves the budget limit alone to decide. A build that then fails
+    /// degrades the solve to the CSR walk.
+    ///
+    /// [`SetupStats::first_level_walk`]: crate::SetupStats::first_level_walk
+    pub fn builds_core_bitmap(
+        &self,
+        footprint: usize,
+        capacity: usize,
+        first_level_walk: u64,
+    ) -> bool {
         self.fused
             && match self.local_bits {
                 LocalBitsMode::On => true,
-                LocalBitsMode::Auto => footprint <= CORE_BITMAP_AUTO_MAX_BYTES.min(capacity / 4),
+                LocalBitsMode::Auto => {
+                    first_level_walk
+                        >= (footprint as u64).saturating_mul(CORE_BITMAP_AUTO_MIN_PROBES_PER_BYTE)
+                        && footprint <= CORE_BITMAP_AUTO_MAX_BYTES.min(capacity / 4)
+                }
                 LocalBitsMode::Off => false,
             }
     }
@@ -363,18 +389,32 @@ mod tests {
             ..SolverConfig::default()
         };
         let auto = config(LocalBitsMode::Auto, true);
+        // An unknown walk (`u64::MAX`, admission before setup) leaves the
+        // budget limits alone to decide.
+        let unknown = u64::MAX;
         // The quarter-of-capacity limit.
-        assert!(auto.builds_core_bitmap(1000, 4000));
-        assert!(!auto.builds_core_bitmap(1001, 4000));
+        assert!(auto.builds_core_bitmap(1000, 4000, unknown));
+        assert!(!auto.builds_core_bitmap(1001, 4000, unknown));
         // The absolute limit, on a device too large for the quarter to bind.
         let max = CORE_BITMAP_AUTO_MAX_BYTES;
-        assert!(auto.builds_core_bitmap(max, usize::MAX));
-        assert!(!auto.builds_core_bitmap(max + 1, usize::MAX));
-        // `On` ignores both limits, `Off` and the unfused pipeline never
-        // build.
-        assert!(config(LocalBitsMode::On, true).builds_core_bitmap(max + 1, 4000));
-        assert!(!config(LocalBitsMode::Off, true).builds_core_bitmap(0, usize::MAX));
-        assert!(!config(LocalBitsMode::On, false).builds_core_bitmap(0, usize::MAX));
+        assert!(auto.builds_core_bitmap(max, usize::MAX, unknown));
+        assert!(!auto.builds_core_bitmap(max + 1, usize::MAX, unknown));
+        // The price limit: one first-level probe per footprint byte, at
+        // either budget limit.
+        assert_eq!(CORE_BITMAP_AUTO_MIN_PROBES_PER_BYTE, 1);
+        assert!(auto.builds_core_bitmap(1000, 4000, 1000));
+        assert!(!auto.builds_core_bitmap(1000, 4000, 999));
+        assert!(auto.builds_core_bitmap(max, usize::MAX, max as u64));
+        assert!(!auto.builds_core_bitmap(max, usize::MAX, max as u64 - 1));
+        // A walk that pays does not rescue a footprint over budget.
+        assert!(!auto.builds_core_bitmap(1001, 4000, 1 << 40));
+        // `On` ignores every limit, `Off` and the unfused pipeline never
+        // build, whatever the walk.
+        for walk in [0, 1, unknown] {
+            assert!(config(LocalBitsMode::On, true).builds_core_bitmap(max + 1, 4000, walk));
+            assert!(!config(LocalBitsMode::Off, true).builds_core_bitmap(0, usize::MAX, walk));
+            assert!(!config(LocalBitsMode::On, false).builds_core_bitmap(0, usize::MAX, walk));
+        }
     }
 
     #[test]

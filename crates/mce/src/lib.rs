@@ -456,6 +456,7 @@ impl MaxCliqueSolver {
             span.arg("initial_entries", setup.stats.initial_entries as i64);
             span.arg("pruned_vertices", setup.stats.pruned_vertices as i64);
             span.arg("pruned_sublists", setup.stats.pruned_sublists as i64);
+            span.arg("first_level_walk", setup.stats.first_level_walk as i64);
         }
         drop(setup_span);
         stats.setup = setup.stats;
@@ -616,7 +617,7 @@ impl MaxCliqueSolver {
         // from scratch like every other expansion structure, and the
         // attempt-scoped guard keeps its bytes charged for the whole
         // expansion (windowed or not).
-        let core = self.build_core_bitmap(graph, &setup.keep, injector)?;
+        let core = self.build_core_bitmap(graph, &setup, injector)?;
         let (found, probes) = match &core {
             Some((bitmap, _)) => {
                 self.expand_with(graph, bitmap, setup, heuristic, min_target, stats, injector)?
@@ -693,7 +694,9 @@ impl MaxCliqueSolver {
     /// Returns the built bitmap with its memory guard (bytes stay charged
     /// while the expansion runs). Whether to build is
     /// [`SolverConfig::builds_core_bitmap`]'s decision, against the
-    /// device's capacity; an empty core has nothing to build.
+    /// device's capacity and setup's first-level walk bound, recorded as a
+    /// `core_bitmap_gate` trace instant; an empty core has nothing to
+    /// build.
     ///
     /// Any build failure except cancellation — genuine OOM on the charge,
     /// or an injected alloc/launch fault — degrades to the scalar walk
@@ -702,24 +705,39 @@ impl MaxCliqueSolver {
     fn build_core_bitmap(
         &self,
         graph: &Csr,
-        keep: &[bool],
+        setup: &setup::SetupOutput,
         injector: Option<&FaultInjector>,
     ) -> Result<Option<(CoreBitmap, gmc_dpp::MemoryGuard)>, DeviceError> {
         let device = &self.device;
-        let n_core = keep.iter().filter(|&&kept| kept).count();
+        let n_core = graph.num_vertices() - setup.stats.pruned_vertices;
         let footprint = CoreBitmap::footprint_for(n_core, graph.num_vertices());
-        if n_core == 0
-            || !self
-                .config
-                .builds_core_bitmap(footprint, device.memory().capacity())
-        {
+        let capacity = device.memory().capacity();
+        let walk = setup.stats.first_level_walk;
+        let build = n_core > 0 && self.config.builds_core_bitmap(footprint, capacity, walk);
+        let tracer = device.exec().tracer();
+        if tracer.is_enabled() {
+            let arg = |x: u64| x.min(i64::MAX as u64) as i64;
+            tracer.instant(
+                "core_bitmap_gate",
+                &[
+                    ("first_level_walk", arg(walk)),
+                    ("footprint", footprint as i64),
+                    ("capacity", arg(capacity as u64)),
+                    ("build", i64::from(build)),
+                ],
+            );
+        }
+        if !build {
             return Ok(None);
         }
         let built = device
             .memory()
             .try_charge(footprint)
             .map_err(DeviceError::from)
-            .and_then(|guard| Ok((CoreBitmap::try_build(device.exec(), graph, keep)?, guard)));
+            .and_then(|guard| {
+                let core = CoreBitmap::try_build(device.exec(), graph, &setup.keep)?;
+                Ok((core, guard))
+            });
         match built {
             Ok(core) => Ok(Some(core)),
             Err(DeviceError::Cancelled(cancelled)) => Err(DeviceError::Cancelled(cancelled)),
@@ -733,7 +751,6 @@ impl MaxCliqueSolver {
                     if let Some(injector) = injector {
                         injector.note_bitmap_fallback(&err);
                     }
-                    let tracer = device.exec().tracer();
                     if tracer.is_enabled() {
                         tracer
                             .instant("fault_core_bitmap_fallback", &[("bytes", footprint as i64)]);

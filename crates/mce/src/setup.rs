@@ -29,6 +29,11 @@ pub struct SetupStats {
     pub pruned_vertices: usize,
     /// Non-empty sublists removed for being shorter than `ω̄ − 1`.
     pub pruned_sublists: usize,
+    /// The first BFS level's walk bound: `Σ len·(len − 1)/2` over the
+    /// surviving sublists. Exactly the probes the unfused level-0 count
+    /// walk makes; the fused, bound-directed walk makes at most this many.
+    /// The core-bitmap gate prices the bitmap against it.
+    pub first_level_walk: u64,
 }
 
 /// The packed 2-clique node: parallel `vertex_id` (candidates) and
@@ -117,6 +122,11 @@ pub(crate) fn build_two_clique_list(
     let pruned_sublists = (0..n)
         .filter(|&v| raw_counts[v] > 0 && counts[v] == 0)
         .count();
+    // Each entry of a length-`len` sublist walks the entries after it.
+    let first_level_walk = counts
+        .iter()
+        .map(|&len| (len * len.saturating_sub(1) / 2) as u64)
+        .sum();
 
     // Step 3: scan for sublist start offsets and total size.
     let (offsets, total) = gmc_dpp::exclusive_scan(exec, &counts);
@@ -165,6 +175,7 @@ pub(crate) fn build_two_clique_list(
             initial_entries: total,
             pruned_vertices,
             pruned_sublists,
+            first_level_walk,
         },
     }
 }
@@ -219,6 +230,36 @@ mod tests {
             let src = out.sublist_id[i];
             assert!(g.has_edge(src, u));
             assert!(oriented_after(&g, OrientationRule::Degree, src, u));
+        }
+    }
+
+    #[test]
+    fn first_level_walk_is_the_unfused_level_zero_count_walk() {
+        use gmc_cliquelist::CliqueLevel;
+        use gmc_dpp::Device;
+        for (lower, seed) in [(0, 11), (3, 12), (5, 13)] {
+            let g = generators::gnp(80, 0.2, seed);
+            let out = setup(&g, lower, CandidateOrder::DegreeAscending);
+            // Σ l(l − 1)/2 over the emitted sublists, each one run of equal
+            // sublist ids.
+            let mut want = 0u64;
+            for run in out.sublist_id.chunk_by(|a, b| a == b) {
+                let l = run.len() as u64;
+                want += l * (l - 1) / 2;
+            }
+            assert!(want > 0, "lower {lower}: nothing survived");
+            assert_eq!(out.stats.first_level_walk, want, "lower {lower}");
+            // Against an unreachable target the unfused level 0 prunes every
+            // entry, so its count walk is the expansion's only probe.
+            let device = Device::unlimited();
+            let level0 = CliqueLevel::from_vecs(device.memory(), out.vertex_id, out.sublist_id)
+                .expect("unlimited device");
+            let mut arena = crate::arena::LevelArena::new();
+            let outcome =
+                crate::bfs::expand(&device, &g, level0, u32::MAX, false, false, &mut arena)
+                    .expect("unlimited device");
+            assert_eq!(outcome.level_entries.len(), 1, "lower {lower}");
+            assert_eq!(outcome.probes, want, "lower {lower}");
         }
     }
 

@@ -65,11 +65,15 @@ pub fn full_solve_estimate(graph: &Csr, degeneracy: u32) -> usize {
 /// (`n_core = n`): `n²/8` matrix bytes plus `4n` for the renumber table.
 /// The decision is the solver's own,
 /// [`SolverConfig::builds_core_bitmap`] against the partition, so
-/// admission never charges for a bitmap the solver would decline to build.
+/// admission never charges for a bitmap the solver would decline to build
+/// on budget. The first-level walk that prices the bitmap is not known
+/// before setup, so admission passes it as unknown (`u64::MAX`) and
+/// charges on the budget limits alone: the solver may still decline a
+/// bitmap admission charged for, never the reverse.
 pub fn core_bitmap_bytes(graph: &Csr, config: &SolverConfig, partition_bytes: usize) -> usize {
     let n = graph.num_vertices();
     let footprint = CoreBitmap::footprint_for(n, n);
-    if config.builds_core_bitmap(footprint, partition_bytes) {
+    if config.builds_core_bitmap(footprint, partition_bytes, u64::MAX) {
         footprint
     } else {
         0
@@ -212,9 +216,11 @@ mod tests {
             ..SolverConfig::default()
         };
         // Exactly at the quarter-partition limit, then one byte over it.
+        // The first-level walk is unknown before setup, so admission
+        // decides on the budget limits alone.
         for (partition, charged) in [(4 * footprint, footprint), (4 * (footprint - 1), 0)] {
             assert_eq!(
-                auto.builds_core_bitmap(footprint, partition),
+                auto.builds_core_bitmap(footprint, partition, u64::MAX),
                 charged > 0,
                 "partition {partition}"
             );
@@ -224,6 +230,9 @@ mod tests {
                 "partition {partition}"
             );
         }
+        // That is the conservative side: admission charges a bitmap whose
+        // walk may later fail the price limit, and the solver declines it.
+        assert!(!auto.builds_core_bitmap(footprint, 4 * footprint, 0));
     }
 
     #[test]

@@ -289,8 +289,13 @@ fn cmd_solve(args: &[String]) -> ExitCode {
             config.window = Some(window);
         }
         Ok(None) => {
-            if opts.get("recursive").is_some() {
-                return fail("--recursive requires --window".into());
+            // Window flags mean nothing to the full search: refuse them
+            // rather than silently ignore them.
+            if let Some(flag) = ["recursive", "enumerate-windows", "window-order"]
+                .into_iter()
+                .find(|&flag| opts.has(flag))
+            {
+                return fail(format!("--{flag} requires --window"));
             }
         }
         Err(e) => return fail(e),

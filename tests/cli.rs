@@ -191,6 +191,41 @@ fn unknown_options_are_rejected_by_name() {
 }
 
 #[test]
+fn window_flags_without_window_are_rejected() {
+    let path = write_graph("gmc_cli_window_flags.edges", "0 1\n1 2\n0 2\n2 3\n");
+    // Each window flag alone, and two together: without `--window` they
+    // would change nothing about the full search, so they must fail.
+    for flags in [
+        &["--recursive", "3"][..],
+        &["--enumerate-windows"][..],
+        &["--window-order", "desc"][..],
+        &["--enumerate-windows", "--window-order", "desc"][..],
+    ] {
+        let out = gmc()
+            .args(["solve", path.to_str().unwrap()])
+            .args(flags)
+            .output()
+            .expect("run gmc");
+        assert!(!out.status.success(), "{flags:?} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("requires --window"), "{flags:?}: {err}");
+        assert!(err.contains(flags[0]), "{flags:?}: {err}");
+    }
+    // The same flags with `--window` still solve.
+    let out = gmc()
+        .args(["solve", path.to_str().unwrap(), "--window", "2"])
+        .args(["--enumerate-windows", "--window-order", "desc"])
+        .output()
+        .expect("run gmc");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn solve_accepts_documented_options() {
     let path = write_graph("gmc_cli_documented.edges", "0 1\n1 2\n0 2\n2 3\n");
     let out = gmc()

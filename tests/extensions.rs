@@ -168,10 +168,13 @@ fn polishing_never_hurts_and_regrows_truncated_witnesses() {
 }
 
 #[test]
-fn device_is_safely_shareable_across_threads() {
-    // One device, several solver threads: accounting and results must stay
-    // coherent under concurrency.
-    let device = Device::new(2, usize::MAX);
+fn device_memory_is_safely_shareable_across_solver_threads() {
+    // One memory budget, several solver threads, each with its own
+    // executor: an executor's pool runs one launch at a time, so concurrent
+    // solvers never share one. Accounting and results must stay coherent
+    // under concurrency, whatever the grid sizes (`GMC_SEQ_GRID=0` sends
+    // every launch to the pool).
+    let memory = DeviceMemory::new(usize::MAX);
     let graphs: Vec<_> = (0..6).map(|seed| generators::gnp(60, 0.15, seed)).collect();
     let expected: Vec<u32> = graphs
         .iter()
@@ -180,7 +183,7 @@ fn device_is_safely_shareable_across_threads() {
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (graph, &omega) in graphs.iter().zip(&expected) {
-            let device = device.clone();
+            let device = Device::from_parts(Executor::new(2), memory.clone());
             handles.push(scope.spawn(move || {
                 let result = MaxCliqueSolver::new(device).solve(graph).unwrap();
                 assert_eq!(result.clique_number, omega);
@@ -190,5 +193,5 @@ fn device_is_safely_shareable_across_threads() {
             h.join().unwrap();
         }
     });
-    assert_eq!(device.memory().live(), 0, "shared device leaked charges");
+    assert_eq!(memory.live(), 0, "shared memory leaked charges");
 }

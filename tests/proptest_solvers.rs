@@ -552,65 +552,91 @@ fn persistent_tier_is_indistinguishable_across_workers_and_windows() {
 
 #[test]
 fn auto_threshold_edge_keeps_modes_equivalent() {
-    // Wheels of 29–36 rim vertices under *index* orientation (so the hub at
-    // vertex 0 sources one long sublist), solved on either side of `Auto`'s
-    // core-bitmap gate: with a roomy budget Auto builds the core bitmap
-    // exactly as forced `On` does; where it does not fit, Auto must *be*
-    // the scalar walk — the same oracle queries and all-zero bitmap
-    // counters. Every mode returns identical results with exact probe
-    // reconciliation. The rim cycle keeps the whole wheel in its own
-    // 3-core, so setup's core-number pruning cannot strip any hub member.
+    // Wheels of 150–200 rim vertices under *index* orientation (so the hub
+    // at vertex 0 sources one long sublist), padded with isolated vertices
+    // and solved on either side of both limits of `Auto`'s core-bitmap
+    // gate. Setup prunes the padding, so it changes nothing about the
+    // search, but each pad adds 4 bytes to the bitmap's renumber table:
+    //
+    // * price: the padding is set so that the footprint is at most the
+    //   first-level walk, then one pad more, so that it is not;
+    // * budget: the device holds exactly four footprints, then one byte
+    //   less, so that the quarter-capacity limit fails.
+    //
+    // Where both limits pass, Auto builds the core bitmap exactly as forced
+    // `On` does; where either fails, Auto must *be* the scalar walk — the
+    // same oracle queries and all-zero bitmap counters. Every mode returns
+    // identical results with exact probe reconciliation. The rim cycle
+    // keeps the whole wheel in its own 3-core, so setup's core-number
+    // pruning cannot strip any hub member.
+    use gpu_max_clique::graph::CoreBitmap;
     use gpu_max_clique::mce::{LocalBitsMode, LocalBitsStats, OrientationRule};
-    // Isolated padding vertices are pruned by setup, so they change nothing
-    // about the search — but they inflate the core bitmap's renumber-table
-    // footprint (4 bytes per original vertex) past the quarter-budget gate
-    // of a 64 KiB device, forcing Auto onto the scalar walk there while a
-    // roomy device builds the core bitmap for the very same graph.
-    const PAD: usize = 5000;
     prop::check_with(
         config_with(16),
         "auto_threshold_edge_keeps_modes_equivalent",
         |rng| {
-            let m = rng.gen_range(29usize..=36);
+            let m = rng.gen_range(150usize..=200);
             let mut edges: Vec<(u32, u32)> = (1..=m as u32).map(|v| (0, v)).collect();
             for v in 1..m as u32 {
                 edges.push((v, v + 1));
             }
             edges.push((1, m as u32));
-            (m + 1 + PAD, edges)
+            (m + 1, edges)
         },
         |_case| Vec::new(),
         |case| {
-            let graph = csr(case);
-            let solve = |local: LocalBitsMode, capacity: usize| {
+            let solve = |graph: &Csr, local: LocalBitsMode, capacity: usize| {
                 MaxCliqueSolver::new(Device::new(2, capacity))
                     .orientation(OrientationRule::Index)
                     .fused(true)
                     .local_bits(local)
-                    .solve(&graph)
+                    .solve(graph)
                     .unwrap()
             };
-            let off = solve(LocalBitsMode::Off, usize::MAX);
-            let on = solve(LocalBitsMode::On, usize::MAX);
-            let auto_roomy = solve(LocalBitsMode::Auto, usize::MAX);
-            let auto_gated = solve(LocalBitsMode::Auto, 64 * 1024);
-            for run in [&on, &auto_roomy, &auto_gated] {
-                prop_assert_eq!(run.clique_number, off.clique_number);
-                prop_assert_eq!(&run.cliques, &off.cliques);
-                prop_assert_eq!(&run.stats.level_entries, &off.stats.level_entries);
-                prop_assert_eq!(
-                    run.stats.oracle_queries + run.stats.local_bits.probes_avoided,
-                    off.stats.oracle_queries
-                );
+            let wheel = csr(case);
+            let setup = solve(&wheel, LocalBitsMode::Off, usize::MAX).stats.setup;
+            let walk = setup.first_level_walk;
+            let n_core = wheel.num_vertices() - setup.pruned_vertices;
+            let footprint = |pad: usize| CoreBitmap::footprint_for(n_core, case.0 + pad);
+            prop_assert!(
+                footprint(0) as u64 <= walk,
+                "the bare wheel must pass the price"
+            );
+            // The most padding whose footprint the walk still pays for.
+            let priced = (walk as usize - footprint(0)) / 4;
+            for pad in [priced, priced + 1] {
+                let graph = csr(&(case.0 + pad, case.1.clone()));
+                let bytes = footprint(pad);
+                let price_ok = bytes as u64 <= walk;
+                prop_assert_eq!(price_ok, pad == priced);
+                let off = solve(&graph, LocalBitsMode::Off, usize::MAX);
+                let on = solve(&graph, LocalBitsMode::On, usize::MAX);
+                prop_assert_eq!(on.stats.local_bits.persistent_bytes, bytes as u64);
+                for capacity in [4 * bytes, 4 * bytes - 1] {
+                    let auto = solve(&graph, LocalBitsMode::Auto, capacity);
+                    for run in [&on, &auto] {
+                        prop_assert_eq!(run.clique_number, off.clique_number);
+                        prop_assert_eq!(&run.cliques, &off.cliques);
+                        prop_assert_eq!(&run.stats.level_entries, &off.stats.level_entries);
+                        prop_assert_eq!(
+                            run.stats.oracle_queries + run.stats.local_bits.probes_avoided,
+                            off.stats.oracle_queries
+                        );
+                    }
+                    if price_ok && capacity == 4 * bytes {
+                        // Both limits pass: Auto builds the core bitmap,
+                        // exactly as On does.
+                        prop_assert!(auto.stats.local_bits.persistent_probes > 0);
+                        prop_assert_eq!(auto.stats.local_bits, on.stats.local_bits);
+                        prop_assert_eq!(auto.stats.oracle_queries, on.stats.oracle_queries);
+                    } else {
+                        // Either limit fails: Auto is the scalar walk
+                        // exactly.
+                        prop_assert_eq!(auto.stats.oracle_queries, off.stats.oracle_queries);
+                        prop_assert_eq!(auto.stats.local_bits, LocalBitsStats::default());
+                    }
+                }
             }
-            // Roomy budget: Auto builds the core bitmap, exactly as On does.
-            prop_assert!(auto_roomy.stats.local_bits.persistent_probes > 0);
-            prop_assert_eq!(auto_roomy.stats.local_bits, on.stats.local_bits);
-            prop_assert_eq!(auto_roomy.stats.oracle_queries, on.stats.oracle_queries);
-            // Gated budget: the core bitmap does not fit, and Auto is the
-            // scalar walk exactly.
-            prop_assert_eq!(auto_gated.stats.oracle_queries, off.stats.oracle_queries);
-            prop_assert_eq!(auto_gated.stats.local_bits, LocalBitsStats::default());
             Ok(())
         },
     );

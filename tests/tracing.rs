@@ -1,5 +1,6 @@
 //! Tracing integration: windowed solves traced from two threads into one
-//! session produce a complete timeline that is well nested per thread.
+//! session produce a complete timeline that is well nested per thread, and
+//! a solve records its core-bitmap gate decision with the decision's inputs.
 
 use gpu_max_clique::graph::generators;
 use gpu_max_clique::prelude::*;
@@ -182,4 +183,57 @@ fn untraced_solve_records_nothing_into_a_live_session() {
     assert!(timeline.spans.is_empty());
     assert!(timeline.counters.is_empty());
     assert!(timeline.instants.is_empty());
+}
+
+#[test]
+fn core_bitmap_gate_decision_is_traced_with_its_inputs() {
+    // `Auto` builds the core bitmap on a dense graph, whose first-level walk
+    // pays for it, and declines it on a sparse one. Each solve records its
+    // decision once, with the walk bound the setup span also carries.
+    use gpu_max_clique::graph::CoreBitmap;
+    use gpu_max_clique::mce::LocalBitsMode;
+    for (graph, built) in [
+        (generators::gnp(90, 0.25, 43), true),
+        (generators::gnp(2000, 0.002, 5), false),
+    ] {
+        let session = TraceSession::new();
+        // Pinned against `GMC_LOCAL_BITS` and `GMC_FAULTS`: a faulted
+        // attempt would decide again on its retry.
+        let config = SolverConfig {
+            local_bits: LocalBitsMode::Auto,
+            faults: None,
+            trace: session.tracer(),
+            ..Default::default()
+        };
+        let result = MaxCliqueSolver::with_config(Device::unlimited(), config)
+            .solve(&graph)
+            .expect("solve fits");
+        let timeline = session.finish();
+        let stats = &result.stats;
+        assert_eq!(stats.local_bits.persistent_bytes > 0, built);
+
+        let arg = |args: &[(&str, i64)], name: &str| {
+            args.iter()
+                .find(|(key, _)| *key == name)
+                .unwrap_or_else(|| panic!("missing argument `{name}`"))
+                .1
+        };
+        let walk = stats.setup.first_level_walk as i64;
+        let setup = timeline.spans.iter().find(|s| s.name == "setup").unwrap();
+        assert_eq!(arg(&setup.args, "first_level_walk"), walk);
+
+        let gates: Vec<_> = timeline
+            .instants
+            .iter()
+            .filter(|i| i.name == "core_bitmap_gate")
+            .collect();
+        assert_eq!(gates.len(), 1, "one gate decision per solve");
+        let n = graph.num_vertices();
+        let footprint = CoreBitmap::footprint_for(n - stats.setup.pruned_vertices, n);
+        assert_eq!(arg(&gates[0].args, "first_level_walk"), walk);
+        assert_eq!(arg(&gates[0].args, "footprint"), footprint as i64);
+        assert_eq!(arg(&gates[0].args, "capacity"), i64::MAX);
+        assert_eq!(arg(&gates[0].args, "build"), i64::from(built));
+        assert_eq!(built, walk >= footprint as i64);
+    }
 }
