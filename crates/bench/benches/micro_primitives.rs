@@ -71,16 +71,6 @@ fn bench_sort(h: &mut Harness) {
     group.finish();
 }
 
-fn bench_segmented_max(h: &mut Harness) {
-    let exec = Executor::with_default_parallelism();
-    let n = 1_000_000usize;
-    let values = pseudo_random(n, 7);
-    let offsets: Vec<usize> = (0..=n / 100).map(|s| s * 100).collect();
-    h.bench("segmented_argmax/10k_segments_of_100", |b| {
-        b.iter(|| gmc_dpp::segmented_argmax_by_key(&exec, n, &offsets, |i| values[i]));
-    });
-}
-
 fn bench_edge_lookup(h: &mut Harness) {
     // The solver's hot operation: binary-search edge membership (Algorithm 2
     // lines 5 & 19).
@@ -306,7 +296,6 @@ fn main() -> ExitCode {
     bench_scan(&mut harness);
     bench_select(&mut harness);
     bench_sort(&mut harness);
-    bench_segmented_max(&mut harness);
     bench_edge_lookup(&mut harness);
     bench_kcore(&mut harness);
     bench_rle(&mut harness);

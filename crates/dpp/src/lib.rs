@@ -11,7 +11,7 @@
 //!   descriptor is the analogue of one kernel launch: one *virtual thread*
 //!   per element, a barrier at the end, and deterministic results
 //!   regardless of worker count.
-//! * [`exclusive_scan`], [`select_if`], [`segmented_argmax_by_key`],
+//! * [`exclusive_scan`], [`select_if`], [`remove_empty_segments`],
 //!   [`sort_pairs_u32`], [`histogram_u32`], [`run_length_encode`] — the
 //!   CUB-style primitives the paper's Algorithms 1 and 2 are built from.
 //! * [`DeviceMemory`] / [`DeviceBuffer`] — a capacity-bounded accounting
@@ -68,9 +68,7 @@ pub use scan::{
     reduce, reduce_by, try_exclusive_scan, try_exclusive_scan_into,
 };
 pub use sched::{Schedule, DEFAULT_MORSEL_GRAIN, MAX_MORSELS};
-pub use segmented::{
-    remove_empty_segments, segment_lengths, segmented_argmax_by_key, segmented_sum,
-};
+pub use segmented::{remove_empty_segments, segment_lengths, segmented_sum};
 pub use select::{
     select_count, select_flagged, select_if, select_if_into, select_indices, try_select_indices,
 };

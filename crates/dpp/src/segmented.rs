@@ -3,51 +3,12 @@
 //!
 //! Segments are described CSR-style by an `offsets` array of length
 //! `num_segments + 1`: segment `s` covers `offsets[s]..offsets[s + 1]` of the
-//! value array. The paper's multi-run heuristic (Algorithm 1) is built from
-//! a segmented arg-max, a flagged select, and an offset rebuild per
-//! iteration.
+//! value array. The multi-run heuristic (the paper's Algorithm 1) drops its
+//! dead segments with [`remove_empty_segments`] after every round.
 
 use crate::executor::{Executor, Launch};
 use crate::scan::exclusive_scan;
 use crate::shared::SharedSlice;
-
-/// For each segment, the index (into `values`) of the element with the
-/// maximum key, or `None` for empty segments. Ties resolve to the earliest
-/// element, which keeps results deterministic.
-pub fn segmented_argmax_by_key<K>(
-    exec: &Executor,
-    values_len: usize,
-    offsets: &[usize],
-    key: impl Fn(usize) -> K + Sync,
-) -> Vec<Option<usize>>
-where
-    K: PartialOrd + Copy + Send + Sync,
-{
-    assert!(!offsets.is_empty(), "offsets must have at least one entry");
-    let num_segments = offsets.len() - 1;
-    debug_assert_eq!(offsets[num_segments], values_len);
-    let mut out = vec![None; num_segments];
-    {
-        let out_shared = SharedSlice::new(&mut out);
-        exec.run(Launch::new("segmented_argmax", num_segments), |s| {
-            let (start, end) = (offsets[s], offsets[s + 1]);
-            let mut best: Option<(K, usize)> = None;
-            for i in start..end {
-                let k = key(i);
-                let improves = match best {
-                    Some((bk, _)) => k > bk,
-                    None => true,
-                };
-                if improves {
-                    best = Some((k, i));
-                }
-            }
-            // SAFETY: one write per segment index.
-            unsafe { out_shared.write(s, best.map(|(_, i)| i)) };
-        });
-    }
-    out
-}
 
 /// Per-segment sums of `usize` values.
 pub fn segmented_sum(exec: &Executor, values: &[usize], offsets: &[usize]) -> Vec<usize> {
@@ -93,40 +54,6 @@ pub fn remove_empty_segments(exec: &Executor, offsets: &[usize]) -> (Vec<usize>,
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn argmax_basic() {
-        let exec = Executor::new(4);
-        let values = [3u32, 9, 2, 5, 5, 1];
-        let offsets = [0usize, 3, 3, 6];
-        let result = segmented_argmax_by_key(&exec, values.len(), &offsets, |i| values[i]);
-        assert_eq!(result, vec![Some(1), None, Some(3)]);
-    }
-
-    #[test]
-    fn argmax_prefers_first_on_tie() {
-        let exec = Executor::new(4);
-        let values = [7u32, 7, 7];
-        let offsets = [0usize, 3];
-        let result = segmented_argmax_by_key(&exec, values.len(), &offsets, |i| values[i]);
-        assert_eq!(result, vec![Some(0)]);
-    }
-
-    #[test]
-    fn argmax_many_segments() {
-        let exec = Executor::new(4);
-        let n = 120_000;
-        let values: Vec<u32> = (0..n as u32)
-            .map(|i| i.wrapping_mul(2654435761) % 1000)
-            .collect();
-        let offsets: Vec<usize> = (0..=n / 10).map(|s| s * 10).collect();
-        let result = segmented_argmax_by_key(&exec, n, &offsets, |i| values[i]);
-        for (s, r) in result.iter().enumerate() {
-            let seg = &values[s * 10..(s + 1) * 10];
-            let best = seg.iter().copied().max().unwrap();
-            assert_eq!(values[r.unwrap()], best);
-        }
-    }
 
     #[test]
     fn sums_per_segment() {

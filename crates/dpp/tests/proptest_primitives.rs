@@ -155,43 +155,6 @@ fn reduce_matches_sum() {
 }
 
 #[test]
-fn segmented_argmax_matches_reference() {
-    prop::check(
-        "segmented_argmax_matches_reference",
-        |rng| gens::vec_usize(rng, 1..100, 0..20),
-        shrinks::vec,
-        |lengths| {
-            if lengths.is_empty() {
-                return Ok(()); // shrinking may drop below the 1-segment floor
-            }
-            let exec = Executor::new(3);
-            let mut offsets = vec![0usize];
-            for &l in lengths {
-                offsets.push(offsets.last().unwrap() + l);
-            }
-            let total = *offsets.last().unwrap();
-            let values: Vec<u32> = (0..total as u32)
-                .map(|i| i.wrapping_mul(2654435761) % 97)
-                .collect();
-            let result = gmc_dpp::segmented_argmax_by_key(&exec, total, &offsets, |i| values[i]);
-            for (s, r) in result.iter().enumerate() {
-                let segment = &values[offsets[s]..offsets[s + 1]];
-                match r {
-                    None => prop_assert!(segment.is_empty()),
-                    Some(idx) => {
-                        prop_assert_eq!(values[*idx], *segment.iter().max().unwrap());
-                        // Earliest index on ties.
-                        let local = idx - offsets[s];
-                        prop_assert!(segment[..local].iter().all(|&v| v < values[*idx]));
-                    }
-                }
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
 fn histogram_counts_everything() {
     prop::check(
         "histogram_counts_everything",

@@ -1,27 +1,39 @@
 //! The multi-run greedy heuristic (paper §IV-A2, Algorithm 1).
 //!
 //! `h` instances of the greedy heuristic run simultaneously, one per seed
-//! vertex, as segments of a single data-parallel computation:
+//! vertex, as segments of a single data-parallel computation. Segments
+//! follow vertex-id order, not seed order:
 //!
-//! 1. Seed segments with each seed's neighborhood (`SETUPNEIGHBORTHRESHOLDS`),
-//!    so every segment starts as a sorted CSR row.
-//! 2. Each round: a segmented arg-max picks the best candidate per segment.
-//!    One kernel per segment (`CHECKCONNECTIONS`) intersects the segment
-//!    with its pick's sorted CSR row, flagging the candidates adjacent to
-//!    the pick and counting them. A stable select compacts survivors, which
-//!    keeps every segment sorted, and empty segments are removed with a
-//!    second select plus an offset-rebuilding scan.
-//! 3. Iterate until every segment is empty. The paper tracks only the
-//!    round count (the clique size); each round here also keeps its picks
-//!    and the map from its segments to the previous round's, so the
-//!    winner's witness is read back along those maps at the end.
+//! 1. A stable sort by descending threshold ranks the vertices; the `h`
+//!    best-ranked are the seeds. Round 0's segments are the CSR rows
+//!    themselves, one per vertex, read in place, so nothing is copied
+//!    (this replaces the paper's `SETUPNEIGHBORTHRESHOLDS`). A row whose
+//!    vertex is not a seed is not a run.
+//! 2. Each round, one kernel per segment (`CHECKCONNECTIONS` with the
+//!    segmented arg-max folded in) picks the segment's first
+//!    highest-threshold candidate, intersects the segment with the pick's
+//!    sorted CSR row, flags the candidates adjacent to the pick and counts
+//!    them. A stable select compacts the survivors, which keeps every
+//!    segment sorted, and empty segments are removed with a second select
+//!    plus an offset-rebuilding scan.
+//! 3. Iterate until no candidate survives. The paper tracks only the round
+//!    count (the clique size); each round here also keeps its picks and the
+//!    map from its segments to the previous round's. The runs alive in the
+//!    final round are the longest; the winner is the one whose seed ranks
+//!    last, found by following those maps back to round 0, and its witness
+//!    is read back along them.
 
-use gmc_dpp::{Device, DeviceOom, Launch, SharedSlice};
+use gmc_dpp::{Device, DeviceOom, Executor, Launch, SharedSlice};
 use gmc_graph::Csr;
+use std::borrow::Cow;
 
 /// A pick's CSR row this many times longer than the segment is galloped
 /// through rather than merged.
 const GALLOP_RATIO: usize = 8;
+
+/// The pick of a segment that is not a run: a non-seed or empty row of
+/// round 0.
+const NO_PICK: u32 = u32::MAX;
 
 /// Runs `h` parallel greedy instances seeded by the `h` highest-threshold
 /// vertices. Returns the largest witness clique found across all instances.
@@ -41,118 +53,161 @@ pub fn multi_run(
     }
     let h = h.clamp(1, n);
 
-    // Seeds: the h vertices with the highest thresholds (stable sort keeps
-    // ascending-id order within ties).
+    // Seed ranks: a stable sort by descending threshold (ascending id within
+    // ties), scattered to `rank[v]`, v's seed position. The seeds are the
+    // vertices ranked below h.
     let keys: Vec<u32> = exec.map(Launch::new("heuristic_sort_keys", n), |v| !thresholds[v]);
     let ids: Vec<u32> = exec.map(Launch::new("heuristic_iota", n), |v| v as u32);
     let (_, sorted) = gmc_dpp::sort_pairs_u32(exec, &keys, &ids);
-    let seeds = &sorted[..h];
-
-    // GETNEIGHBORCOUNTS + scan: segment layout.
-    let counts: Vec<usize> = exec.map(Launch::new("heuristic_seed_degrees", h), |s| {
-        graph.degree(seeds[s])
-    });
-    let (mut offsets, total) = gmc_dpp::exclusive_scan(exec, &counts);
-    offsets.push(total);
-
-    // The neighbor and threshold arrays live in device memory for the whole
-    // run; the charge covers their initial footprint, 8 bytes per entry,
-    // and nothing else, so it is not the peak. Each `select_flagged` output
-    // is built while its input is still alive, and neither `flags` (one
-    // byte per entry) nor the per-segment arrays are charged: the entry
-    // arrays alone reach 13 bytes per entry in the first round, about 1.6×
-    // the charge.
-    let _charge = device
-        .memory()
-        .try_charge(total * 2 * std::mem::size_of::<u32>())?;
-
-    // SETUPNEIGHBORTHRESHOLDS: one virtual thread per seed fills its segment.
-    let mut neighbors = vec![0u32; total];
-    let mut nbr_thresholds = vec![0u32; total];
+    let mut rank = vec![0u32; n];
     {
-        let neighbors_shared = SharedSlice::new(&mut neighbors);
-        let thresholds_shared = SharedSlice::new(&mut nbr_thresholds);
-        // Segment lengths are the seeds' degrees — exactly the skew a
-        // degree-sorted seed list maximises.
-        let degree_cost = |s: usize| counts[s] as u64;
-        let launch = Launch::new("heuristic_neighbor_thresholds", h).weighted(&degree_cost);
+        let rank_shared = SharedSlice::new(&mut rank);
+        exec.run(Launch::new("heuristic_seed_ranks", n), |position| {
+            // SAFETY: `sorted` is a permutation, so each vertex is written
+            // once.
+            unsafe { rank_shared.write(sorted[position] as usize, position as u32) };
+        });
+    }
+
+    // Device memory: the flags, one byte per CSR entry, live for the whole
+    // run, and each round's compacted entry array, 4 bytes per entry, from
+    // when it is built until the next round's replaces it, so a round's
+    // input and output overlap in the charge as they do in memory. Round 0
+    // reads the CSR in place; the CSR is not charged, as it is not for the
+    // solver's edge oracle, and neither are the per-segment arrays.
+    let total = graph.neighbor_array().len();
+    let _flags_charge = device.memory().try_charge(total)?;
+    let mut flags = vec![false; total];
+    let mut entries = Cow::Borrowed(graph.neighbor_array());
+    let mut offsets = Cow::Borrowed(graph.offsets());
+    let mut _entries_charge = None;
+
+    // `picks[r][s]` is round r's pick in its segment s, and `parents[r]`
+    // maps round r + 1's segments to round r's. Round 0's segment index is
+    // the vertex, so following the maps back from any segment ends at its
+    // run's seed.
+    let mut picks: Vec<Vec<u32>> = Vec::new();
+    let mut parents: Vec<Vec<usize>> = Vec::new();
+    loop {
+        let first_round = picks.is_empty();
+        let (round_picks, counts) = check_connections(
+            exec,
+            graph,
+            thresholds,
+            &offsets,
+            &entries,
+            &mut flags[..entries.len()],
+            |s| !first_round || (rank[s] as usize) < h,
+        );
+        picks.push(round_picks);
+        let (mut next_offsets, survivors) = gmc_dpp::exclusive_scan(exec, &counts);
+        if survivors == 0 {
+            break;
+        }
+        next_offsets.push(survivors);
+
+        // Stable compaction (stability keeps segments contiguous and
+        // sorted), then drop the dead segments.
+        let charge = device
+            .memory()
+            .try_charge(survivors * std::mem::size_of::<u32>())?;
+        entries = Cow::Owned(gmc_dpp::select_flagged(
+            exec,
+            &entries,
+            &flags[..entries.len()],
+        ));
+        // The previous round's array is gone, and so is its charge.
+        _entries_charge = Some(charge);
+        let (compacted_offsets, parent) = gmc_dpp::remove_empty_segments(exec, &next_offsets);
+        offsets = Cow::Owned(compacted_offsets);
+        parents.push(parent);
+    }
+
+    // The runs alive in the final round are the longest, and the winner is
+    // the one whose seed ranks last. Ranks are distinct, so the maximum is
+    // unique. When no seed has a neighbour, every run is its seed alone and
+    // the last seed wins.
+    let last_picks = picks.last().expect("round 0 always runs");
+    let launch = Launch::new("heuristic_winner_ranks", last_picks.len());
+    let seed_ranks: Vec<Option<(u32, usize)>> = exec.map(launch, |s| {
+        let seed = parents.iter().rev().fold(s, |s, parent| parent[s]);
+        (last_picks[s] != NO_PICK).then_some((rank[seed], s))
+    });
+    let Some((_, winner)) = gmc_dpp::reduce_by(exec, &seed_ranks, None, std::cmp::max) else {
+        return Ok(vec![sorted[h - 1]]);
+    };
+
+    let mut witness = Vec::with_capacity(picks.len() + 1);
+    let mut position = winner;
+    for (round_picks, parent) in picks[1..].iter().zip(&parents).rev() {
+        witness.push(round_picks[position]);
+        position = parent[position];
+    }
+    witness.push(picks[0][position]);
+    witness.push(position as u32);
+    witness.reverse();
+    Ok(witness)
+}
+
+/// `CHECKCONNECTIONS` with the pick folded in: one virtual thread per
+/// segment picks the segment's first highest-threshold candidate,
+/// intersects the segment with the pick's sorted CSR row, flags the
+/// candidates adjacent to the pick and counts them. The pick is not in its
+/// own row, so it drops out. A segment that is empty or not a run (`runs`
+/// is false) makes no pick ([`NO_PICK`]) and leaves its flags as they
+/// are: only round 0 has such segments, and its flags start cleared.
+/// Returns the picks and the survivor counts, per segment.
+fn check_connections(
+    exec: &Executor,
+    graph: &Csr,
+    thresholds: &[u32],
+    offsets: &[usize],
+    entries: &[u32],
+    flags: &mut [bool],
+    runs: impl Fn(usize) -> bool + Sync,
+) -> (Vec<u32>, Vec<usize>) {
+    let num_segments = offsets.len() - 1;
+    let mut picks = vec![NO_PICK; num_segments];
+    let mut counts = vec![0usize; num_segments];
+    {
+        let flags_shared = SharedSlice::new(flags);
+        let picks_shared = SharedSlice::new(&mut picks);
+        let counts_shared = SharedSlice::new(&mut counts);
+        let segment_cost = |s: usize| (offsets[s + 1] - offsets[s]) as u64;
+        let launch =
+            Launch::new("heuristic_check_connections", num_segments).weighted(&segment_cost);
         exec.run(launch, |s| {
-            for (offset, &u) in graph.neighbors(seeds[s]).iter().enumerate() {
-                // SAFETY: segments are disjoint spans of the output arrays.
-                unsafe {
-                    neighbors_shared.write(offsets[s] + offset, u);
-                    thresholds_shared.write(offsets[s] + offset, thresholds[u as usize]);
-                }
+            let (start, end) = (offsets[s], offsets[s + 1]);
+            let segment = &entries[start..end];
+            let Some(pick) = runs(s).then(|| first_max(segment, thresholds)).flatten() else {
+                return;
+            };
+            let survivors = intersect(segment, graph.neighbors(pick), |i, adjacent| {
+                // SAFETY: segments are disjoint spans.
+                unsafe { flags_shared.write(start + i, adjacent) }
+            });
+            // SAFETY: one write per segment index.
+            unsafe {
+                picks_shared.write(s, pick);
+                counts_shared.write(s, survivors);
             }
         });
     }
+    (picks, counts)
+}
 
-    // `parent[s]` is the previous round's index of current segment s; for
-    // the first round it is the seed position. Each round keeps its picks
-    // and its parent map, which is all the winner's witness needs.
-    let (mut offsets, mut parent) = gmc_dpp::remove_empty_segments(exec, &offsets);
-    let mut rounds: Vec<(Vec<u32>, Vec<usize>)> = Vec::new();
-    // Sized for the first round; later rounds only shrink.
-    let mut flags = vec![false; total];
-
-    while offsets.len() > 1 {
-        let num_segments = offsets.len() - 1;
-
-        // Segmented arg-max over candidate thresholds.
-        let arg = gmc_dpp::segmented_argmax_by_key(exec, neighbors.len(), &offsets, |i| {
-            nbr_thresholds[i]
-        });
-        let chosen: Vec<u32> = exec.map(Launch::new("heuristic_pick_argmax", num_segments), |s| {
-            neighbors[arg[s].expect("segments are non-empty")]
-        });
-
-        // CHECKCONNECTIONS: one virtual thread per segment intersects the
-        // segment with its pick's CSR row, flagging and counting survivors.
-        // The pick is not in its own row, so it drops out.
-        let flags = &mut flags[..neighbors.len()];
-        let mut counts = vec![0usize; num_segments];
-        {
-            let flags_shared = SharedSlice::new(flags);
-            let counts_shared = SharedSlice::new(&mut counts);
-            let segment_cost = |s: usize| (offsets[s + 1] - offsets[s]) as u64;
-            let launch =
-                Launch::new("heuristic_check_connections", num_segments).weighted(&segment_cost);
-            exec.run(launch, |s| {
-                let (start, end) = (offsets[s], offsets[s + 1]);
-                let row = graph.neighbors(chosen[s]);
-                let survivors = intersect(&neighbors[start..end], row, |i, adjacent| {
-                    // SAFETY: segments are disjoint spans.
-                    unsafe { flags_shared.write(start + i, adjacent) }
-                });
-                // SAFETY: one write per segment index.
-                unsafe { counts_shared.write(s, survivors) };
-            });
+/// The first candidate of `segment` with the highest threshold, or `None`
+/// when the segment is empty.
+fn first_max(segment: &[u32], thresholds: &[u32]) -> Option<u32> {
+    let (&first, rest) = segment.split_first()?;
+    let mut pick = (first, thresholds[first as usize]);
+    for &u in rest {
+        let threshold = thresholds[u as usize];
+        if threshold > pick.1 {
+            pick = (u, threshold);
         }
-
-        // Stable compaction of both value arrays (stability keeps segments
-        // contiguous and sorted).
-        neighbors = gmc_dpp::select_flagged(exec, &neighbors, flags);
-        nbr_thresholds = gmc_dpp::select_flagged(exec, &nbr_thresholds, flags);
-
-        // Rebuild offsets and drop dead segments.
-        let (mut new_offsets, total) = gmc_dpp::exclusive_scan(exec, &counts);
-        new_offsets.push(total);
-        let (compacted_offsets, survivors) = gmc_dpp::remove_empty_segments(exec, &new_offsets);
-        rounds.push((chosen, std::mem::replace(&mut parent, survivors)));
-        offsets = compacted_offsets;
     }
-
-    // The runs alive in the final round are the longest, in seed order, so
-    // the winner is its last segment (seed position h − 1 if no round ran).
-    let mut witness = Vec::with_capacity(rounds.len() + 1);
-    let mut position = rounds.last().map_or(h, |(picks, _)| picks.len()) - 1;
-    for (picks, parent) in rounds.iter().rev() {
-        witness.push(picks[position]);
-        position = parent[position];
-    }
-    witness.push(seeds[position]);
-    witness.reverse();
-    Ok(witness)
+    Some(pick.0)
 }
 
 /// Reports, for each candidate of the sorted `segment`, whether it is in
@@ -193,16 +248,19 @@ fn lower_bound_galloping(row: &[u32], target: u32) -> usize {
 mod tests {
     use super::*;
     use crate::single_run;
+    use gmc_dpp::{Rng, Schedule};
     use gmc_graph::{generators, kcore};
 
     /// Algorithm 1 one seed at a time: seeds in stable descending-threshold
     /// order, each run growing from its seed's sorted row by taking the
     /// first max-threshold candidate and keeping the candidates adjacent to
-    /// it. The last of the longest runs wins.
-    fn sequential_multi_run(graph: &Csr, thresholds: &[u32], h: usize) -> Vec<u32> {
+    /// it. The last of the longest runs wins. Also returns, per round, how
+    /// many candidates survive it across all runs.
+    fn sequential_multi_run(graph: &Csr, thresholds: &[u32], h: usize) -> (Vec<u32>, Vec<usize>) {
         let mut seeds: Vec<u32> = (0..graph.num_vertices() as u32).collect();
         seeds.sort_by_key(|&v| std::cmp::Reverse(thresholds[v as usize]));
         let mut best = Vec::new();
+        let mut survivors = Vec::new();
         for &seed in seeds.iter().take(h.max(1)) {
             let mut run = vec![seed];
             let mut candidates = graph.neighbors(seed).to_vec();
@@ -213,14 +271,31 @@ mod tests {
                     top
                 }
             }) {
+                let round = run.len() - 1;
                 run.push(pick);
                 candidates.retain(|&u| graph.has_edge(u, pick));
+                if survivors.len() == round {
+                    survivors.push(0);
+                }
+                survivors[round] += candidates.len();
             }
             if run.len() >= best.len() {
                 best = run;
             }
         }
-        best
+        (best, survivors)
+    }
+
+    /// `graph` with its vertices spread over half as many ids again, every
+    /// third id left isolated.
+    fn spread_with_isolated(graph: &Csr) -> Csr {
+        let spread = |v: u32| v + v / 2;
+        let edges: Vec<(u32, u32)> = (0..graph.num_vertices() as u32)
+            .flat_map(|v| graph.neighbors(v).iter().map(move |&u| (v, u)))
+            .filter(|&(v, u)| v < u)
+            .map(|(v, u)| (spread(v), spread(u)))
+            .collect();
+        Csr::from_edges(spread(graph.num_vertices() as u32) as usize, &edges)
     }
 
     #[test]
@@ -231,21 +306,102 @@ mod tests {
             .collect();
         graphs.push(generators::plant_clique(&generators::gnp(150, 0.05, 3), 11, 4).0);
         graphs.push(Csr::empty(4));
+        // A perfect matching with its pairs scattered through the ids: round
+        // 0 is the last round.
+        let matching: Vec<(u32, u32)> = (0..20).map(|i| (i, 39 - i)).collect();
+        graphs.push(Csr::from_edges(40, &matching));
+        // Isolated vertices between the rows that have edges.
+        for seed in 0..2 {
+            graphs.push(spread_with_isolated(&generators::gnp(60, 0.12, seed)));
+        }
+        // Smoke-tier graphs of the benchmark's families.
+        for name in [
+            "soc-sphere-03",
+            "road-grid-02",
+            "ca-papers-04",
+            "web-crawl-05",
+            "socfb-campus-06",
+        ] {
+            let spec = gmc_corpus::by_name(gmc_corpus::Tier::Smoke, name).expect(name);
+            graphs.push(spec.load());
+        }
+
+        // Launches of every size on the pool, under both schedules.
+        let pooled = Device::new(4, usize::MAX);
+        pooled.exec().set_sequential_grid_limit(0);
+        let inline = Device::new(1, usize::MAX);
+        let mut rng = Rng::seed_from_u64(7);
         for (id, graph) in graphs.iter().enumerate() {
             let n = graph.num_vertices();
+            let degrees = graph.degrees();
             let cores = kcore::core_numbers(graph);
-            let core_keys = crate::core_degree_keys(Device::unlimited().exec(), graph, &cores);
-            for keys in [graph.degrees(), core_keys] {
-                for h in [1, 7, n / 3 + 1, n] {
-                    let expected = sequential_multi_run(graph, &keys, h);
-                    for workers in [1, 4] {
-                        let device = Device::new(workers, usize::MAX);
-                        let witness = multi_run(&device, graph, &keys, h).unwrap();
-                        assert_eq!(witness, expected, "graph {id}, h {h}, {workers} workers");
+            let core_keys = crate::core_degree_keys(inline.exec(), graph, &cores);
+            let tied_keys: Vec<u32> = (0..n).map(|_| rng.gen_range(0..3u32)).collect();
+            let isolated_first: Vec<u32> = degrees
+                .iter()
+                .map(|&d| if d == 0 { u32::MAX } else { d })
+                .collect();
+            let isolated = degrees.iter().filter(|&&d| d == 0).count();
+            let key_sets = [
+                ("degree", degrees.clone()),
+                ("core", core_keys),
+                ("tied", tied_keys),
+                ("isolated-first", isolated_first),
+            ];
+            for (key_name, keys) in &key_sets {
+                let mut seed_counts = vec![1, 7, n / 3 + 1, n];
+                if isolated > 0 && isolated < n {
+                    // Every seed isolated while other rows have edges: no
+                    // round makes a pick.
+                    seed_counts.push(isolated);
+                }
+                for h in seed_counts {
+                    let (expected, _) = sequential_multi_run(graph, keys, h);
+                    let context = format!("graph {id}, {key_name} keys, h {h}");
+                    assert_eq!(
+                        multi_run(&inline, graph, keys, h).unwrap(),
+                        expected,
+                        "{context}, inline"
+                    );
+                    for schedule in [Schedule::Static, Schedule::Auto] {
+                        pooled.exec().set_schedule(schedule);
+                        let witness = multi_run(&pooled, graph, keys, h).unwrap();
+                        assert_eq!(witness, expected, "{context}, pooled {schedule}");
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn charge_follows_the_entry_arrays_and_is_exact() {
+        // The flags (one byte per CSR entry) stay charged for the whole run;
+        // each compacted entry array (4 bytes per entry) overlaps the next
+        // round's while that one is built.
+        let graph = generators::plant_clique(&generators::gnp(160, 0.12, 5), 9, 2).0;
+        let keys = graph.degrees();
+        let n = graph.num_vertices();
+        let (expected, survivors) = sequential_multi_run(&graph, &keys, n);
+        assert!(survivors.len() >= 3, "{} rounds", survivors.len());
+        let overlap = std::iter::once(&0)
+            .chain(&survivors)
+            .zip(&survivors)
+            .map(|(input, output)| input + output)
+            .max()
+            .unwrap();
+
+        let unlimited = Device::unlimited();
+        assert_eq!(multi_run(&unlimited, &graph, &keys, n).unwrap(), expected);
+        let peak = unlimited.memory().peak();
+        assert_eq!(peak, graph.num_directed_edges() + 4 * overlap);
+        assert_eq!(unlimited.memory().live(), 0);
+
+        let exact = Device::with_memory_budget(peak);
+        assert_eq!(multi_run(&exact, &graph, &keys, n).unwrap(), expected);
+        let short = Device::with_memory_budget(peak - 1);
+        let err = multi_run(&short, &graph, &keys, n).unwrap_err();
+        assert_eq!(err.capacity, peak - 1);
+        assert_eq!(short.memory().live(), 0);
     }
 
     #[test]
@@ -319,7 +475,7 @@ mod tests {
 
     #[test]
     fn respects_memory_budget() {
-        // A budget too small for the neighbor arrays must fail, not panic.
+        // A budget too small for the flags must fail, not panic.
         let device = Device::with_memory_budget(16);
         let g = generators::complete(20);
         let err = multi_run(&device, &g, &g.degrees(), 20).unwrap_err();

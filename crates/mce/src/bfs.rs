@@ -46,8 +46,9 @@
 //! fused count kernel records each pruned entry's truncated walk length in
 //! that entry's otherwise-dead mask slot, and the host folds the tally from
 //! there at zero hot-path cost. The solver files the tally as edge-oracle
-//! queries or as core-bitmap word tests, so core-bitmap on/off query
-//! tallies always reconcile exactly.
+//! queries or as core-bitmap word tests, so fault-free core-bitmap on/off
+//! query tallies reconcile exactly (see [`LocalBitsStats`] for why faulted
+//! ones need not).
 //!
 //! The loop ends when a level produces no entries; every entry of the last
 //! level is then a maximum clique (each entry of level `L` is a valid
@@ -84,8 +85,12 @@ pub(crate) struct ExpansionOutcome {
 ///
 /// All counters are exact, not sampled: `probes_avoided` is the same
 /// walk-length tally the scalar walk files as oracle queries, taken from
-/// the walk the core bitmap actually answered, so for any expansion
+/// the walk the core bitmap actually answered, so for any fault-free
+/// expansion
 /// `oracle_queries(bitmap on) + probes_avoided == oracle_queries(bitmap off)`.
+/// Under an armed fault plan the tallies also count the walks that a
+/// retried or split window repeats, and how many entries those are depends
+/// on the recovery path, so the two sides can differ by that re-walk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LocalBitsStats {
     /// Always zero: the core bitmap is built once, outside the level loop,

@@ -116,8 +116,9 @@ pub struct SolveStats {
     /// reported separately in `heuristic_peak_bytes`; both phases charge the
     /// same budget, so either can trigger OOM.
     pub peak_device_bytes: usize,
-    /// Device-memory high-water mark of the heuristic phase (multi-run
-    /// neighbor arrays), in bytes.
+    /// Device-memory high-water mark of the heuristic phase, in bytes: for
+    /// the multi-run heuristics, the per-entry flags plus the two compacted
+    /// candidate arrays that overlap while a round is compacted.
     pub heuristic_peak_bytes: usize,
     /// Setup counters (orientation and pruning).
     pub setup: SetupStats,
@@ -165,7 +166,10 @@ impl SolveStats {
 
     /// Files an expansion's exact probe tally: as core-bitmap word tests
     /// when the solve probed a core bitmap of `core_bytes` charged bytes,
-    /// as edge-oracle queries otherwise.
+    /// as edge-oracle queries otherwise. The tally counts every walk made,
+    /// including the ones a fault-retried or split window repeats, so a
+    /// bitmap solve's `oracle_queries + probes_avoided` equals its scalar
+    /// twin's `oracle_queries` fault-free only (see [`LocalBitsStats`]).
     fn file_probes(&mut self, probes: u64, core_bytes: Option<u64>) {
         (self.oracle_queries, self.local_bits) = match core_bytes {
             Some(persistent_bytes) => (

@@ -32,7 +32,8 @@ pub enum Check {
     Pmc,
     /// Exact probe accounting: a fused lane with bitmaps enabled and its
     /// scalar twin (same lane, `local_bits = Off`) must reconcile
-    /// `oracle_queries + probes_avoided == twin.oracle_queries`.
+    /// `oracle_queries + probes_avoided == twin.oracle_queries`. Both run
+    /// fault-free, the only setting where the equality is exact.
     ProbeAccounting {
         /// The bitmap-enabled lane (fused; `local_bits != Off`).
         lane: LaneSpec,

@@ -16,7 +16,7 @@
 //!   selection of BFS configurations plus `gmc_pmc` and the
 //!   [`ReferenceEnumerator`](gmc_pmc::ReferenceEnumerator) oracle, asserting
 //!   identical clique numbers, identical clique *sets* for enumerating
-//!   lanes, and the exact counter invariants (`oracle_queries +
+//!   lanes, and the exact counter invariants (fault-free `oracle_queries +
 //!   probes_avoided == scalar_queries`, `recovered == injected`,
 //!   `live() == 0` after cancellation).
 //! * **Metamorphic relations** ([`checks`]) — vertex-relabeling invariance,

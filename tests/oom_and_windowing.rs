@@ -171,7 +171,7 @@ fn peak_memory_statistic_reflects_level_growth() {
 
 #[test]
 fn heuristic_phase_oom_is_reported() {
-    // A budget so small even the heuristic's neighbor arrays fail.
+    // A budget so small that even the heuristic's per-entry flags fail.
     let graph = generators::gnp(200, 0.2, 8);
     let device = Device::with_memory_budget(128);
     let result = MaxCliqueSolver::new(device)
