@@ -185,28 +185,32 @@ fn bench() {
 }
 
 /// Paired per-iteration milliseconds `(mode, scalar walk)`, noise-hardened
-/// the same three ways as `micro_fused_expand`: ≥20 ms batches, interleaved
-/// sides, minimum over `samples` batches.
+/// the same ways as `micro_fused_expand`: one solver per side built before
+/// timing (so no sample spawns or joins a worker pool), ≥20 ms batches,
+/// sides interleaved with the first side alternating per sample, and the
+/// minimum over `samples` batches.
 fn paired_min_ms(samples: usize, graph: &Csr, mode: LocalBitsMode) -> (f64, f64) {
-    let run = |local: LocalBitsMode| {
-        solver(local).solve(graph).unwrap();
+    let sides = [solver(mode), solver(LocalBitsMode::Off)];
+    let run = |side: usize| {
+        sides[side].solve(graph).unwrap();
     };
     let start = Instant::now();
-    run(mode);
-    run(LocalBitsMode::Off); // warmup both sides + calibration probe
+    run(0);
+    run(1); // warmup both sides + calibration probe
     let per_iter = (start.elapsed().as_secs_f64() / 2.0).max(1e-9);
     let iters = ((0.020 / per_iter).ceil() as usize).clamp(1, 100_000);
-    for _ in 0..2 * iters {
-        run(mode);
+    for _ in 0..iters {
+        run(0);
+        run(1);
     }
     let mut best = [f64::INFINITY; 2];
-    for _ in 0..samples.max(1) {
-        for (slot, local) in [(0, mode), (1, LocalBitsMode::Off)] {
+    for sample in 0..samples.max(1) {
+        for side in [sample % 2, 1 - sample % 2] {
             let start = Instant::now();
             for _ in 0..iters {
-                run(local);
+                run(side);
             }
-            best[slot] = best[slot].min(start.elapsed().as_secs_f64() * 1e3 / iters as f64);
+            best[side] = best[side].min(start.elapsed().as_secs_f64() * 1e3 / iters as f64);
         }
     }
     (best[0], best[1])

@@ -152,34 +152,38 @@ fn bench() {
 }
 
 /// Paired per-iteration milliseconds `(fused, unfused)`, noise-hardened
-/// three ways: iterations are batched so every sample spans at least ~20 ms
-/// of wall time (sub-millisecond solves would otherwise be pure scheduler
-/// noise), the two pipelines' batches are interleaved so both sides see the
-/// same warmup state and load drift, and the *minimum* over `samples`
-/// batches per side is reported — the most repeatable statistic for a
-/// deterministic workload.
+/// four ways: each side's solver (and so its worker pool) is built once
+/// before timing, so no sample times thread spawns and joins; iterations
+/// are batched so every sample spans at least ~20 ms of wall time
+/// (sub-millisecond solves would otherwise be pure scheduler noise); the
+/// two pipelines' batches are interleaved, with the first side alternating
+/// per sample, so both sides see the same warmup state and load drift; and
+/// the *minimum* over `samples` batches per side is reported — the most
+/// repeatable statistic for a deterministic workload.
 fn paired_min_ms(samples: usize, graph: &Csr) -> (f64, f64) {
-    let run = |fused: bool| {
-        solver(fused).solve(graph).unwrap();
+    let sides = [solver(true), solver(false)];
+    let run = |side: usize| {
+        sides[side].solve(graph).unwrap();
     };
     let start = Instant::now();
-    run(true);
-    run(false); // warmup both sides + calibration probe
+    run(0);
+    run(1); // warmup both sides + calibration probe
     let per_iter = (start.elapsed().as_secs_f64() / 2.0).max(1e-9);
     let iters = ((0.020 / per_iter).ceil() as usize).clamp(1, 100_000);
-    // One untimed full-batch round so the timed rounds start from an
-    // identically warm pool/cache state on both sides.
-    for _ in 0..2 * iters {
-        run(true);
+    // One untimed full-batch round per side so the timed rounds start from
+    // an identically warm pool/cache state on both sides.
+    for _ in 0..iters {
+        run(0);
+        run(1);
     }
     let mut best = [f64::INFINITY; 2];
-    for _ in 0..samples.max(1) {
-        for (slot, fused) in [(0, true), (1, false)] {
+    for sample in 0..samples.max(1) {
+        for side in [sample % 2, 1 - sample % 2] {
             let start = Instant::now();
             for _ in 0..iters {
-                run(fused);
+                run(side);
             }
-            best[slot] = best[slot].min(start.elapsed().as_secs_f64() * 1e3 / iters as f64);
+            best[side] = best[side].min(start.elapsed().as_secs_f64() * 1e3 / iters as f64);
         }
     }
     (best[0], best[1])

@@ -68,7 +68,7 @@ pub use scan::{
     reduce, reduce_by, try_exclusive_scan, try_exclusive_scan_into,
 };
 pub use sched::{Schedule, DEFAULT_MORSEL_GRAIN, MAX_MORSELS};
-pub use segmented::{remove_empty_segments, segment_lengths, segmented_sum};
+pub use segmented::{remove_empty_segments, segmented_sum};
 pub use select::{
     select_count, select_flagged, select_if, select_if_into, select_indices, try_select_indices,
 };

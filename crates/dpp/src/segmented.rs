@@ -4,7 +4,8 @@
 //! Segments are described CSR-style by an `offsets` array of length
 //! `num_segments + 1`: segment `s` covers `offsets[s]..offsets[s + 1]` of the
 //! value array. The multi-run heuristic (the paper's Algorithm 1) drops its
-//! dead segments with [`remove_empty_segments`] after every round.
+//! dead segments with [`remove_empty_segments`] after every round; that one
+//! takes the per-segment lengths its kernel counted and builds the offsets.
 
 use crate::executor::{Executor, Launch};
 use crate::scan::exclusive_scan;
@@ -26,29 +27,23 @@ pub fn segmented_sum(exec: &Executor, values: &[usize], offsets: &[usize]) -> Ve
     out
 }
 
-/// Lengths of each segment.
-pub fn segment_lengths(exec: &Executor, offsets: &[usize]) -> Vec<usize> {
-    assert!(!offsets.is_empty(), "offsets must have at least one entry");
-    let num_segments = offsets.len() - 1;
-    exec.map(Launch::new("segment_lengths", num_segments), |s| {
-        offsets[s + 1] - offsets[s]
-    })
-}
-
-/// Drops zero-length segments, returning the rebuilt offsets array and, for
-/// each surviving segment, its index in the original segmentation.
+/// Drops zero-length segments. Takes each segment's length and returns the
+/// offsets of the surviving segments (CSR-style, ending with the total),
+/// each survivor's index in the input, and that total — the surviving
+/// values.
 ///
 /// This is the "remove empty segments with one more select, update indices
 /// via a scan" step of the paper's Algorithm 1.
-pub fn remove_empty_segments(exec: &Executor, offsets: &[usize]) -> (Vec<usize>, Vec<usize>) {
-    assert!(!offsets.is_empty(), "offsets must have at least one entry");
-    let lengths = segment_lengths(exec, offsets);
-    let survivors = crate::select::select_indices(exec, &lengths, |_, len| len > 0);
+pub fn remove_empty_segments(
+    exec: &Executor,
+    lengths: &[usize],
+) -> (Vec<usize>, Vec<usize>, usize) {
+    let survivors = crate::select::select_indices(exec, lengths, |_, len| len > 0);
     let launch = Launch::new("surviving_segment_lengths", survivors.len());
     let surviving_lengths: Vec<usize> = exec.map(launch, |i| lengths[survivors[i]]);
     let (mut new_offsets, total) = exclusive_scan(exec, &surviving_lengths);
     new_offsets.push(total);
-    (new_offsets, survivors)
+    (new_offsets, survivors, total)
 }
 
 #[cfg(test)]
@@ -64,26 +59,23 @@ mod tests {
     }
 
     #[test]
-    fn lengths() {
-        let exec = Executor::new(2);
-        assert_eq!(segment_lengths(&exec, &[0, 4, 4, 9]), vec![4, 0, 5]);
-    }
-
-    #[test]
     fn removing_empty_segments_compacts() {
         let exec = Executor::new(4);
-        let offsets = [0usize, 3, 3, 7, 7, 7, 10];
-        let (new_offsets, survivors) = remove_empty_segments(&exec, &offsets);
+        let lengths = [3usize, 0, 4, 0, 0, 3];
+        let (new_offsets, survivors, total) = remove_empty_segments(&exec, &lengths);
         assert_eq!(new_offsets, vec![0, 3, 7, 10]);
         assert_eq!(survivors, vec![0, 2, 5]);
+        assert_eq!(total, 10);
     }
 
     #[test]
     fn removing_from_all_empty_leaves_sentinel() {
         let exec = Executor::new(4);
-        let offsets = [0usize, 0, 0];
-        let (new_offsets, survivors) = remove_empty_segments(&exec, &offsets);
-        assert_eq!(new_offsets, vec![0]);
-        assert!(survivors.is_empty());
+        for lengths in [&[0usize, 0][..], &[]] {
+            let (new_offsets, survivors, total) = remove_empty_segments(&exec, lengths);
+            assert_eq!(new_offsets, vec![0]);
+            assert!(survivors.is_empty());
+            assert_eq!(total, 0);
+        }
     }
 }

@@ -23,6 +23,28 @@ use gmc_dpp::{DeviceError, Executor, Launch, SharedSlice, UninitSlice};
 pub trait EdgeOracle: Sync {
     /// Whether the undirected edge `{u, v}` exists.
     fn connected(&self, u: u32, v: u32) -> bool;
+
+    /// `u`'s adjacency row as a probe: `row(u)(v) == connected(u, v)` for
+    /// every `v`. A walk that tests many candidates against one vertex
+    /// fetches the row once and pays only the per-candidate half of each
+    /// probe; the default is plain [`EdgeOracle::connected`].
+    ///
+    /// A structure overrides it when part of a probe depends on `u` alone:
+    /// [`BitMatrix`] and [`CoreBitmap`] slice `u`'s matrix row once, so each
+    /// probe tests one word. [`Csr`] keeps the default, because
+    /// [`Csr::has_edge`] searches whichever of the two lists is shorter, and
+    /// fixing `u`'s list up front would give that up.
+    ///
+    /// The returned closure's type is the implementor's own, so the method
+    /// carries `Self: Sized`: that keeps `EdgeOracle` usable as
+    /// `&dyn EdgeOracle`, where only `connected` is callable.
+    #[inline]
+    fn row(&self, u: u32) -> impl Fn(u32) -> bool + '_
+    where
+        Self: Sized,
+    {
+        move |v| self.connected(u, v)
+    }
 }
 
 impl EdgeOracle for Csr {
@@ -30,6 +52,12 @@ impl EdgeOracle for Csr {
     fn connected(&self, u: u32, v: u32) -> bool {
         self.has_edge(u, v)
     }
+}
+
+/// Bit `v` of a packed adjacency row.
+#[inline]
+fn row_bit(words: &[u64], v: u32) -> bool {
+    (words[v as usize >> 6] >> (v & 63)) & 1 == 1
 }
 
 /// Dense bitset adjacency matrix: one bit per ordered pair.
@@ -99,13 +127,25 @@ impl BitMatrix {
     pub fn num_vertices(&self) -> usize {
         self.n
     }
+
+    /// Row `u`'s packed words.
+    #[inline]
+    fn row_words(&self, u: u32) -> &[u64] {
+        let start = u as usize * self.words_per_row;
+        &self.bits[start..start + self.words_per_row]
+    }
 }
 
 impl EdgeOracle for BitMatrix {
     #[inline]
     fn connected(&self, u: u32, v: u32) -> bool {
-        let row = u as usize * self.words_per_row;
-        (self.bits[row + (v as usize >> 6)] >> (v as usize & 63)) & 1 == 1
+        row_bit(&self.bits[u as usize * self.words_per_row..], v)
+    }
+
+    #[inline]
+    fn row(&self, u: u32) -> impl Fn(u32) -> bool + '_ {
+        let words = self.row_words(u);
+        move |v| row_bit(words, v)
     }
 }
 
@@ -238,6 +278,25 @@ impl EdgeOracle for CoreBitmap {
     fn connected(&self, u: u32, v: u32) -> bool {
         self.probe(u, v)
     }
+
+    /// Translates `u` once and slices its matrix row; each probe then reads
+    /// `v`'s dense id and tests one word. Both endpoints must have survived
+    /// pruning, as for [`CoreBitmap::probe`].
+    #[inline]
+    fn row(&self, u: u32) -> impl Fn(u32) -> bool + '_ {
+        let nu = self.new_of_old[u as usize];
+        debug_assert!(nu != PRUNED, "persistent row of a pruned vertex {u}");
+        let words = self.matrix.row_words(nu);
+        let new_of_old = self.new_of_old.as_slice();
+        move |v| {
+            let nv = new_of_old[v as usize];
+            debug_assert!(
+                nv != PRUNED,
+                "persistent probe on a pruned vertex ({u}, {v})"
+            );
+            row_bit(words, nv)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -349,6 +408,69 @@ mod tests {
         let none = CoreBitmap::try_build(&exec(), &g, &[false; 40]).unwrap();
         assert_eq!(none.num_core_vertices(), 0);
         assert!(!none.covers(0));
+    }
+
+    /// `row(u)(v)` against `connected(u, v)` for every pair of `ids`.
+    fn rows_agree<O: EdgeOracle>(oracle: &O, ids: &[u32], tag: &str) {
+        for &u in ids {
+            let probe = oracle.row(u);
+            for &v in ids {
+                assert_eq!(probe(v), oracle.connected(u, v), "{tag}: ({u},{v})");
+            }
+        }
+    }
+
+    #[test]
+    fn row_probe_agrees_with_connected_on_csr_and_bitmatrix() {
+        for (tag, g) in [
+            ("gnp", generators::gnp(70, 0.2, 4)),
+            ("complete", generators::complete(9)),
+            ("empty", Csr::empty(5)),
+        ] {
+            let all: Vec<u32> = (0..g.num_vertices() as u32).collect();
+            rows_agree(&g, &all, tag);
+            rows_agree(&BitMatrix::build(&exec(), &g), &all, tag);
+        }
+    }
+
+    #[test]
+    fn core_bitmap_row_probe_agrees_on_every_kept_pair() {
+        // Matrix rows of 63, 64, 65 and 129 columns put the last kept
+        // vertex at both sides of a word edge; the scattered mask keeps the
+        // graph's first and last vertices so the first and last rows and
+        // columns are probed.
+        for n_core in [63usize, 64, 65, 129] {
+            let n = n_core * 3 / 2 + 1;
+            let g = generators::gnp(n, 0.25, n_core as u64);
+            let mut keep = vec![false; n];
+            let mut rng = gmc_dpp::Rng::seed_from_u64(n_core as u64);
+            let mut order: Vec<u32> = (1..n as u32 - 1).collect();
+            rng.shuffle(&mut order);
+            for &v in order[..n_core - 2].iter().chain(&[0, n as u32 - 1]) {
+                keep[v as usize] = true;
+            }
+            let core = CoreBitmap::try_build(&exec(), &g, &keep).expect("fault-free build");
+            assert_eq!(core.num_core_vertices(), n_core);
+            let kept: Vec<u32> = (0..n as u32).filter(|&v| keep[v as usize]).collect();
+            rows_agree(&core, &kept, &format!("n_core {n_core}"));
+        }
+    }
+
+    #[test]
+    fn edge_oracle_is_usable_as_a_trait_object() {
+        // `row` is `Self: Sized`, so the trait stays dyn-compatible and a
+        // `&dyn EdgeOracle` still answers `connected`.
+        let g = generators::gnp(40, 0.3, 8);
+        let bits = BitMatrix::build(&exec(), &g);
+        let core = CoreBitmap::try_build(&exec(), &g, &[true; 40]).expect("fault-free build");
+        let oracles: [&dyn EdgeOracle; 3] = [&g, &bits, &core];
+        for oracle in oracles {
+            for u in 0..40 {
+                for v in 0..40 {
+                    assert_eq!(oracle.connected(u, v), g.has_edge(u, v), "({u},{v})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!    segmented arg-max folded in) picks the segment's first
 //!    highest-threshold candidate, intersects the segment with the pick's
 //!    sorted CSR row, flags the candidates adjacent to the pick and counts
-//!    them. A stable select compacts the survivors, which keeps every
-//!    segment sorted, and empty segments are removed with a second select
-//!    plus an offset-rebuilding scan.
+//!    them. Empty segments are removed with a select over those counts
+//!    plus an offset-building scan, whose total sizes the next round, and
+//!    a stable select compacts the survivors, which keeps every segment
+//!    sorted.
 //! 3. Iterate until no candidate survives. The paper tracks only the round
 //!    count (the clique size); each round here also keeps its picks and the
 //!    map from its segments to the previous round's. The runs alive in the
@@ -100,14 +101,15 @@ pub fn multi_run(
             |s| !first_round || (rank[s] as usize) < h,
         );
         picks.push(round_picks);
-        let (mut next_offsets, survivors) = gmc_dpp::exclusive_scan(exec, &counts);
+        // Drop the dead segments; the survivor counts are the next round's
+        // segment lengths.
+        let (next_offsets, parent, survivors) = gmc_dpp::remove_empty_segments(exec, &counts);
         if survivors == 0 {
             break;
         }
-        next_offsets.push(survivors);
 
         // Stable compaction (stability keeps segments contiguous and
-        // sorted), then drop the dead segments.
+        // sorted).
         let charge = device
             .memory()
             .try_charge(survivors * std::mem::size_of::<u32>())?;
@@ -118,8 +120,7 @@ pub fn multi_run(
         ));
         // The previous round's array is gone, and so is its charge.
         _entries_charge = Some(charge);
-        let (compacted_offsets, parent) = gmc_dpp::remove_empty_segments(exec, &next_offsets);
-        offsets = Cow::Owned(compacted_offsets);
+        offsets = Cow::Owned(next_offsets);
         parents.push(parent);
     }
 

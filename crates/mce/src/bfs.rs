@@ -4,9 +4,9 @@
 //!
 //! 1. **Count kernel** (`COUNTCLIQUES`): entry `i` walks the entries after
 //!    it in its sublist, counting those adjacent to its own vertex (a binary
-//!    search per check). If the count cannot reach the target clique size
-//!    (`k + connected < target`), the count is zeroed — the branch is
-//!    pruned.
+//!    search or a bitmap word test per check). If the count cannot reach
+//!    the target clique size (`k + connected < target`), the count is
+//!    zeroed — the branch is pruned.
 //! 2. **Scan** over the counts yields the output offsets and the size of the
 //!    next level.
 //! 3. **Output kernel** (`OUTPUTNEWCLIQUES`): each unpruned entry emits one
@@ -15,20 +15,22 @@
 //!
 //! Two pipelines implement that level step:
 //!
-//! * **Fused** (the default, [`SolverConfig::fused`]): the count walk
-//!   records each adjacency answer as a bitmask — one inline `u64` covers
-//!   the first [`INLINE_BITS`] tail positions, longer tails spill whole
-//!   `u64` words into a shared side buffer — and the output kernel *replays*
-//!   the bits instead of re-querying the [`EdgeOracle`]. The count walk is
-//!   also *bound-directed*: it stops as soon as the candidates left cannot
-//!   lift the entry to the target (such an entry is pruned to zero either
-//!   way, so the truncation never changes the output). Sublist tail
-//!   lengths are threaded level to level (the emit kernel writes each new
-//!   entry's tail), so neither kernel compares `sublist_id` values. The scan
-//!   is the single-pass chunk-carry [`gmc_dpp::exclusive_scan_into`]. Three
-//!   launches per level instead of four, and typically well under half the
-//!   oracle queries; all scratch lives in a [`LevelArena`] recycled across
-//!   levels and windows.
+//! * **Fused** (the default, [`SolverConfig::fused`]): each entry fetches
+//!   its vertex's adjacency row once ([`EdgeOracle::row`]) and tests its
+//!   tail against it without branching on the answer. The walk records
+//!   each answer as a bitmask — one inline `u64` covers the first
+//!   [`INLINE_BITS`] tail positions, longer tails spill whole `u64` words
+//!   into a shared side buffer, and the two parts run as two loops — and
+//!   the output kernel *replays* the bits instead of re-querying the
+//!   [`EdgeOracle`]. The count walk is also *bound-directed*: it stops as
+//!   soon as the candidates left cannot lift the entry to the target (such
+//!   an entry is pruned to zero either way, so the truncation never
+//!   changes the output). Sublist tail lengths are threaded level to level
+//!   (the emit kernel writes each new entry's tail), so neither kernel
+//!   compares `sublist_id` values. The scan is the single-pass chunk-carry
+//!   [`gmc_dpp::exclusive_scan_into`]. Three launches per level instead of
+//!   four, and typically well under half the oracle queries; all scratch
+//!   lives in a [`LevelArena`] recycled across levels and windows.
 //! * **Unfused** (the ablation baseline): the seed pipeline verbatim — the
 //!   paper-literal full count walk, an output kernel that re-walks every
 //!   unpruned sublist tail (repeating the count kernel's oracle queries),
@@ -40,15 +42,15 @@
 //! search. The walks are the same either way, so the output is
 //! bit-identical whichever structure answers.
 //!
-//! Both pipelines count their `EdgeOracle::connected` calls exactly into
-//! [`ExpansionOutcome::probes`]. The unfused walks are fully
-//! deterministic, so their tally is computed analytically on the host; the
-//! fused count kernel records each pruned entry's truncated walk length in
-//! that entry's otherwise-dead mask slot, and the host folds the tally from
-//! there at zero hot-path cost. The solver files the tally as edge-oracle
-//! queries or as core-bitmap word tests, so fault-free core-bitmap on/off
-//! query tallies reconcile exactly (see [`LocalBitsStats`] for why faulted
-//! ones need not).
+//! Both pipelines count their adjacency probes (`connected` calls and row
+//! probes alike) exactly into [`ExpansionOutcome::probes`]. The unfused
+//! walks are fully deterministic, so their tally is computed analytically
+//! on the host; the fused count kernel records each pruned entry's
+//! truncated walk length in that entry's otherwise-dead mask slot, and the
+//! host folds the tally from there at zero hot-path cost. The solver files
+//! the tally as edge-oracle queries or as core-bitmap word tests, so
+//! fault-free core-bitmap on/off query tallies reconcile exactly (see
+//! [`LocalBitsStats`] for why faulted ones need not).
 //!
 //! The loop ends when a level produces no entries; every entry of the last
 //! level is then a maximum clique (each entry of level `L` is a valid
@@ -75,9 +77,10 @@ pub(crate) struct ExpansionOutcome {
     pub level_entries: Vec<usize>,
     /// Whether the provably-unique-remainder early exit fired.
     pub early_exit: bool,
-    /// Exact number of `EdgeOracle::connected` calls this expansion made
-    /// (count/output walks plus early-exit checks). The fused pipeline's
-    /// saving over the unfused baseline shows up here.
+    /// Exact number of adjacency probes this expansion made, `connected`
+    /// calls and row probes alike (count/output walks plus early-exit
+    /// checks). The fused pipeline's saving over the unfused baseline shows
+    /// up here.
     pub probes: u64,
 }
 
@@ -129,7 +132,7 @@ const INLINE_BITS: usize = 64;
 /// Failures — genuine OOM or injected allocation/launch faults — surface as
 /// [`DeviceError`] with the arena released, so the caller can retry (fault
 /// recovery) or split the window (OOM).
-pub(crate) fn expand<O: EdgeOracle + ?Sized>(
+pub(crate) fn expand<O: EdgeOracle>(
     device: &Device,
     oracle: &O,
     level0: CliqueLevel,
@@ -239,7 +242,7 @@ fn recycle(arena: &mut LevelArena, list: &mut CliqueList) {
 /// early-exit clique when that check fires, `None` when the level loop
 /// drains normally.
 #[allow(clippy::too_many_arguments)]
-fn grow_fused<O: EdgeOracle + ?Sized>(
+fn grow_fused<O: EdgeOracle>(
     device: &Device,
     oracle: &O,
     list: &mut CliqueList,
@@ -412,7 +415,7 @@ fn grow_fused<O: EdgeOracle + ?Sized>(
 /// counts, masks and `spill_total` spill words. Spill words are assembled
 /// locally and each is stored exactly once (bailing entries zero-fill the
 /// rest of their span), so the side buffer needs no pre-zeroing.
-fn count_level<O: EdgeOracle + ?Sized>(
+fn count_level<O: EdgeOracle>(
     exec: &Executor,
     oracle: &O,
     vertex_id: &[u32],
@@ -459,6 +462,13 @@ fn count_level<O: EdgeOracle + ?Sized>(
 /// One entry's bound-directed record walk — the body of the fused count
 /// kernel.
 ///
+/// The entry fetches its vertex's adjacency row once
+/// ([`EdgeOracle::row`]) and tests each tail candidate against it. No step
+/// branches on the answer: the hit is a 0/1 word that is added to the
+/// count and shifted into the mask. The first [`INLINE_BITS`] positions
+/// fill the inline mask and the rest fill one spill word at a time, as two
+/// loops, so a tail that fits inline never checks the spill seam.
+///
 /// The walk runs only while `connected + remaining >= need`, so a hopeless
 /// entry stops at the first position where pruning is already certain (an
 /// entry whose whole tail is shorter than `need` makes no queries at all) —
@@ -468,7 +478,7 @@ fn count_level<O: EdgeOracle + ?Sized>(
 /// instead, keeping the host-side tally exact.
 #[allow(clippy::too_many_arguments)] // kernel body: mirrors the launch captures
 #[inline]
-fn scalar_count_walk<O: EdgeOracle + ?Sized>(
+fn scalar_count_walk<O: EdgeOracle>(
     oracle: &O,
     vertex_id: &[u32],
     i: usize,
@@ -479,36 +489,33 @@ fn scalar_count_walk<O: EdgeOracle + ?Sized>(
     masks_dst: &UninitSlice<u64>,
     spill_dst: &UninitSlice<u64>,
 ) {
-    let spill_len = t.saturating_sub(INLINE_BITS).div_ceil(64);
+    let probe = oracle.row(vertex_id[i]);
+    let tail = &vertex_id[i + 1..i + 1 + t];
     let mut connected = 0usize;
-    let mut inline = 0u64;
-    let mut word = 0u64;
-    let mut flushed = 0usize;
     let mut walked = 0usize;
-    while walked < t && connected + (t - walked) >= need {
-        let b = walked;
-        if oracle.connected(vertex_id[i], vertex_id[i + 1 + b]) {
-            connected += 1;
-            if b < INLINE_BITS {
-                inline |= 1u64 << b;
-            } else {
-                word |= 1u64 << ((b - INLINE_BITS) % 64);
-            }
-        }
+    let mut inline = 0u64;
+    while walked < t.min(INLINE_BITS) && connected + (t - walked) >= need {
+        let hit = u64::from(probe(tail[walked]));
+        connected += hit as usize;
+        inline |= hit << walked;
         walked += 1;
-        if b >= INLINE_BITS && (b - INLINE_BITS) % 64 == 63 {
-            // SAFETY: entry i owns its spill span; each word is completed,
-            // and therefore written, exactly once.
-            unsafe { spill_dst.write(spill_base + flushed, word) };
-            flushed += 1;
-            word = 0;
-        }
     }
-    for w in flushed..spill_len {
-        // SAFETY: the walk flushed words 0..flushed; this writes the
-        // trailing partial word plus zeros for the span a bailed walk never
-        // reached, exactly once each.
-        unsafe { spill_dst.write(spill_base + w, if w == flushed { word } else { 0 }) };
+    // Each spill word covers 64 positions past the inline mask. Once the
+    // bound fails it stays failed, so the words a bailed walk never reached
+    // are stored as zeros; every word of the span is written exactly once.
+    for w in 0..t.saturating_sub(INLINE_BITS).div_ceil(64) {
+        let start = INLINE_BITS + w * 64;
+        let end = t.min(start + 64);
+        let mut word = 0u64;
+        while walked < end && connected + (t - walked) >= need {
+            let hit = u64::from(probe(tail[walked]));
+            connected += hit as usize;
+            word |= hit << (walked - start);
+            walked += 1;
+        }
+        // SAFETY: entry i owns its spill span, and this loop writes each
+        // of its words once.
+        unsafe { spill_dst.write(spill_base + w, word) };
     }
     let count = if connected < need { 0 } else { connected };
     // SAFETY: one write per index. A zero-count entry is never replayed, so
@@ -524,7 +531,7 @@ fn scalar_count_walk<O: EdgeOracle + ?Sized>(
 /// (repeating the count kernel's oracle queries), the scan is two-phase,
 /// and each level allocates fresh buffers.
 #[allow(clippy::too_many_arguments)]
-fn grow_unfused<O: EdgeOracle + ?Sized>(
+fn grow_unfused<O: EdgeOracle>(
     device: &Device,
     oracle: &O,
     list: &mut CliqueList,
@@ -643,7 +650,7 @@ fn grow_unfused<O: EdgeOracle + ?Sized>(
 /// Checks whether the head level is a single, mutually-adjacent sublist; if
 /// so, returns `chain ∪ candidates` — provably the unique maximum clique
 /// still reachable. Oracle calls are tallied into `probes`.
-fn try_early_exit<O: EdgeOracle + ?Sized>(
+fn try_early_exit<O: EdgeOracle>(
     oracle: &O,
     list: &CliqueList,
     min_target: u32,
@@ -737,8 +744,9 @@ mod tests {
         cliques
     }
 
-    /// Wraps an oracle and counts actual `connected` calls, to pin the
-    /// analytic probe tally to reality.
+    /// Wraps an oracle and counts actual probes, through `connected` or
+    /// through the inner oracle's own row probe, to pin the analytic probe
+    /// tally to reality.
     struct CountingOracle<'a, O> {
         inner: &'a O,
         calls: AtomicU64,
@@ -757,6 +765,14 @@ mod tests {
         fn connected(&self, u: u32, v: u32) -> bool {
             self.calls.fetch_add(1, Ordering::Relaxed);
             self.inner.connected(u, v)
+        }
+
+        fn row(&self, u: u32) -> impl Fn(u32) -> bool + '_ {
+            let probe = self.inner.row(u);
+            move |v| {
+                self.calls.fetch_add(1, Ordering::Relaxed);
+                probe(v)
+            }
         }
     }
 
@@ -1044,19 +1060,22 @@ mod tests {
 
     #[test]
     fn spill_masks_cover_tails_beyond_inline_bits() {
-        // A hub whose `n` successors form one sublist, plus a clique over
-        // the first few of them for depth. Tails straddle every 64-bit
-        // word edge (63/64/65/66) and span several spill words at 129, so
-        // the inline mask overflows into the spill buffer. Both fused
+        // A hub whose `n` successors form one sublist, plus a clique that
+        // joins the first successor to the last few, so the first entry's
+        // adjacency bits sit at the far end of its tail. Tails straddle
+        // every 64-bit word edge (63/64/65/66) and span several spill words
+        // at 129 and 131, so the inline mask overflows into the spill
+        // buffer and the clique's bits land in both spill words. Both fused
         // walks — CSR and core bitmap — must match the unfused re-walk
         // exactly, with the same exact probe tally.
-        for n in [2usize, 63, 64, 65, 66, 70, 129] {
+        for n in [2usize, 63, 64, 65, 66, 70, 129, 131] {
             let k = n.min(5) as u32;
+            let members: Vec<u32> = std::iter::once(1)
+                .chain(n as u32 + 2 - k..=n as u32)
+                .collect();
             let mut edges: Vec<(u32, u32)> = (1..=n as u32).map(|v| (0u32, v)).collect();
-            for u in 1..=k {
-                for v in (u + 1)..=k {
-                    edges.push((u, v));
-                }
+            for (i, &u) in members.iter().enumerate() {
+                edges.extend(members[i + 1..].iter().map(|&v| (u, v)));
             }
             let g = Csr::from_edges(n + 1, &edges);
             let device = Device::unlimited();
@@ -1070,11 +1089,8 @@ mod tests {
             let unfused = expand(&device, &g, level0(), 2, false, false, &mut arena).unwrap();
             let off = expand(&device, &csr, level0(), 2, false, true, &mut arena).unwrap();
             let on = expand(&device, &core, level0(), 2, false, true, &mut arena).unwrap();
-            assert_eq!(
-                unfused.cliques,
-                vec![(0..=k).collect::<Vec<u32>>()],
-                "n={n}"
-            );
+            let clique: Vec<u32> = std::iter::once(0).chain(members).collect();
+            assert_eq!(unfused.cliques, vec![clique], "n={n}");
             for (tag, fused) in [("off", &off), ("core", &on)] {
                 assert_eq!(fused.cliques, unfused.cliques, "n={n} {tag}");
                 assert_eq!(fused.level_entries, unfused.level_entries, "n={n} {tag}");

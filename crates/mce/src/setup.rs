@@ -48,6 +48,18 @@ pub(crate) struct SetupOutput {
     pub stats: SetupStats,
 }
 
+/// Sublists up to this length sort their keys in a stack buffer during
+/// emission; longer ones allocate.
+const INLINE_SUBLIST: usize = 64;
+
+/// `u`'s *(degree, index)* sort key packed into one integer, `degree` in
+/// the high half: integer order is the lexicographic order of the pairs,
+/// and the low half is `u` itself.
+#[inline]
+fn sort_key(graph: &Csr, u: u32) -> u64 {
+    (graph.degree(u) as u64) << 32 | u64::from(u)
+}
+
 /// Whether `u` follows `v` in the orientation order (a strict total order,
 /// so every clique has a unique monotone vertex sequence).
 #[inline]
@@ -132,34 +144,55 @@ pub(crate) fn build_two_clique_list(
     let (offsets, total) = gmc_dpp::exclusive_scan(exec, &counts);
 
     // Step 4: one virtual thread per surviving sublist emits its candidates
-    // in the configured order.
+    // in the configured order. Each kept oriented neighbour is collected as
+    // its packed sort key, so ordering them is one integer sort with no
+    // lookups in the comparator.
     let mut vertex_id = vec![0u32; total];
     let mut sublist_id = vec![0u32; total];
     {
         let vertex_shared = SharedSlice::new(&mut vertex_id);
         let sublist_shared = SharedSlice::new(&mut sublist_id);
         exec.run(Launch::new("setup_emit_sublists", n), |v| {
-            if counts[v] == 0 {
+            let len = counts[v];
+            if len == 0 {
                 return;
             }
             let src = v as u32;
-            let mut list: Vec<u32> = graph
-                .neighbors(src)
-                .iter()
-                .copied()
-                .filter(|&u| keep[u as usize] && oriented_after(graph, rule, src, u))
-                .collect();
-            match order {
-                CandidateOrder::Index => {} // adjacency lists are id-sorted
-                CandidateOrder::DegreeAscending => {
-                    list.sort_unstable_by_key(|&u| (graph.degree(u), u));
+            let src_key = sort_key(graph, src);
+            let mut inline = [0u64; INLINE_SUBLIST];
+            let mut heap = Vec::new();
+            let keys = if len <= INLINE_SUBLIST {
+                &mut inline[..len]
+            } else {
+                heap.resize(len, 0);
+                heap.as_mut_slice()
+            };
+            let mut kept = 0;
+            for &u in graph.neighbors(src) {
+                if !keep[u as usize] {
+                    continue;
+                }
+                // `oriented_after`, with both degrees already in the keys.
+                let key = sort_key(graph, u);
+                let after = match rule {
+                    OrientationRule::Degree => key > src_key,
+                    OrientationRule::Index => u > src,
+                };
+                if after {
+                    keys[kept] = key;
+                    kept += 1;
                 }
             }
+            debug_assert_eq!(kept, len, "emission disagrees with the sublist count");
+            match order {
+                CandidateOrder::Index => {} // adjacency lists are id-sorted
+                CandidateOrder::DegreeAscending => keys.sort_unstable(),
+            }
             let base = offsets[v];
-            for (i, &u) in list.iter().enumerate() {
+            for (i, &key) in keys.iter().enumerate() {
                 // SAFETY: sublists occupy disjoint output spans.
                 unsafe {
-                    vertex_shared.write(base + i, u);
+                    vertex_shared.write(base + i, key as u32);
                     sublist_shared.write(base + i, src);
                 }
             }
@@ -230,6 +263,107 @@ mod tests {
             let src = out.sublist_id[i];
             assert!(g.has_edge(src, u));
             assert!(oriented_after(&g, OrientationRule::Degree, src, u));
+        }
+    }
+
+    /// The 2-clique list built the plain way, one sublist at a time:
+    /// filter with [`oriented_after`], prune, then sort by
+    /// `(graph.degree(u), u)`.
+    fn naive_two_clique_list(
+        graph: &Csr,
+        lower: u32,
+        thresholds: &[u32],
+        rule: OrientationRule,
+        order: CandidateOrder,
+        bound: SublistBound,
+    ) -> SetupOutput {
+        let n = graph.num_vertices();
+        let keep: Vec<bool> = (0..n).map(|v| thresholds[v] + 1 >= lower).collect();
+        let required = (lower.saturating_sub(1) as usize).max(1);
+        let (mut vertex_id, mut sublist_id) = (Vec::new(), Vec::new());
+        let (mut pruned_sublists, mut first_level_walk) = (0, 0);
+        for v in (0..n as u32).filter(|&v| keep[v as usize]) {
+            let mut list: Vec<u32> = graph
+                .neighbors(v)
+                .iter()
+                .copied()
+                .filter(|&u| keep[u as usize] && oriented_after(graph, rule, v, u))
+                .collect();
+            if list.is_empty() {
+                continue;
+            }
+            if list.len() < required
+                || (bound == SublistBound::Coloring
+                    && required > 1
+                    && greedy_color_count(graph, &list) < required)
+            {
+                pruned_sublists += 1;
+                continue;
+            }
+            if order == CandidateOrder::DegreeAscending {
+                list.sort_by_key(|&u| (graph.degree(u), u));
+            }
+            first_level_walk += (list.len() * (list.len() - 1) / 2) as u64;
+            sublist_id.extend(std::iter::repeat_n(v, list.len()));
+            vertex_id.extend(list);
+        }
+        SetupOutput {
+            stats: SetupStats {
+                total_oriented_edges: graph.num_edges(),
+                initial_entries: vertex_id.len(),
+                pruned_vertices: keep.iter().filter(|&&k| !k).count(),
+                pruned_sublists,
+                first_level_walk,
+            },
+            vertex_id,
+            sublist_id,
+            keep,
+        }
+    }
+
+    #[test]
+    fn emission_matches_the_naive_reference() {
+        // Vertices 0..=70 form a 71-clique inside sparse G(n,p) noise, so
+        // the lowest-ranked members' sublists are longer than the
+        // emission's inline buffer (asserted below).
+        let noise = generators::gnp(150, 0.05, 7);
+        let mut hub: Vec<(u32, u32)> = (0..150u32)
+            .flat_map(|u| noise.neighbors(u).iter().map(move |&v| (u, v)))
+            .collect();
+        for u in 0..=70u32 {
+            hub.extend(((u + 1)..=70).map(|v| (u, v)));
+        }
+        let mut graphs = vec![("hub", Csr::from_edges(150, &hub))];
+        graphs.extend((0..3).map(|seed| ("gnp", generators::gnp(90, 0.15, seed))));
+        let exec = Executor::new(2);
+        for (name, g) in &graphs {
+            let cores = gmc_graph::kcore::core_numbers(g);
+            let degrees = g.degrees();
+            for rule in [OrientationRule::Degree, OrientationRule::Index] {
+                for order in [CandidateOrder::Index, CandidateOrder::DegreeAscending] {
+                    for (pruning, lower, thresholds, bound) in [
+                        ("none", 0, &degrees, SublistBound::Length),
+                        ("core", 9, &cores, SublistBound::Length),
+                        ("coloring", 5, &degrees, SublistBound::Coloring),
+                    ] {
+                        let tag = format!("{name} {rule:?} {order:?} {pruning}");
+                        let got =
+                            build_two_clique_list(&exec, g, lower, thresholds, rule, order, bound);
+                        let want = naive_two_clique_list(g, lower, thresholds, rule, order, bound);
+                        // Every case keeps work and, past "none", prunes some.
+                        assert!(!want.vertex_id.is_empty(), "{tag}: nothing survived");
+                        assert_eq!(pruning == "none", want.stats.pruned_sublists == 0, "{tag}");
+                        if *name == "hub" {
+                            let longest = want.sublist_id.chunk_by(|a, b| a == b).map(<[u32]>::len);
+                            assert!(longest.max() > Some(INLINE_SUBLIST), "{tag}");
+                        }
+                        assert_eq!(got.vertex_id, want.vertex_id, "{tag}");
+                        assert_eq!(got.sublist_id, want.sublist_id, "{tag}");
+                        assert_eq!(got.keep, want.keep, "{tag}");
+                        assert_eq!(got.stats, want.stats, "{tag}");
+                    }
+                }
+            }
         }
     }
 

@@ -143,7 +143,7 @@ impl Incumbent {
 /// configuration) and what every window updates (incumbent, counters,
 /// probe tally, level scratch). Windows run one at a time, in order, so the
 /// sweep owns all of it.
-struct Sweep<'a, O: EdgeOracle + ?Sized> {
+struct Sweep<'a, O: EdgeOracle> {
     device: &'a Device,
     /// The solve's one edge-membership structure: every window and
     /// recursive child-level build probes it.
@@ -239,7 +239,7 @@ fn window_end(sublist_id: &[u32], start: usize, nominal_end: usize) -> usize {
 /// window are retried (and the window shrunk) here, while faults escaping
 /// this function are the caller's outer retry loop to handle.
 #[allow(clippy::too_many_arguments)] // mirrors the solve phases 1:1
-pub(crate) fn windowed_search<O: EdgeOracle + ?Sized>(
+pub(crate) fn windowed_search<O: EdgeOracle>(
     device: &Device,
     graph: &Csr,
     oracle: &O,
@@ -361,7 +361,7 @@ fn spans_sublists(sublist_id: &[u32]) -> bool {
     sublist_id.windows(2).any(|w| w[0] != w[1])
 }
 
-impl<O: EdgeOracle + ?Sized> Sweep<'_, O> {
+impl<O: EdgeOracle> Sweep<'_, O> {
     /// Cuts `vertex_id`/`sublist_id` into windows and processes each.
     fn search_slice(
         &mut self,
@@ -598,10 +598,8 @@ impl<O: EdgeOracle + ?Sized> Sweep<'_, O> {
         // all pairs.
         let oracle = self.oracle;
         let counts: Vec<usize> = exec.try_map(Launch::new("window_count_sublists", len), |i| {
-            candidates[i + 1..]
-                .iter()
-                .filter(|&&c| oracle.connected(candidates[i], c))
-                .count()
+            let probe = oracle.row(candidates[i]);
+            candidates[i + 1..].iter().filter(|&&c| probe(c)).count()
         })?;
         let (offsets, total) = gmc_dpp::try_exclusive_scan(exec, &counts)?;
         let mut child_vertex = vec![0u32; total];
@@ -610,9 +608,10 @@ impl<O: EdgeOracle + ?Sized> Sweep<'_, O> {
             let vertex_shared = SharedSlice::new(&mut child_vertex);
             let sublist_shared = SharedSlice::new(&mut child_sublist);
             exec.try_run(Launch::new("window_expand_sublists", len), |i| {
+                let probe = oracle.row(candidates[i]);
                 let mut cursor = offsets[i];
                 for &c in &candidates[i + 1..] {
-                    if oracle.connected(candidates[i], c) {
+                    if probe(c) {
                         // SAFETY: each source writes its own disjoint span.
                         unsafe {
                             vertex_shared.write(cursor, c);
