@@ -103,26 +103,6 @@ fn bench_kcore(h: &mut Harness) {
     group.finish();
 }
 
-fn bench_rle(h: &mut Harness) {
-    let exec = Executor::with_default_parallelism();
-    // Sublist-like input: runs of varying length.
-    let values: Vec<u32> = (0..1_000_000).map(|i| (i / 37) as u32).collect();
-    h.bench("run_length_encode/1m_values", |b| {
-        b.iter(|| gmc_dpp::run_length_encode(&exec, &values));
-    });
-}
-
-fn bench_histogram(h: &mut Harness) {
-    let exec = Executor::with_default_parallelism();
-    let data: Vec<u32> = pseudo_random(1_000_000, 19)
-        .iter()
-        .map(|v| v % 1000)
-        .collect();
-    h.bench("histogram/1m_values_1k_bins", |b| {
-        b.iter(|| gmc_dpp::histogram_u32(&exec, &data, 1000));
-    });
-}
-
 fn bench_tracing(h: &mut Harness) {
     let n = 10_000usize;
     let input: Vec<usize> = (0..n).map(|i| i % 13).collect();
@@ -298,8 +278,6 @@ fn main() -> ExitCode {
     bench_sort(&mut harness);
     bench_edge_lookup(&mut harness);
     bench_kcore(&mut harness);
-    bench_rle(&mut harness);
-    bench_histogram(&mut harness);
     bench_tracing(&mut harness);
     harness.finish();
     ExitCode::SUCCESS

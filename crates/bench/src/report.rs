@@ -84,7 +84,6 @@ const SECTIONS: &[(&str, SectionRenderer)] = &[
     ("fig6_window_memory", render_fig6),
     ("warp_divergence", render_divergence),
     ("core_bits", render_core_bits),
-    ("schedule", render_schedule),
     ("serve", render_serve),
 ];
 
@@ -238,32 +237,6 @@ fn render_core_bits(out: &mut String, value: &Json) {
     let _ = writeln!(out);
 }
 
-fn render_schedule(out: &mut String, value: &Json) {
-    let _ = writeln!(
-        out,
-        "## Scheduling — auto's cost-cut morsel claiming vs static chunks\n"
-    );
-    let _ = writeln!(
-        out,
-        "| Grid | Schedule | Wall ms | vs static | Morsels | Max/worker | Imbalance |"
-    );
-    let _ = writeln!(out, "|---|---|---|---|---|---|---|");
-    for row in value.as_array().into_iter().flatten() {
-        let _ = writeln!(
-            out,
-            "| {} | {} | {:.3} | {:.2}× | {} | {} | {:.2} |",
-            row["grid"].as_str().unwrap_or("?"),
-            row["schedule"].as_str().unwrap_or("?"),
-            row["wall_ms"].as_f64().unwrap_or(f64::NAN),
-            row["speedup_vs_static"].as_f64().unwrap_or(f64::NAN),
-            row["morsels"].as_u64().unwrap_or(0),
-            row["max_worker_morsels"].as_u64().unwrap_or(0),
-            row["imbalance"].as_f64().unwrap_or(f64::NAN),
-        );
-    }
-    let _ = writeln!(out);
-}
-
 fn render_serve(out: &mut String, value: &Json) {
     let _ = writeln!(out, "## Service — batched solves through `gmc-serve`\n");
     let _ = writeln!(
@@ -412,25 +385,6 @@ mod tests {
         assert!(report.contains("persistent core-graph bitmaps"), "{report}");
         assert!(
             report.contains("| socfb-campus-04 | 10000 | 0 | 100.0% | 0 | 2.0 |"),
-            "{report}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn renders_schedule_ablation_rows() {
-        let dir = temp_dir("sched");
-        std::fs::write(
-            dir.join("schedule.json"),
-            r#"[{"grid":"skewed_front","schedule":"static","wall_ms":10.0,
-                 "speedup_vs_static":1.0,"morsels":8,"max_worker_morsels":1,"imbalance":7.2},
-                {"grid":"skewed_front","schedule":"auto","wall_ms":2.5,
-                 "speedup_vs_static":4.0,"morsels":98,"max_worker_morsels":40,"imbalance":1.1}]"#,
-        )
-        .unwrap();
-        let report = render_report(&dir);
-        assert!(
-            report.contains("| skewed_front | auto | 2.500 | 4.00× | 98 | 40 | 1.10 |"),
             "{report}"
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -1,16 +1,15 @@
 //! Counter-shape trend gate over the committed bench records.
 //!
-//! Re-parses `BENCH_fused.json`, `BENCH_corebits.json`,
-//! `BENCH_schedule.json` and `BENCH_serve.json` with the in-tree
-//! `gmc_bench::json` parser and re-runs the probe/query/decomposition
-//! counter measurements. The gate fails when a current counter
-//! *regresses* past a tolerance against its committed value —
-//! deterministic counters, not wall-clock, so the gate is stable on any
-//! CI machine. Run by the `bench-trend` CI step.
+//! Re-parses `BENCH_fused.json`, `BENCH_corebits.json` and
+//! `BENCH_serve.json` with the in-tree `gmc_bench::json` parser and re-runs
+//! the probe/query/launch counter measurements. The gate fails when a
+//! current counter *regresses* past a tolerance against its committed
+//! value — deterministic counters, not wall-clock, so the gate is stable
+//! on any CI machine. Run by the `bench-trend` CI step.
 
 use gmc_bench::json::{self, Json};
 use gmc_corpus::{by_name, Tier};
-use gmc_dpp::{Device, Executor, Launch, Schedule};
+use gmc_dpp::Device;
 use gmc_mce::{LocalBitsMode, MaxCliqueSolver};
 
 /// A counter may regress by at most 10% against its committed value.
@@ -97,82 +96,6 @@ fn fused_query_and_launch_counters_have_not_regressed() {
         "bench trend gate failed:\n{}",
         failures.join("\n")
     );
-}
-
-#[test]
-fn schedule_decomposition_counters_match_the_committed_record() {
-    // `Auto`'s morsel decomposition is a pure function of the grid size —
-    // worker-count independent by design. Re-run the bench's grid at a
-    // *different* worker count than the committed record and require the
-    // morsel count to match exactly.
-    let doc = committed("BENCH_schedule.json");
-    let grid = 8192usize; // micro_schedule's GRID
-    let cost = |i: usize| if i < grid / 8 { 63u64 } else { 1 };
-    let exec = Executor::new(4);
-    exec.set_schedule(Schedule::Auto);
-    let before = exec.schedule_stats();
-    exec.run(Launch::new("schedule_grid", grid).weighted(&cost), |i| {
-        std::hint::black_box(i);
-    });
-    let delta = exec.schedule_stats().since(&before);
-    let expected = doc
-        .as_array()
-        .expect("array")
-        .iter()
-        .find(|r| {
-            r["grid"].as_str() == Some("skewed_front") && r["schedule"].as_str() == Some("auto")
-        })
-        .expect("auto missing from committed record")["morsels"]
-        .as_u64()
-        .expect("morsels is an integer");
-    assert_eq!(
-        delta.morsels, expected,
-        "auto: morsel decomposition changed (committed at a different worker count — \
-         the decomposition must not depend on workers)"
-    );
-    assert_eq!(delta.dynamic_launches, 1);
-}
-
-#[test]
-fn committed_schedule_record_is_internally_consistent() {
-    // Every grid × schedule cell is present, wall clocks are positive, and
-    // the committed speedup field re-derives from the static row's wall.
-    let doc = committed("BENCH_schedule.json");
-    let rows = doc.as_array().expect("array");
-    for grid in ["skewed_front", "powerlaw", "uniform"] {
-        let cell = |schedule: &str| {
-            rows.iter()
-                .find(|r| {
-                    r["grid"].as_str() == Some(grid) && r["schedule"].as_str() == Some(schedule)
-                })
-                .unwrap_or_else(|| panic!("{grid}/{schedule} missing"))
-        };
-        let static_ms = cell("static")["wall_ms"].as_f64().expect("wall_ms");
-        assert!(static_ms > 0.0, "{grid}: static wall must be positive");
-        let workers = cell("static")["workers"].as_u64().expect("workers");
-        assert_eq!(
-            cell("static")["morsels"].as_u64().expect("morsels"),
-            workers,
-            "{grid}: static chunking is one chunk per worker"
-        );
-        for schedule in ["static", "auto"] {
-            let row = cell(schedule);
-            let wall = row["wall_ms"].as_f64().expect("wall_ms");
-            let speedup = row["speedup_vs_static"].as_f64().expect("speedup");
-            assert!(wall > 0.0, "{grid}/{schedule}");
-            assert!(
-                (speedup - static_ms / wall).abs() < 1e-6,
-                "{grid}/{schedule}: committed speedup {speedup} != derived {}",
-                static_ms / wall
-            );
-            assert!(row["morsels"].as_u64().expect("morsels") >= 1);
-            assert!(
-                row["max_worker_morsels"].as_u64().expect("max")
-                    <= row["morsels"].as_u64().unwrap(),
-                "{grid}/{schedule}: one worker cannot claim more morsels than exist"
-            );
-        }
-    }
 }
 
 #[test]

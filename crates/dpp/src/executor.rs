@@ -1,6 +1,5 @@
 use crate::cancel::{CancelToken, Cancelled};
 use crate::fault::{FaultInjector, LaunchError};
-use crate::sched::{self, Schedule};
 use crate::stats::{LaunchStats, ScheduleCells, ScheduleStats, StatsCells};
 use gmc_trace::{SpanGuard, Tracer};
 use std::ops::Range;
@@ -68,85 +67,46 @@ impl PoolShared {
     }
 }
 
-/// Per-worker balance measurement for one pooled launch: how many work
-/// units (static chunks or dynamic morsels) the worker executed and how
-/// long it was busy. Written only by the owning worker during a launch and
-/// read by the launcher after the closing barrier, so relaxed atomics
-/// suffice; slots are reset by the launcher before each pooled launch.
-#[derive(Debug, Default)]
-struct BalanceSlot {
-    claims: AtomicU64,
-    busy_ns: AtomicU64,
-}
-
-/// Grid size at which the weighted-launch boundary planner switches from a
-/// single sequential pass to the chunk-parallel two-phase shape. Both
-/// planners implement the same exact integer crossing rule, so the switch
-/// (and the worker count) never changes the cut.
-const WEIGHT_PLAN_PARALLEL_THRESHOLD: usize = 1 << 16;
-
-/// A launch's morsel decomposition, as consumed by the dynamic claim loop.
-/// The uniform fallback stays implicit (no allocation); cost-cut
-/// decompositions carry explicit boundaries where `bounds[m]..bounds[m + 1]`
-/// is morsel `m`.
-enum Boundaries<'a> {
-    Uniform { grain: usize, count: usize },
-    Explicit(&'a [usize]),
-}
-
-impl Boundaries<'_> {
-    #[inline]
-    fn count(&self) -> usize {
-        match self {
-            Boundaries::Uniform { count, .. } => *count,
-            Boundaries::Explicit(bounds) => bounds.len() - 1,
-        }
-    }
-
-    #[inline]
-    fn range(&self, m: usize, n: usize) -> Range<usize> {
-        match self {
-            Boundaries::Uniform { grain, .. } => {
-                let start = m * grain;
-                start..(start + grain).min(n)
-            }
-            Boundaries::Explicit(bounds) => bounds[m]..bounds[m + 1],
-        }
-    }
+/// A launch-schedule setting with a single value and no effect: every
+/// pooled launch maps one contiguous chunk of its grid onto each worker.
+/// This type and `SolverConfig::schedule` in `gmc-mce` remain only so that
+/// callers which set them, such as the `perfbench/` benchmark, keep
+/// compiling; nothing reads them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Schedule {
+    /// One contiguous chunk per worker, the executor's only mapping.
+    #[default]
+    Auto,
 }
 
 /// One bulk-synchronous kernel launch, as handed to [`Executor::run`] and
 /// the other entry points: the kernel name (the key of its
 /// [`LaunchStats::per_kernel`] row and of its trace span), the grid size
-/// `n`, a fused flag, and optional per-index cost hints.
+/// `n`, and a fused flag.
 ///
 /// ```
 /// use gmc_dpp::{Executor, Launch};
 ///
 /// let exec = Executor::new(2);
 /// let lens = [3u64, 0, 7, 1];
-/// let cost = |i: usize| lens[i];
-/// let launch = Launch::new("double_lens", lens.len()).weighted(&cost);
+/// let launch = Launch::new("double_lens", lens.len());
 /// assert_eq!(exec.map(launch, |i| 2 * lens[i]), [6, 0, 14, 2]);
 /// assert_eq!(exec.stats().kernel("double_lens").launches, 1);
 /// ```
 #[derive(Clone, Copy)]
-pub struct Launch<'a> {
+pub struct Launch {
     name: &'static str,
     n: usize,
     fused: bool,
-    cost: Option<&'a (dyn Fn(usize) -> u64 + Sync)>,
 }
 
-impl<'a> Launch<'a> {
-    /// A launch of `n` virtual threads of kernel `name`, unfused and
-    /// unweighted.
+impl Launch {
+    /// A launch of `n` virtual threads of kernel `name`, unfused.
     pub fn new(name: &'static str, n: usize) -> Self {
         Self {
             name,
             n,
             fused: false,
-            cost: None,
         }
     }
 
@@ -160,21 +120,6 @@ impl<'a> Launch<'a> {
             ..self
         }
     }
-
-    /// Attaches per-index cost hints: `cost(i)` is the relative expense of
-    /// virtual thread `i` (candidate-list length, CSR degree, …). It may be
-    /// called more than once per index and must be cheap and pure. Under
-    /// [`Schedule::Auto`] a pooled weighted launch cuts its morsels where
-    /// the summed cost crosses equal fractions of the total, so one
-    /// expensive stretch of indices spreads over many claimable morsels
-    /// instead of serialising one worker. Results are bit-identical to the
-    /// unweighted launch under every schedule and worker count.
-    pub fn weighted(self, cost: &'a (dyn Fn(usize) -> u64 + Sync)) -> Self {
-        Self {
-            cost: Some(cost),
-            ..self
-        }
-    }
 }
 
 struct ExecutorInner {
@@ -182,15 +127,13 @@ struct ExecutorInner {
     workers: Vec<JoinHandle<()>>,
     num_workers: usize,
     stats: StatsCells,
-    /// Whether the active [`Schedule`] is [`Schedule::Static`], a lock-free
-    /// cell so the dispatch fast path is one relaxed load (see
-    /// [`Executor::schedule`]).
-    schedule_static: AtomicBool,
-    /// Scheduling/balance counters (see [`Executor::schedule_stats`]).
+    /// Pooled-launch balance counters (see [`Executor::schedule_stats`]).
     sched_stats: ScheduleCells,
-    /// One balance slot per worker, reused across launches (pooled launches
-    /// never overlap — `run_on_pool` asserts `pending == 0`).
-    balance: Vec<BalanceSlot>,
+    /// Each worker's busy time in the pooled launch just run. Written only
+    /// by the owning worker and read by the launcher after the closing
+    /// barrier, so relaxed atomics suffice; pooled launches never overlap
+    /// (`run_on_pool` asserts `pending == 0`), so the slots are reused.
+    busy_ns: Vec<AtomicU64>,
     /// Simulated fixed cost per launch, in nanoseconds (see
     /// [`Executor::set_launch_overhead`]).
     launch_overhead_ns: std::sync::atomic::AtomicU64,
@@ -262,9 +205,8 @@ impl Executor {
                 workers,
                 num_workers,
                 stats: StatsCells::default(),
-                schedule_static: AtomicBool::new(Schedule::from_env() == Schedule::Static),
                 sched_stats: ScheduleCells::default(),
-                balance: (0..num_workers).map(|_| BalanceSlot::default()).collect(),
+                busy_ns: (0..num_workers).map(|_| AtomicU64::new(0)).collect(),
                 launch_overhead_ns: std::sync::atomic::AtomicU64::new(0),
                 sequential_grid_limit: AtomicUsize::new(initial_sequential_grid_limit()),
                 tracer: RwLock::new(Tracer::disabled()),
@@ -302,34 +244,7 @@ impl Executor {
         self.inner.sched_stats.reset();
     }
 
-    /// Selects how pooled launches map virtual threads onto workers (see
-    /// [`Schedule`]). Defaults to [`Schedule::Auto`], overridable at
-    /// executor construction via the `GMC_SCHED` environment variable.
-    /// Results are bit-identical under every schedule; this only tunes
-    /// load balance versus dispatch overhead.
-    ///
-    /// Grids at or below [`Executor::sequential_grid_limit`] (and every
-    /// launch on a single-worker executor) run inline regardless of the
-    /// schedule — the inline check precedes the schedule load, so small
-    /// grids never pay any scheduling cost.
-    pub fn set_schedule(&self, schedule: Schedule) {
-        self.inner
-            .schedule_static
-            .store(schedule == Schedule::Static, Ordering::Relaxed);
-    }
-
-    /// The active launch schedule — the one relaxed load the pooled
-    /// dispatch path pays per launch.
-    #[inline]
-    pub fn schedule(&self) -> Schedule {
-        if self.inner.schedule_static.load(Ordering::Relaxed) {
-            Schedule::Static
-        } else {
-            Schedule::Auto
-        }
-    }
-
-    /// Snapshot of scheduling and load-balance counters accumulated so far
+    /// Snapshot of the pooled-launch balance counters accumulated so far
     /// (see [`ScheduleStats`]); reset together with [`Executor::reset_stats`].
     pub fn schedule_stats(&self) -> ScheduleStats {
         self.inner.sched_stats.snapshot()
@@ -504,20 +419,27 @@ impl Executor {
     /// Runs `launch`: virtual thread `i` runs `kernel(i)` for every `i` in
     /// `0..n`, and the call blocks until all of them complete (the kernel
     /// boundary barrier).
-    pub fn run<F>(&self, launch: Launch<'_>, kernel: F)
+    pub fn run<F>(&self, launch: Launch, kernel: F)
     where
         F: Fn(usize) + Sync,
     {
-        let _span = self.begin(&launch, || self.planned_chunks(&launch));
-        self.dispatch(&launch, &kernel);
+        let _span = self.begin(&launch);
+        let n = launch.n;
+        if self.num_chunks(n) == 1 {
+            for i in 0..n {
+                kernel(i);
+            }
+        } else {
+            self.run_static(n, &kernel);
+        }
     }
 
     /// Fallible [`Executor::run`]: rolls the armed fault injector exactly
-    /// once — before any cost planning — and returns [`LaunchError`], with
-    /// the kernel not run and nothing recorded, when it fires. Production
-    /// pipeline launch sites call this so injected launch faults surface as
-    /// errors the solver recovers from instead of panics.
-    pub fn try_run<F>(&self, launch: Launch<'_>, kernel: F) -> Result<(), LaunchError>
+    /// once and returns [`LaunchError`], with the kernel not run and
+    /// nothing recorded, when it fires. Production pipeline launch sites
+    /// call this so injected launch faults surface as errors the solver
+    /// recovers from instead of panics.
+    pub fn try_run<F>(&self, launch: Launch, kernel: F) -> Result<(), LaunchError>
     where
         F: Fn(usize) + Sync,
     {
@@ -528,7 +450,7 @@ impl Executor {
 
     /// [`Executor::run`] collecting `v[i] = kernel(i)` into a new vector of
     /// length `n`.
-    pub fn map<T, F>(&self, launch: Launch<'_>, kernel: F) -> Vec<T>
+    pub fn map<T, F>(&self, launch: Launch, kernel: F) -> Vec<T>
     where
         T: Send + Copy + Default,
         F: Fn(usize) -> T + Sync,
@@ -543,7 +465,7 @@ impl Executor {
     }
 
     /// Fallible [`Executor::map`]; see [`Executor::try_run`].
-    pub fn try_map<T, F>(&self, launch: Launch<'_>, kernel: F) -> Result<Vec<T>, LaunchError>
+    pub fn try_map<T, F>(&self, launch: Launch, kernel: F) -> Result<Vec<T>, LaunchError>
     where
         T: Send + Copy + Default,
         F: Fn(usize) -> T + Sync,
@@ -554,14 +476,14 @@ impl Executor {
 
     /// Partitions `0..n` into [`Executor::num_chunks`] contiguous ranges,
     /// one per worker, and runs `body(chunk_id, range)` on each, all chunks
-    /// at once. Never scheduled dynamically: primitives that index per-chunk
-    /// partials — and the look-back scan, whose chunks spin on their
-    /// predecessors — rely on this static mapping.
+    /// at once. Primitives that index per-chunk partials — and the
+    /// look-back scan, whose chunks spin on their predecessors — rely on
+    /// every chunk being resident on its own worker.
     pub fn run_chunks<F>(&self, name: &'static str, n: usize, body: F)
     where
         F: Fn(usize, Range<usize>) + Sync,
     {
-        let _span = self.begin(&Launch::new(name, n), || self.num_chunks(n));
+        let _span = self.begin(&Launch::new(name, n));
         if n == 0 {
             return;
         }
@@ -574,9 +496,8 @@ impl Executor {
 
     /// The prologue every launch shares: the per-kernel stats record, the
     /// trace span (returned so it closes after the kernel), and the
-    /// simulated launch overhead. The chunk count is computed lazily so the
-    /// untraced path never pays for a morsel-count computation.
-    fn begin(&self, launch: &Launch<'_>, chunks: impl FnOnce() -> usize) -> Option<SpanGuard> {
+    /// simulated launch overhead.
+    fn begin(&self, launch: &Launch) -> Option<SpanGuard> {
         self.inner.stats.record(launch.name, launch.n, launch.fused);
         let span = if self.inner.trace_on.load(Ordering::Relaxed) {
             let tracer = self
@@ -585,7 +506,7 @@ impl Executor {
                 .read()
                 .expect("no thread panics while holding the tracer lock");
             tracer.is_enabled().then(|| {
-                let chunks = chunks();
+                let chunks = self.num_chunks(launch.n);
                 tracer.span_with(
                     launch.name,
                     &[
@@ -602,52 +523,6 @@ impl Executor {
         span
     }
 
-    /// Number of work units `launch` will be decomposed into: `1` on the
-    /// inline path, the morsel count for a weighted launch under
-    /// [`Schedule::Auto`], and the worker count otherwise. Trace-span
-    /// metadata only.
-    fn planned_chunks(&self, launch: &Launch<'_>) -> usize {
-        let chunks = self.num_chunks(launch.n);
-        if chunks > 1 && launch.cost.is_some() && self.schedule() == Schedule::Auto {
-            sched::uniform_morsels(launch.n, sched::DEFAULT_MORSEL_GRAIN).1
-        } else {
-            chunks
-        }
-    }
-
-    /// The one dispatcher. Grids at or below the sequential limit run inline
-    /// before the schedule is even loaded, so they pay zero scheduling cost.
-    /// A weighted launch under [`Schedule::Auto`] is cut into morsels of
-    /// approximately equal cost — their *count* taken from the uniform
-    /// decomposition at [`sched::DEFAULT_MORSEL_GRAIN`], so it stays a pure
-    /// function of `n` — and claimed dynamically. Everything else takes the
-    /// static mapping: [`Schedule::Static`] ignores cost hints, and `Auto`
-    /// without hints has no reason to pay claim traffic.
-    fn dispatch<F>(&self, launch: &Launch<'_>, kernel: &F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let n = launch.n;
-        if self.num_chunks(n) == 1 {
-            for i in 0..n {
-                kernel(i);
-            }
-            return;
-        }
-        match launch.cost {
-            Some(cost) if self.schedule() == Schedule::Auto => {
-                let (grain, count) = sched::uniform_morsels(n, sched::DEFAULT_MORSEL_GRAIN);
-                match self.cost_boundaries(n, count, cost) {
-                    Some(bounds) => self.run_dynamic(n, Boundaries::Explicit(&bounds), kernel),
-                    // All-zero costs carry no balance information: fall back
-                    // to the uniform decomposition at the same grain.
-                    None => self.run_dynamic(n, Boundaries::Uniform { grain, count }, kernel),
-                }
-            }
-            _ => self.run_static(n, kernel),
-        }
-    }
-
     /// Runs `body(chunk_id, range)` on the pool over one contiguous range
     /// of `0..n` per worker and returns how many ranges were non-empty;
     /// workers whose range starts past `n` stay idle.
@@ -662,103 +537,43 @@ impl Executor {
         n.div_ceil(chunk)
     }
 
-    /// The static mapping, plus the per-worker balance measurement every
-    /// pooled launch records.
+    /// A pooled [`Executor::run`]: one contiguous chunk per worker, plus
+    /// the per-worker busy times every pooled launch records.
     fn run_static<F>(&self, n: usize, kernel: &F)
     where
         F: Fn(usize) + Sync,
     {
-        self.reset_balance();
         let chunks = self.static_chunks(n, &|worker_id, range| {
             let began = Instant::now();
             for i in range {
                 kernel(i);
             }
-            let slot = &self.inner.balance[worker_id];
-            slot.claims.store(1, Ordering::Relaxed);
-            slot.busy_ns
+            self.inner.busy_ns[worker_id]
                 .store(began.elapsed().as_nanos() as u64, Ordering::Relaxed);
         });
-        self.record_balance(false, chunks);
+        self.record_balance(chunks);
     }
 
-    /// Dynamic morsel claiming: workers pull morsel indices from a shared
-    /// cursor until it runs past the (deterministic, worker-count
-    /// independent) decomposition. Kernels write disjoint index ranges, so
-    /// any claim order produces identical memory at the closing barrier.
-    fn run_dynamic<F>(&self, n: usize, boundaries: Boundaries<'_>, kernel: &F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let count = boundaries.count();
-        let cursor = AtomicUsize::new(0);
-        self.reset_balance();
-        self.run_on_pool(&|worker_id: usize| {
-            let began = Instant::now();
-            let mut claims = 0u64;
-            loop {
-                let m = cursor.fetch_add(1, Ordering::Relaxed);
-                if m >= count {
-                    break;
-                }
-                claims += 1;
-                for i in boundaries.range(m, n) {
-                    kernel(i);
-                }
-            }
-            if claims > 0 {
-                let slot = &self.inner.balance[worker_id];
-                slot.claims.store(claims, Ordering::Relaxed);
-                slot.busy_ns
-                    .store(began.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
+    /// Aggregates the busy times of the pooled launch that just completed,
+    /// whose `chunks` non-empty chunks ran on workers `0..chunks`, into
+    /// [`ScheduleStats`] and — when tracing — a `sched_balance` instant
+    /// plus a `sched_imbalance_x100` counter track.
+    fn record_balance(&self, chunks: usize) {
+        let busy = &self.inner.busy_ns[..chunks];
+        let (makespan, busy_total) = busy.iter().fold((0u64, 0u64), |(max, sum), slot| {
+            let ns = slot.load(Ordering::Relaxed);
+            (max.max(ns), sum + ns)
         });
-        self.record_balance(true, count);
-    }
-
-    /// Clears the per-worker balance slots before a pooled launch (launches
-    /// never overlap, so the slots are safely reused).
-    fn reset_balance(&self) {
-        for slot in &self.inner.balance {
-            slot.claims.store(0, Ordering::Relaxed);
-            slot.busy_ns.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Aggregates the balance slots of the launch that just completed into
-    /// [`ScheduleStats`] and — when tracing — a `sched_balance` instant plus
-    /// a `sched_imbalance_x100` counter track.
-    fn record_balance(&self, dynamic: bool, morsels: usize) {
-        let mut max_claims = 0u64;
-        let mut makespan = 0u64;
-        let mut busy_total = 0u64;
-        let mut engaged = 0u64;
-        for slot in &self.inner.balance {
-            let claims = slot.claims.load(Ordering::Relaxed);
-            if claims == 0 {
-                continue;
-            }
-            let busy = slot.busy_ns.load(Ordering::Relaxed);
-            max_claims = max_claims.max(claims);
-            makespan = makespan.max(busy);
-            busy_total += busy;
-            engaged += 1;
-        }
-        let mean = busy_total.checked_div(engaged).unwrap_or(0);
-        self.inner
-            .sched_stats
-            .record(dynamic, morsels as u64, max_claims, makespan, mean);
+        let mean = busy_total / chunks as u64;
+        self.inner.sched_stats.record(makespan, mean);
         if self.inner.trace_on.load(Ordering::Relaxed) {
             let tracer = self.inner.tracer.read().unwrap();
             if tracer.is_enabled() {
                 tracer.instant(
                     "sched_balance",
                     &[
-                        ("morsels", morsels as i64),
-                        ("max_worker_morsels", max_claims as i64),
                         ("makespan_ns", makespan as i64),
                         ("mean_chunk_ns", mean as i64),
-                        ("dynamic", i64::from(dynamic)),
                     ],
                 );
                 if let Some(imbalance) = makespan.saturating_mul(100).checked_div(mean) {
@@ -766,117 +581,6 @@ impl Executor {
                 }
             }
         }
-    }
-
-    /// Cuts `morsels` boundaries over `0..n` at approximately equal summed
-    /// cost: boundary `k` is the smallest index whose inclusive cost prefix
-    /// reaches `k/morsels` of the total (exact integer rule — see
-    /// [`sched::emit_cost_crossings`]). Returns `None` when the costs sum
-    /// to zero. The result is a pure function of `(n, morsels, costs)`:
-    /// the sequential planner and the chunk-parallel planner (used past
-    /// [`WEIGHT_PLAN_PARALLEL_THRESHOLD`]) produce bit-identical cuts for
-    /// every worker count.
-    ///
-    /// The planner passes run straight on the pool: they are internal to
-    /// the launch, so they record no stats, open no spans, and never roll
-    /// fault injection — `GMC_FAULTS` step counting is identical under both
-    /// schedules.
-    fn cost_boundaries(
-        &self,
-        n: usize,
-        morsels: usize,
-        cost: &(dyn Fn(usize) -> u64 + Sync),
-    ) -> Option<Vec<usize>> {
-        if morsels <= 1 {
-            return None;
-        }
-        if n < WEIGHT_PLAN_PARALLEL_THRESHOLD {
-            // Sequential planner: one summing pass, one crossing walk.
-            let mut total = 0u64;
-            for i in 0..n {
-                total = total.saturating_add(cost(i));
-            }
-            if total == 0 {
-                return None;
-            }
-            let mut bounds = vec![0usize; morsels + 1];
-            bounds[morsels] = n;
-            let total_wide = u128::from(total);
-            let mut prefix = 0u64;
-            let mut next_k = 1usize;
-            for i in 0..n {
-                let after = prefix.saturating_add(cost(i));
-                sched::emit_cost_crossings(
-                    morsels,
-                    total_wide,
-                    prefix,
-                    after,
-                    i,
-                    &mut next_k,
-                    |k, b| {
-                        bounds[k] = b;
-                    },
-                );
-                prefix = after;
-            }
-            return Some(bounds);
-        }
-        // Chunk-parallel planner (the executor's two-phase scan shape):
-        // per-chunk partial sums, a host exclusive scan over them, then a
-        // per-chunk crossing walk. Interior boundary `k` is written by
-        // exactly one chunk (the one whose prefix range straddles
-        // `k/morsels` of the total), so the writes are disjoint.
-        let mut partials = vec![0u64; self.inner.num_workers];
-        {
-            let shared = crate::SharedSlice::new(&mut partials);
-            self.static_chunks(n, &|chunk_id, range| {
-                let mut sum = 0u64;
-                for i in range {
-                    sum = sum.saturating_add(cost(i));
-                }
-                // SAFETY: each chunk writes exactly its own slot.
-                unsafe { shared.write(chunk_id, sum) };
-            });
-        }
-        let mut chunk_prefix = partials;
-        let mut total = 0u64;
-        for slot in &mut chunk_prefix {
-            let partial = *slot;
-            *slot = total;
-            total = total.saturating_add(partial);
-        }
-        if total == 0 {
-            return None;
-        }
-        let mut bounds = vec![0usize; morsels + 1];
-        bounds[morsels] = n;
-        {
-            let shared = crate::SharedSlice::new(&mut bounds);
-            let total_wide = u128::from(total);
-            self.static_chunks(n, &|chunk_id, range| {
-                let mut prefix = chunk_prefix[chunk_id];
-                let mut next_k = sched::first_crossing_k(morsels, total_wide, prefix);
-                for i in range {
-                    if next_k >= morsels {
-                        break;
-                    }
-                    let after = prefix.saturating_add(cost(i));
-                    sched::emit_cost_crossings(
-                        morsels,
-                        total_wide,
-                        prefix,
-                        after,
-                        i,
-                        &mut next_k,
-                        // SAFETY: crossing `k` straddles exactly one chunk's
-                        // prefix range, so each slot has a single writer.
-                        |k, b| unsafe { shared.write(k, b) },
-                    );
-                    prefix = after;
-                }
-            });
-        }
-        Some(bounds)
     }
 
     /// The number of chunks [`Executor::run_chunks`] will produce for an
@@ -994,46 +698,22 @@ mod tests {
     }
 
     /// Every way a call site can describe a launch, crossed by
-    /// [`launch_table`] with both schedules and several worker counts.
+    /// [`launch_table`] with several worker counts.
     #[derive(Clone, Copy, Debug)]
     enum Shape {
         Plain,
         Fused,
-        /// One stretch of indices carries almost all of the cost.
-        Weighted,
-        FusedWeighted,
-        /// All-zero costs: Auto falls back to uniform morsels.
-        ZeroCost,
-        /// Every cost `u64::MAX`: the planner's sums saturate.
-        SaturatedCost,
-        /// CSR segment lengths as costs, including empty segments.
-        Segments,
         Map,
         Chunks,
     }
 
     impl Shape {
-        const ALL: [Shape; 9] = [
-            Shape::Plain,
-            Shape::Fused,
-            Shape::Weighted,
-            Shape::FusedWeighted,
-            Shape::ZeroCost,
-            Shape::SaturatedCost,
-            Shape::Segments,
-            Shape::Map,
-            Shape::Chunks,
-        ];
+        const ALL: [Shape; 4] = [Shape::Plain, Shape::Fused, Shape::Map, Shape::Chunks];
 
         fn kernel(self) -> &'static str {
             match self {
                 Shape::Plain => "table_plain",
                 Shape::Fused => "table_fused",
-                Shape::Weighted => "table_weighted",
-                Shape::FusedWeighted => "table_fused_weighted",
-                Shape::ZeroCost => "table_zero_cost",
-                Shape::SaturatedCost => "table_saturated_cost",
-                Shape::Segments => "table_segments",
                 Shape::Map => "table_map",
                 Shape::Chunks => "table_chunks",
             }
@@ -1045,7 +725,7 @@ mod tests {
     fn send(
         exec: &Executor,
         shape: Shape,
-        launch: Launch<'_>,
+        launch: Launch,
         hits: &[AtomicU64],
         fallible: bool,
     ) -> Result<(), LaunchError> {
@@ -1087,124 +767,82 @@ mod tests {
 
     #[test]
     fn launch_table() {
-        let skewed = |i: usize| if i < 500 { 10_000u64 } else { 1 };
-        let zero = |_: usize| 0u64;
-        let saturated = |_: usize| u64::MAX;
-        // One grid per cost planner: sequential below the threshold,
-        // chunk-parallel above it.
-        let grids = [10_000usize, 100_000];
-        assert!(grids[0] < WEIGHT_PLAN_PARALLEL_THRESHOLD);
-        assert!(grids[1] >= WEIGHT_PLAN_PARALLEL_THRESHOLD);
-        for n in grids {
-            let mut offsets = vec![0usize; n + 1];
-            for i in 0..n {
-                offsets[i + 1] = offsets[i] + i % 17;
-            }
-            let segment = |i: usize| (offsets[i + 1] - offsets[i]) as u64;
-            for workers in [1, 2, 8] {
-                let exec = Executor::new(workers);
-                for schedule in [Schedule::Static, Schedule::Auto] {
-                    exec.set_schedule(schedule);
-                    for shape in Shape::ALL {
-                        let ctx = format!("{shape:?}, n {n}, {schedule}, {workers} workers");
-                        let name = shape.kernel();
-                        let (launch, weighted) = match shape {
-                            Shape::Plain | Shape::Map | Shape::Chunks => {
-                                (Launch::new(name, n), false)
-                            }
-                            Shape::Fused => (Launch::new(name, n).fused(), false),
-                            Shape::Weighted => (Launch::new(name, n).weighted(&skewed), true),
-                            Shape::FusedWeighted => {
-                                (Launch::new(name, n).fused().weighted(&skewed), true)
-                            }
-                            Shape::ZeroCost => (Launch::new(name, n).weighted(&zero), true),
-                            Shape::SaturatedCost => {
-                                (Launch::new(name, n).weighted(&saturated), true)
-                            }
-                            Shape::Segments => (
-                                Launch::new(name, offsets.len() - 1).weighted(&segment),
-                                true,
-                            ),
-                        };
-                        let fused = u64::from(launch.fused);
+        let n = 10_000usize;
+        assert!(n > DEFAULT_SEQUENTIAL_GRID_LIMIT);
+        for workers in [1, 2, 8] {
+            let exec = Executor::new(workers);
+            for shape in Shape::ALL {
+                let ctx = format!("{shape:?}, {workers} workers");
+                let name = shape.kernel();
+                let launch = match shape {
+                    Shape::Fused => Launch::new(name, n).fused(),
+                    _ => Launch::new(name, n),
+                };
+                let fused = u64::from(launch.fused);
 
-                        // Expected counters: one launch of `n` virtual
-                        // threads on this kernel's row, and the balance
-                        // record of the mapping the dispatcher picks.
-                        let launch_stats = LaunchStats {
+                // Expected counters: one launch of `n` virtual threads on
+                // this kernel's row, and one balance record per pooled
+                // `run`/`map` (inline launches and `run_chunks` record
+                // none).
+                let launch_stats = LaunchStats {
+                    launches: 1,
+                    virtual_threads: n as u64,
+                    fused_launches: fused,
+                    per_kernel: vec![(
+                        name,
+                        KernelStats {
                             launches: 1,
                             virtual_threads: n as u64,
                             fused_launches: fused,
-                            per_kernel: vec![(
-                                name,
-                                KernelStats {
-                                    launches: 1,
-                                    virtual_threads: n as u64,
-                                    fused_launches: fused,
-                                },
-                            )],
-                        };
-                        let pooled = workers > 1 && !matches!(shape, Shape::Chunks);
-                        let dynamic = pooled && weighted && schedule == Schedule::Auto;
-                        let morsels = if dynamic {
-                            sched::uniform_morsels(n, sched::DEFAULT_MORSEL_GRAIN).1
-                        } else {
-                            n.div_ceil(n.div_ceil(workers))
-                        } as u64;
+                        },
+                    )],
+                };
+                let pooled = workers > 1 && !matches!(shape, Shape::Chunks);
 
-                        // Infallible, then unarmed `try_`: both run every
-                        // index exactly once and record the same counters.
-                        for fallible in [false, true] {
-                            if fallible && matches!(shape, Shape::Chunks) {
-                                continue;
-                            }
-                            let before = exec.stats();
-                            let sched_before = exec.schedule_stats();
-                            let hits = counters(n);
-                            send(&exec, shape, launch, &hits, fallible).unwrap();
-                            assert!(all_equal(&hits, 1), "{ctx}: coverage");
-                            assert_eq!(exec.stats().since(&before), launch_stats, "{ctx}");
-                            let s = exec.schedule_stats().since(&sched_before);
-                            assert_eq!(s.pool_launches, u64::from(pooled), "{ctx}");
-                            assert_eq!(s.dynamic_launches, u64::from(dynamic), "{ctx}");
-                            if pooled {
-                                assert_eq!(s.morsels, morsels, "{ctx}");
-                                assert!(
-                                    s.max_worker_morsels >= morsels.div_ceil(workers as u64),
-                                    "{ctx}: {s:?}"
-                                );
-                                assert!(s.makespan_ns >= s.mean_chunk_ns, "{ctx}: {s:?}");
-                            } else {
-                                assert_eq!(s, ScheduleStats::default(), "{ctx}");
-                            }
-                        }
-
-                        // Armed `try_`: fails before running, records
-                        // nothing, and consumes exactly one fault step —
-                        // the cost planner never rolls.
-                        if matches!(shape, Shape::Chunks) {
-                            continue;
-                        }
-                        let injector = FaultInjector::new("launch=1".parse().unwrap());
-                        exec.set_fault_injector(Some(injector.clone()));
-                        let before = exec.stats();
-                        let sched_before = exec.schedule_stats();
-                        let hits = counters(n);
-                        let err = send(&exec, shape, launch, &hits, true).unwrap_err();
-                        exec.set_fault_injector(None);
-                        assert_eq!(err.kernel, name, "{ctx}");
-                        assert!(all_equal(&hits, 0), "{ctx}: the kernel must not run");
-                        assert_eq!(exec.stats().since(&before), LaunchStats::default(), "{ctx}");
-                        assert_eq!(
-                            exec.schedule_stats().since(&sched_before),
-                            ScheduleStats::default(),
-                            "{ctx}"
-                        );
-                        let faults = injector.stats();
-                        assert_eq!(faults.injected_launches, 1, "{ctx}");
-                        assert_eq!(faults.steps, 1, "{ctx}");
+                // Infallible, then unarmed `try_`: both run every index
+                // exactly once and record the same counters.
+                for fallible in [false, true] {
+                    if fallible && matches!(shape, Shape::Chunks) {
+                        continue;
+                    }
+                    let before = exec.stats();
+                    let sched_before = exec.schedule_stats();
+                    let hits = counters(n);
+                    send(&exec, shape, launch, &hits, fallible).unwrap();
+                    assert!(all_equal(&hits, 1), "{ctx}: coverage");
+                    assert_eq!(exec.stats().since(&before), launch_stats, "{ctx}");
+                    let s = exec.schedule_stats().since(&sched_before);
+                    assert_eq!(s.pool_launches, u64::from(pooled), "{ctx}");
+                    if pooled {
+                        assert!(s.makespan_ns >= s.mean_chunk_ns, "{ctx}: {s:?}");
+                    } else {
+                        assert_eq!(s, ScheduleStats::default(), "{ctx}");
                     }
                 }
+
+                // Armed `try_`: fails before running, records nothing, and
+                // consumes exactly one fault step.
+                if matches!(shape, Shape::Chunks) {
+                    continue;
+                }
+                let injector = FaultInjector::new("launch=1".parse().unwrap());
+                exec.set_fault_injector(Some(injector.clone()));
+                let before = exec.stats();
+                let sched_before = exec.schedule_stats();
+                let hits = counters(n);
+                let err = send(&exec, shape, launch, &hits, true).unwrap_err();
+                exec.set_fault_injector(None);
+                assert_eq!(err.kernel, name, "{ctx}");
+                assert!(all_equal(&hits, 0), "{ctx}: the kernel must not run");
+                assert_eq!(exec.stats().since(&before), LaunchStats::default(), "{ctx}");
+                assert_eq!(
+                    exec.schedule_stats().since(&sched_before),
+                    ScheduleStats::default(),
+                    "{ctx}"
+                );
+                let faults = injector.stats();
+                assert_eq!(faults.injected_launches, 1, "{ctx}");
+                assert_eq!(faults.steps, 1, "{ctx}");
             }
         }
     }
@@ -1236,7 +874,6 @@ mod tests {
         let clone = exec.clone();
         exec.run(Launch::new("shared", 10), |_| {});
         assert_eq!(clone.stats().launches, 1);
-        exec.set_schedule(Schedule::Static);
         exec.run(Launch::new("shared", 100_000), |_| {});
         assert_eq!(clone.schedule_stats().pool_launches, 1);
         clone.reset_stats();
@@ -1352,9 +989,6 @@ mod tests {
         exec.set_tracer(session.tracer());
         exec.run(Launch::new("traced_kernel", 100), |_| {});
         exec.run(Launch::new("traced_kernel", 1 << 14), |_| {});
-        let cost = |_: usize| 1u64;
-        let weighted = Launch::new("traced_weighted", 1 << 14).weighted(&cost);
-        exec.run(weighted, |_| {});
         exec.set_tracer(Tracer::disabled());
         exec.run(Launch::new("untraced_kernel", 10), |_| {});
         let timeline = session.finish();
@@ -1374,15 +1008,6 @@ mod tests {
             spans[1].args.contains(&("inline", 0)),
             "big grid uses the pool"
         );
-        let weighted = timeline
-            .spans
-            .iter()
-            .find(|s| s.name == "traced_weighted")
-            .expect("weighted launch span");
-        assert!(
-            weighted.args.contains(&("chunks", 16)),
-            "Auto cuts 16k weighted indices into 16 morsels"
-        );
         assert!(
             !timeline.spans.iter().any(|s| s.name == "untraced_kernel"),
             "no spans after the tracer is removed"
@@ -1398,58 +1023,6 @@ mod tests {
         for _ in 0..50 {
             assert!(exec.try_run(Launch::new("never_fails", 8), |_| {}).is_ok());
         }
-    }
-
-    #[test]
-    fn schedule_round_trips_through_accessor() {
-        let exec = Executor::new(2);
-        for schedule in [Schedule::Static, Schedule::Auto] {
-            exec.set_schedule(schedule);
-            assert_eq!(exec.schedule(), schedule);
-        }
-    }
-
-    #[test]
-    fn cost_boundaries_are_identical_across_worker_counts() {
-        // Both planner shapes (sequential below the threshold, chunked
-        // above) and every worker count must produce the same cut: the
-        // boundary rule is a pure function of `(n, morsels, costs)`.
-        let cost = |i: usize| ((i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 56) + 1;
-        for n in [10_000usize, WEIGHT_PLAN_PARALLEL_THRESHOLD + 12_345] {
-            let morsels = 64;
-            // Reference: the crossing rule evaluated naively.
-            let total: u128 = (0..n).map(|i| u128::from(cost(i))).sum();
-            let mut reference = vec![0usize; morsels + 1];
-            reference[morsels] = n;
-            let mut prefix: u128 = 0;
-            let mut k = 1;
-            for i in 0..n {
-                prefix += u128::from(cost(i));
-                while k < morsels && prefix * morsels as u128 >= k as u128 * total {
-                    reference[k] = i + 1;
-                    k += 1;
-                }
-            }
-            for workers in [2, 3, 8] {
-                let exec = Executor::new(workers);
-                let bounds = exec.cost_boundaries(n, morsels, &cost).unwrap();
-                assert_eq!(bounds, reference, "workers {workers}, n {n}");
-            }
-        }
-    }
-
-    #[test]
-    fn auto_takes_the_inline_path_on_small_grids() {
-        let exec = Executor::new(8);
-        exec.set_schedule(Schedule::Auto);
-        let before = exec.schedule_stats();
-        let cost = |_: usize| 1u64;
-        let launch = Launch::new("at_limit", DEFAULT_SEQUENTIAL_GRID_LIMIT).weighted(&cost);
-        let out = exec.map(launch, |i| i as u32);
-        assert_eq!(out[100], 100);
-        exec.run(Launch::new("tiny", 64).weighted(&cost), |_| {});
-        let delta = exec.schedule_stats().since(&before);
-        assert_eq!(delta.pool_launches, 0, "small grids never touch the pool");
     }
 
     #[test]

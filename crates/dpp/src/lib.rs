@@ -11,8 +11,8 @@
 //!   descriptor is the analogue of one kernel launch: one *virtual thread*
 //!   per element, a barrier at the end, and deterministic results
 //!   regardless of worker count.
-//! * [`exclusive_scan`], [`select_if`], [`remove_empty_segments`],
-//!   [`sort_pairs_u32`], [`histogram_u32`], [`run_length_encode`] — the
+//! * [`exclusive_scan`], [`reduce`], [`select_if`], [`select_indices`],
+//!   [`remove_empty_segments`], [`sort_pairs_u32`], [`run_starts`] — the
 //!   CUB-style primitives the paper's Algorithms 1 and 2 are built from.
 //! * [`DeviceMemory`] / [`DeviceBuffer`] — a capacity-bounded accounting
 //!   allocator standing in for the GPU's on-board RAM. Exhausting it yields
@@ -28,11 +28,9 @@
 //!   fails device-memory charges and `try_` launches at a configured rate,
 //!   so the solver's recovery paths are continuously exercised
 //!   (`GMC_FAULTS`, chaos CI).
-//! * [`Schedule`] — cost-aware launch scheduling: the default `Auto` cuts
-//!   weighted launches ([`Launch::weighted`]) into morsels of equal summed
-//!   cost that idle workers claim dynamically, so skewed grids no longer
-//!   serialise on one worker; `Static` keeps one chunk per worker
-//!   (`GMC_SCHED`, [`ScheduleStats`]).
+//! * [`ScheduleStats`] — how evenly each pooled launch kept the workers
+//!   busy. A pooled launch maps one contiguous chunk of its grid onto each
+//!   worker, the only mapping the executor has.
 //!
 //! Determinism: every primitive in this crate returns byte-identical output
 //! for a given input regardless of how many workers the executor has; all
@@ -43,13 +41,11 @@
 mod cancel;
 mod executor;
 pub mod fault;
-mod histogram;
 mod memory;
 pub mod prop;
 mod rle;
 pub mod rng;
 mod scan;
-mod sched;
 mod segmented;
 mod select;
 mod shared;
@@ -57,23 +53,19 @@ mod sort;
 mod stats;
 
 pub use cancel::{CancelToken, Cancelled};
-pub use executor::{Executor, Launch, DEFAULT_SEQUENTIAL_GRID_LIMIT};
+pub use executor::{Executor, Launch, Schedule, DEFAULT_SEQUENTIAL_GRID_LIMIT};
 pub use fault::{DeviceError, FaultInjector, FaultPlan, FaultStats, LaunchError};
-pub use histogram::histogram_u32;
 pub use memory::{DeviceBuffer, DeviceMemory, DeviceOom, MemoryGuard};
-pub use rle::{run_length_encode, run_starts, try_run_starts};
+pub use rle::{run_starts, try_run_starts};
 pub use rng::Rng;
 pub use scan::{
-    exclusive_scan, exclusive_scan_by, exclusive_scan_by_into, exclusive_scan_into, inclusive_scan,
-    reduce, reduce_by, try_exclusive_scan, try_exclusive_scan_into,
+    exclusive_scan, exclusive_scan_by, exclusive_scan_by_into, exclusive_scan_into, reduce,
+    reduce_by, try_exclusive_scan, try_exclusive_scan_into,
 };
-pub use sched::{Schedule, DEFAULT_MORSEL_GRAIN, MAX_MORSELS};
-pub use segmented::{remove_empty_segments, segmented_sum};
-pub use select::{
-    select_count, select_flagged, select_if, select_if_into, select_indices, try_select_indices,
-};
+pub use segmented::remove_empty_segments;
+pub use select::{select_flagged, select_if, select_if_into, select_indices, try_select_indices};
 pub use shared::{SharedSlice, UninitSlice};
-pub use sort::{sort_pairs_u32, sort_u32, sort_u32_desc};
+pub use sort::{sort_pairs_u32, sort_u32};
 pub use stats::{KernelStats, LaunchStats, ScheduleStats};
 
 // Re-exported so executor users can install tracers without naming the

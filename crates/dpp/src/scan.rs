@@ -264,18 +264,6 @@ pub fn try_exclusive_scan_into(
     Ok(exclusive_scan_into(exec, input, out))
 }
 
-/// Inclusive prefix sum over `usize` values.
-pub fn inclusive_scan(exec: &Executor, input: &[usize]) -> Vec<usize> {
-    let (mut out, total) = exclusive_scan(exec, input);
-    if out.is_empty() {
-        return out;
-    }
-    // Shift left by one and append the total.
-    out.remove(0);
-    out.push(total);
-    out
-}
-
 /// Generic deterministic reduction with an associative operator.
 pub fn reduce_by<T, Op>(exec: &Executor, input: &[T], identity: T, op: Op) -> T
 where
@@ -441,14 +429,6 @@ mod tests {
             exclusive_scan_by_into(&exec, &[2u32, 9, 1], 0u32, |a, b| a.max(b), &mut generic);
         assert_eq!(generic, vec![0, 2, 9]);
         assert_eq!(total, 9);
-    }
-
-    #[test]
-    fn inclusive_scan_matches() {
-        let exec = Executor::new(4);
-        let input = [1usize, 2, 3, 4];
-        assert_eq!(inclusive_scan(&exec, &input), vec![1, 3, 6, 10]);
-        assert!(inclusive_scan(&exec, &[]).is_empty());
     }
 
     #[test]

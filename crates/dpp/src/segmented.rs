@@ -1,31 +1,14 @@
-//! Segmented operations (CUB `DeviceSegmentedReduce` analogue) plus segment
-//! bookkeeping helpers.
+//! Segment bookkeeping.
 //!
 //! Segments are described CSR-style by an `offsets` array of length
 //! `num_segments + 1`: segment `s` covers `offsets[s]..offsets[s + 1]` of the
 //! value array. The multi-run heuristic (the paper's Algorithm 1) drops its
-//! dead segments with [`remove_empty_segments`] after every round; that one
-//! takes the per-segment lengths its kernel counted and builds the offsets.
+//! dead segments with [`remove_empty_segments`] after every round that
+//! leaves a survivor; it takes the per-segment lengths the round's kernel
+//! counted and builds the offsets.
 
 use crate::executor::{Executor, Launch};
 use crate::scan::exclusive_scan;
-use crate::shared::SharedSlice;
-
-/// Per-segment sums of `usize` values.
-pub fn segmented_sum(exec: &Executor, values: &[usize], offsets: &[usize]) -> Vec<usize> {
-    assert!(!offsets.is_empty(), "offsets must have at least one entry");
-    let num_segments = offsets.len() - 1;
-    let mut out = vec![0usize; num_segments];
-    {
-        let out_shared = SharedSlice::new(&mut out);
-        exec.run(Launch::new("segmented_sum", num_segments), |s| {
-            let sum: usize = values[offsets[s]..offsets[s + 1]].iter().sum();
-            // SAFETY: one write per segment index.
-            unsafe { out_shared.write(s, sum) };
-        });
-    }
-    out
-}
 
 /// Drops zero-length segments. Takes each segment's length and returns the
 /// offsets of the surviving segments (CSR-style, ending with the total),
@@ -49,14 +32,6 @@ pub fn remove_empty_segments(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sums_per_segment() {
-        let exec = Executor::new(2);
-        let values = [1usize, 2, 3, 4, 5];
-        let offsets = [0usize, 2, 2, 5];
-        assert_eq!(segmented_sum(&exec, &values, &offsets), vec![3, 0, 12]);
-    }
 
     #[test]
     fn removing_empty_segments_compacts() {

@@ -18,16 +18,6 @@ where
     select_if(exec, data, |i, _| flags[i])
 }
 
-/// Counts elements satisfying the predicate (no output materialised).
-pub fn select_count<T, P>(exec: &Executor, data: &[T], pred: P) -> usize
-where
-    T: Copy + Send + Sync,
-    P: Fn(usize, T) -> bool + Sync,
-{
-    let counts = per_chunk_counts(exec, data, &pred);
-    counts.iter().sum()
-}
-
 /// Keeps `data[i]` where `pred(i, data[i])` is true; stable.
 pub fn select_if<T, P>(exec: &Executor, data: &[T], pred: P) -> Vec<T>
 where
@@ -179,14 +169,6 @@ mod tests {
         assert!(idx.iter().all(|&i| data[i] == 7));
         assert_eq!(idx.len(), 5_000);
         assert!(idx.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn select_count_matches_select_if() {
-        let exec = Executor::new(4);
-        let data: Vec<u32> = (0..123_457).map(|i| i * 7 % 13).collect();
-        let count = select_count(&exec, &data, |_, v| v < 4);
-        assert_eq!(count, select_if(&exec, &data, |_, v| v < 4).len());
     }
 
     #[test]

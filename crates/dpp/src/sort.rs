@@ -9,7 +9,7 @@
 //! The sort is stable, which the clique-list setup relies on when ordering
 //! candidates by (degree, index).
 
-use crate::executor::{Executor, Launch};
+use crate::executor::Executor;
 use crate::shared::SharedSlice;
 
 const RADIX_BITS: u32 = 8;
@@ -19,14 +19,6 @@ const BINS: usize = 1 << RADIX_BITS;
 pub fn sort_u32(exec: &Executor, keys: &[u32]) -> Vec<u32> {
     let (sorted, _) = radix_sort(exec, keys, None);
     sorted
-}
-
-/// Sorts `keys` descending, returning a new vector.
-pub fn sort_u32_desc(exec: &Executor, keys: &[u32]) -> Vec<u32> {
-    // Descending stable sort via bitwise complement of the key.
-    let flipped: Vec<u32> = exec.map(Launch::new("sort_flip_keys", keys.len()), |i| !keys[i]);
-    let (sorted, _) = radix_sort(exec, &flipped, None);
-    sorted.into_iter().map(|k| !k).collect()
 }
 
 /// Stable key-value sort: returns `(sorted_keys, permuted_values)`.
@@ -150,15 +142,6 @@ mod tests {
         let mut expected = data.clone();
         expected.sort_unstable();
         assert_eq!(sort_u32(&exec, &data), expected);
-    }
-
-    #[test]
-    fn descending_sort() {
-        let exec = Executor::new(4);
-        let data = pseudo_random(100_000, 11);
-        let mut expected = data.clone();
-        expected.sort_unstable_by(|a, b| b.cmp(a));
-        assert_eq!(sort_u32_desc(&exec, &data), expected);
     }
 
     #[test]

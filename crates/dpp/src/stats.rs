@@ -72,30 +72,14 @@ impl StatsCells {
 #[derive(Debug, Default)]
 pub(crate) struct ScheduleCells {
     pub pool_launches: AtomicU64,
-    pub dynamic_launches: AtomicU64,
-    pub morsels: AtomicU64,
-    pub max_worker_morsels: AtomicU64,
     pub makespan_ns: AtomicU64,
     pub mean_chunk_ns: AtomicU64,
 }
 
 impl ScheduleCells {
     /// Records one pooled launch's balance measurement.
-    pub(crate) fn record(
-        &self,
-        dynamic: bool,
-        morsels: u64,
-        max_worker_morsels: u64,
-        makespan_ns: u64,
-        mean_chunk_ns: u64,
-    ) {
+    pub(crate) fn record(&self, makespan_ns: u64, mean_chunk_ns: u64) {
         self.pool_launches.fetch_add(1, Ordering::Relaxed);
-        if dynamic {
-            self.dynamic_launches.fetch_add(1, Ordering::Relaxed);
-        }
-        self.morsels.fetch_add(morsels, Ordering::Relaxed);
-        self.max_worker_morsels
-            .fetch_add(max_worker_morsels, Ordering::Relaxed);
         self.makespan_ns.fetch_add(makespan_ns, Ordering::Relaxed);
         self.mean_chunk_ns
             .fetch_add(mean_chunk_ns, Ordering::Relaxed);
@@ -104,9 +88,6 @@ impl ScheduleCells {
     pub(crate) fn snapshot(&self) -> ScheduleStats {
         ScheduleStats {
             pool_launches: self.pool_launches.load(Ordering::Relaxed),
-            dynamic_launches: self.dynamic_launches.load(Ordering::Relaxed),
-            morsels: self.morsels.load(Ordering::Relaxed),
-            max_worker_morsels: self.max_worker_morsels.load(Ordering::Relaxed),
             makespan_ns: self.makespan_ns.load(Ordering::Relaxed),
             mean_chunk_ns: self.mean_chunk_ns.load(Ordering::Relaxed),
         }
@@ -114,25 +95,21 @@ impl ScheduleCells {
 
     pub(crate) fn reset(&self) {
         self.pool_launches.store(0, Ordering::Relaxed);
-        self.dynamic_launches.store(0, Ordering::Relaxed);
-        self.morsels.store(0, Ordering::Relaxed);
-        self.max_worker_morsels.store(0, Ordering::Relaxed);
         self.makespan_ns.store(0, Ordering::Relaxed);
         self.mean_chunk_ns.store(0, Ordering::Relaxed);
     }
 }
 
-/// Scheduling and load-balance counters for an [`Executor`], snapshot via
-/// [`Executor::schedule_stats`].
+/// Load-balance counters for an [`Executor`]'s pooled launches, snapshot
+/// via [`Executor::schedule_stats`]. Every pooled launch maps one
+/// contiguous chunk of its grid onto each worker.
 ///
 /// Kept separate from [`LaunchStats`] on purpose: launch counts are a
 /// *structural* property of the algorithm (identical across worker counts
 /// and machines, and asserted so by the determinism suite), whereas these
-/// counters measure *how* the pool executed — which launches took the pool,
-/// how morsels spread over workers, and wall-clock busy times. The
-/// structural subset here (`dynamic_launches`, `morsels`) is still
-/// deterministic for a fixed worker count, but the timing fields and
-/// per-worker claim maxima are not.
+/// counters measure *how* the pool executed. `pool_launches` is
+/// deterministic for a fixed worker count and sequential-grid limit; the
+/// timing fields are not.
 ///
 /// [`Executor`]: crate::Executor
 /// [`Executor::schedule_stats`]: crate::Executor::schedule_stats
@@ -141,19 +118,6 @@ pub struct ScheduleStats {
     /// Launches dispatched to the worker pool (grids past the sequential
     /// limit on a multi-worker executor); the rest ran inline.
     pub pool_launches: u64,
-    /// Pooled launches dispatched by dynamic morsel claiming: weighted
-    /// launches ([`Launch::weighted`](crate::Launch::weighted)) under
-    /// [`Schedule::Auto`](crate::Schedule::Auto). Also counted in
-    /// `pool_launches`.
-    pub dynamic_launches: u64,
-    /// Work units claimed across pooled launches: morsels for dynamic
-    /// launches, non-empty static chunks otherwise. Decompositions are
-    /// worker-count independent, so for dynamic launches this is too.
-    pub morsels: u64,
-    /// Sum over pooled launches of the largest morsel count any single
-    /// worker claimed — the "morsels claimed per worker" skew signal
-    /// (equals `pool_launches` when every worker claimed exactly once).
-    pub max_worker_morsels: u64,
     /// Sum over pooled launches of the slowest engaged worker's busy time.
     pub makespan_ns: u64,
     /// Sum over pooled launches of the *mean* engaged-worker busy time. The
@@ -167,13 +131,6 @@ impl ScheduleStats {
     pub fn since(&self, earlier: &ScheduleStats) -> ScheduleStats {
         ScheduleStats {
             pool_launches: self.pool_launches.saturating_sub(earlier.pool_launches),
-            dynamic_launches: self
-                .dynamic_launches
-                .saturating_sub(earlier.dynamic_launches),
-            morsels: self.morsels.saturating_sub(earlier.morsels),
-            max_worker_morsels: self
-                .max_worker_morsels
-                .saturating_sub(earlier.max_worker_morsels),
             makespan_ns: self.makespan_ns.saturating_sub(earlier.makespan_ns),
             mean_chunk_ns: self.mean_chunk_ns.saturating_sub(earlier.mean_chunk_ns),
         }

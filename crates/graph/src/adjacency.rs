@@ -82,11 +82,7 @@ impl BitMatrix {
         let mut bits = Vec::new();
         {
             let dst = UninitSlice::for_vec(&mut bits, n * words_per_row);
-            // Cost hint: a row streams its adjacency list plus the row's
-            // zero-fill, so degree skew maps straight onto launch skew.
-            let row_cost = |v: usize| (graph.degree(v as u32) + words_per_row) as u64;
-            let launch = Launch::new("bitmatrix_build_rows", n).weighted(&row_cost);
-            exec.run(launch, |v| {
+            exec.run(Launch::new("bitmatrix_build_rows", n), |v| {
                 let row = v * words_per_row;
                 let mut word = 0u64;
                 let mut cur = 0usize;
@@ -187,10 +183,10 @@ impl CoreBitmap {
 
     /// Builds the bitmap for the vertices with `keep[v] == true`, as two
     /// executor launches: a renumber scatter (one virtual thread per
-    /// survivor) and a weighted row build (one virtual thread per row,
-    /// cost-hinted by degree). Both are `try_` launches, so injected
-    /// faults and deadline cancellation surface here instead of aborting —
-    /// the caller degrades to the scalar walk or unwinds its charge.
+    /// survivor) and a row build (one virtual thread per row). Both are
+    /// `try_` launches, so injected faults and deadline cancellation
+    /// surface here instead of aborting — the caller degrades to the
+    /// scalar walk or unwinds its charge.
     pub fn try_build(exec: &Executor, graph: &Csr, keep: &[bool]) -> Result<Self, DeviceError> {
         assert_eq!(keep.len(), graph.num_vertices(), "keep mask length");
         exec.check_cancelled()?;
@@ -218,9 +214,7 @@ impl CoreBitmap {
             let dst = SharedSlice::new(&mut bits);
             let remap = &new_of_old;
             let ids = &old_of_new;
-            let row_cost = |r: usize| (graph.degree(ids[r]) + words_per_row) as u64;
-            let launch = Launch::new("corebits_build_rows", n_core).weighted(&row_cost);
-            exec.try_run(launch, |r| {
+            exec.try_run(Launch::new("corebits_build_rows", n_core), |r| {
                 let row = r * words_per_row;
                 for &u in graph.neighbors(ids[r]) {
                     let c = remap[u as usize];

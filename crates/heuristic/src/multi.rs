@@ -17,16 +17,18 @@
 //!    plus an offset-building scan, whose total sizes the next round, and
 //!    a stable select compacts the survivors, which keeps every segment
 //!    sorted.
-//! 3. Iterate until no candidate survives. The paper tracks only the round
-//!    count (the clique size); each round here also keeps its picks and the
-//!    map from its segments to the previous round's. The runs alive in the
-//!    final round are the longest; the winner is the one whose seed ranks
-//!    last, found by following those maps back to round 0, and its witness
-//!    is read back along them.
+//! 3. Iterate until no candidate survives; the kernel also reports whether
+//!    any segment kept one, so the last round stops before the removal.
+//!    The paper tracks only the round count (the clique size); each round
+//!    here also keeps its picks and the map from its segments to the
+//!    previous round's. The runs alive in the final round are the longest;
+//!    the winner is the one whose seed ranks last, found by following
+//!    those maps back to round 0, and its witness is read back along them.
 
 use gmc_dpp::{Device, DeviceOom, Executor, Launch, SharedSlice};
 use gmc_graph::Csr;
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A pick's CSR row this many times longer than the segment is galloped
 /// through rather than merged.
@@ -91,7 +93,7 @@ pub fn multi_run(
     let mut parents: Vec<Vec<usize>> = Vec::new();
     loop {
         let first_round = picks.is_empty();
-        let (round_picks, counts) = check_connections(
+        let (round_picks, counts, any_survivor) = check_connections(
             exec,
             graph,
             thresholds,
@@ -101,12 +103,12 @@ pub fn multi_run(
             |s| !first_round || (rank[s] as usize) < h,
         );
         picks.push(round_picks);
+        if !any_survivor {
+            break;
+        }
         // Drop the dead segments; the survivor counts are the next round's
         // segment lengths.
         let (next_offsets, parent, survivors) = gmc_dpp::remove_empty_segments(exec, &counts);
-        if survivors == 0 {
-            break;
-        }
 
         // Stable compaction (stability keeps segments contiguous and
         // sorted).
@@ -157,7 +159,8 @@ pub fn multi_run(
 /// own row, so it drops out. A segment that is empty or not a run (`runs`
 /// is false) makes no pick ([`NO_PICK`]) and leaves its flags as they
 /// are: only round 0 has such segments, and its flags start cleared.
-/// Returns the picks and the survivor counts, per segment.
+/// Returns the picks and the survivor counts, per segment, and whether any
+/// segment kept a survivor, so the last round stops before the removal.
 fn check_connections(
     exec: &Executor,
     graph: &Csr,
@@ -166,17 +169,16 @@ fn check_connections(
     entries: &[u32],
     flags: &mut [bool],
     runs: impl Fn(usize) -> bool + Sync,
-) -> (Vec<u32>, Vec<usize>) {
+) -> (Vec<u32>, Vec<usize>, bool) {
     let num_segments = offsets.len() - 1;
     let mut picks = vec![NO_PICK; num_segments];
     let mut counts = vec![0usize; num_segments];
+    let any_survivor = AtomicBool::new(false);
     {
         let flags_shared = SharedSlice::new(flags);
         let picks_shared = SharedSlice::new(&mut picks);
         let counts_shared = SharedSlice::new(&mut counts);
-        let segment_cost = |s: usize| (offsets[s + 1] - offsets[s]) as u64;
-        let launch =
-            Launch::new("heuristic_check_connections", num_segments).weighted(&segment_cost);
+        let launch = Launch::new("heuristic_check_connections", num_segments);
         exec.run(launch, |s| {
             let (start, end) = (offsets[s], offsets[s + 1]);
             let segment = &entries[start..end];
@@ -187,6 +189,12 @@ fn check_connections(
                 // SAFETY: segments are disjoint spans.
                 unsafe { flags_shared.write(start + i, adjacent) }
             });
+            // Tested before it is set, so the segments of a round do not
+            // all write the flag's cache line. Relaxed suffices: it is read
+            // after the launch's closing barrier and publishes nothing else.
+            if survivors > 0 && !any_survivor.load(Ordering::Relaxed) {
+                any_survivor.store(true, Ordering::Relaxed);
+            }
             // SAFETY: one write per segment index.
             unsafe {
                 picks_shared.write(s, pick);
@@ -194,7 +202,7 @@ fn check_connections(
             }
         });
     }
-    (picks, counts)
+    (picks, counts, any_survivor.into_inner())
 }
 
 /// The first candidate of `segment` with the highest threshold, or `None`
@@ -249,7 +257,7 @@ fn lower_bound_galloping(row: &[u32], target: u32) -> usize {
 mod tests {
     use super::*;
     use crate::single_run;
-    use gmc_dpp::{Rng, Schedule};
+    use gmc_dpp::Rng;
     use gmc_graph::{generators, kcore};
 
     /// Algorithm 1 one seed at a time: seeds in stable descending-threshold
@@ -327,7 +335,7 @@ mod tests {
             graphs.push(spec.load());
         }
 
-        // Launches of every size on the pool, under both schedules.
+        // Launches of every size on the pool.
         let pooled = Device::new(4, usize::MAX);
         pooled.exec().set_sequential_grid_limit(0);
         let inline = Device::new(1, usize::MAX);
@@ -364,11 +372,8 @@ mod tests {
                         expected,
                         "{context}, inline"
                     );
-                    for schedule in [Schedule::Static, Schedule::Auto] {
-                        pooled.exec().set_schedule(schedule);
-                        let witness = multi_run(&pooled, graph, keys, h).unwrap();
-                        assert_eq!(witness, expected, "{context}, pooled {schedule}");
-                    }
+                    let witness = multi_run(&pooled, graph, keys, h).unwrap();
+                    assert_eq!(witness, expected, "{context}, pooled");
                 }
             }
         }

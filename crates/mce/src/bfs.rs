@@ -346,11 +346,7 @@ fn grow_fused<O: EdgeOracle>(
             let vertex_dst = UninitSlice::for_vec(&mut new_vertex, total);
             let sublist_dst = UninitSlice::for_vec(&mut new_sublist, total);
             let tails_dst = UninitSlice::for_vec(&mut arena.next_tails, total);
-            // Cost hint: an entry replays exactly `counts[i]` recorded bits.
-            let emit_cost = |i: usize| counts[i] as u64 + 1;
-            let launch = Launch::new("bfs_emit_cliques_fused", len)
-                .fused()
-                .weighted(&emit_cost);
+            let launch = Launch::new("bfs_emit_cliques_fused", len).fused();
             exec.try_run(launch, |i| {
                 if counts[i] == 0 {
                     return;
@@ -429,11 +425,7 @@ fn count_level<O: EdgeOracle>(
     let counts_dst = UninitSlice::for_vec(&mut arena.counts, len);
     let masks_dst = UninitSlice::for_vec(&mut arena.masks, len);
     let spill_dst = UninitSlice::for_vec(&mut arena.spill, spill_total);
-    // Cost hint: the walk visits exactly the entry's tail.
-    let tail_cost = |i: usize| u64::from(tails[i]) + 1;
-    let launch = Launch::new("bfs_count_cliques_fused", len)
-        .fused()
-        .weighted(&tail_cost);
+    let launch = Launch::new("bfs_count_cliques_fused", len).fused();
     exec.try_run(launch, |i| {
         let t = tails[i] as usize;
         let spill_base = if t > INLINE_BITS { spill_offsets[i] } else { 0 };
@@ -606,15 +598,7 @@ fn grow_unfused<O: EdgeOracle>(
         {
             let vertex_shared = SharedSlice::new(&mut new_vertex);
             let sublist_shared = SharedSlice::new(&mut new_sublist);
-            // Cost hint: an unpruned entry re-walks its whole sublist tail.
-            let emit_cost = |i: usize| {
-                if counts[i] == 0 {
-                    1
-                } else {
-                    u64::from(arena.tails[i]) + 1
-                }
-            };
-            let launch = Launch::new("bfs_output_new_cliques", len).weighted(&emit_cost);
+            let launch = Launch::new("bfs_output_new_cliques", len);
             exec.try_run(launch, |i| {
                 if counts[i] == 0 {
                     return;

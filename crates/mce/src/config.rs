@@ -259,12 +259,10 @@ pub struct SolverConfig {
     /// the CSR (the unfused pipeline always probes the CSR). See
     /// [`LocalBitsMode`].
     pub local_bits: LocalBitsMode,
-    /// How the executor maps launches onto workers for the duration of the
-    /// solve: the solver installs this [`Schedule`] on the device executor
-    /// and restores the previous one afterwards. The clique set is
-    /// bit-identical under both schedules; `Auto` only rebalances
-    /// cost-weighted launches across workers. Defaults to `GMC_SCHED`
-    /// (`static`/`auto`) or [`Schedule::Auto`] when unset.
+    /// Has no effect: the executor maps every pooled launch onto its
+    /// workers one contiguous chunk each. This single-valued field and
+    /// [`Schedule`] remain only so that callers which set them, such as the
+    /// `perfbench/` benchmark, keep compiling.
     pub schedule: Schedule,
     /// Recording handle for profiling: the solver installs it on the
     /// device's executor and memory accountant for the duration of each
@@ -334,7 +332,7 @@ impl Default for SolverConfig {
             early_exit: true,
             fused: true,
             local_bits: LocalBitsMode::from_env(),
-            schedule: Schedule::from_env(),
+            schedule: Schedule::Auto,
             trace: Tracer::disabled(),
             faults: FaultPlan::from_env(),
         }
@@ -354,9 +352,8 @@ mod tests {
         assert!(cfg.early_exit);
         assert!(cfg.fused);
         // Default Auto unless the environment overrides it (CI ablation
-        // jobs may set GMC_LOCAL_BITS / GMC_SCHED; respect what they say).
+        // jobs may set GMC_LOCAL_BITS; respect what they say).
         assert_eq!(cfg.local_bits, LocalBitsMode::from_env());
-        assert_eq!(cfg.schedule, Schedule::from_env());
         assert!(!cfg.trace.is_enabled());
     }
 

@@ -38,7 +38,7 @@ pub use window::WindowStats;
 
 use gmc_cliquelist::CliqueLevel;
 use gmc_dpp::{
-    Cancelled, Device, DeviceError, DeviceOom, FaultInjector, FaultStats, LaunchStats, Schedule,
+    Cancelled, Device, DeviceError, DeviceOom, FaultInjector, FaultStats, LaunchStats,
     ScheduleStats, Tracer,
 };
 use gmc_graph::{CoreBitmap, Csr, EdgeOracle};
@@ -140,10 +140,9 @@ pub struct SolveStats {
     pub local_bits: LocalBitsStats,
     /// Virtual-GPU launch counters consumed by this solve.
     pub launches: LaunchStats,
-    /// Scheduling and load-balance counters consumed by this solve
-    /// ([`SolverConfig::schedule`]): which launches took the pool, how many
-    /// ran under dynamic morsel claiming / cost hints, and the
-    /// makespan-vs-mean imbalance signal.
+    /// Load-balance counters consumed by this solve: how many launches took
+    /// the pool, and the makespan-vs-mean imbalance of their per-worker
+    /// chunks.
     pub sched: ScheduleStats,
     /// Window counters when the windowed variant ran.
     pub window: Option<WindowStats>,
@@ -305,14 +304,6 @@ impl MaxCliqueSolver {
         self
     }
 
-    /// Selects the launch schedule the solve installs on the device executor
-    /// (see [`SolverConfig::schedule`]): `Static`, or the `Auto` policy
-    /// (the default, overridable via `GMC_SCHED`).
-    pub fn schedule(mut self, schedule: Schedule) -> Self {
-        self.config.schedule = schedule;
-        self
-    }
-
     /// Arms (or disarms, with `None`) deterministic fault injection for the
     /// next solve (see [`SolverConfig::faults`]).
     pub fn faults(mut self, plan: Option<gmc_dpp::FaultPlan>) -> Self {
@@ -356,13 +347,7 @@ impl MaxCliqueSolver {
             device.exec().set_tracer(self.config.trace.clone());
             device.memory().set_tracer(self.config.trace.clone());
         }
-        // Install the configured launch schedule for the duration of the
-        // solve; restore whatever the executor had before (the clique set
-        // is bit-identical either way — see `gmc_dpp::Schedule`).
-        let prev_schedule = device.exec().schedule();
-        device.exec().set_schedule(self.config.schedule);
         let result = self.solve_traced(graph);
-        device.exec().set_schedule(prev_schedule);
         if tracing {
             device.exec().set_tracer(Tracer::disabled());
             device.memory().set_tracer(Tracer::disabled());

@@ -3,12 +3,13 @@
 //!
 //! Caching solve results exactly is sound because solves are
 //! bit-deterministic: the clique set is proven identical across executor
-//! worker counts, launch schedules and fault injection (the PR 5/6
-//! determinism suites). Those three knobs — `schedule`, `faults`, `trace` —
-//! are therefore *excluded* from the config fingerprint, while every knob
-//! that can change the result set (heuristic, orientation, ordering,
-//! windowing, early exit, pipeline selection) is folded in. The property
-//! suite in `tests/serve.rs` pins both directions.
+//! worker counts and fault injection (the determinism and chaos suites).
+//! The knobs that cannot change it — `faults`, `trace`, and the
+//! single-valued `schedule` and `edge_index` — are therefore *excluded*
+//! from the config fingerprint, while every knob that can change the
+//! result set (heuristic, orientation, ordering, windowing, early exit,
+//! pipeline selection) is folded in. The property suite in
+//! `tests/serve.rs` pins both directions.
 
 use std::hash::{Hash, Hasher};
 
@@ -71,8 +72,8 @@ pub fn graph_fingerprint(graph: &Csr) -> u64 {
 /// sublist bound, witness polish, the full window configuration, early
 /// exit, fused pipeline, local-bits mode.
 ///
-/// Excluded (proven result-invariant): `schedule`, `faults`, `trace`, and
-/// `edge_index`, which has a single value.
+/// Excluded: `faults` and `trace` (proven result-invariant), and
+/// `schedule` and `edge_index`, which have a single value each.
 pub fn config_fingerprint(config: &SolverConfig) -> u64 {
     let mut h = Fnv1a::new();
     config.heuristic.hash(&mut h);

@@ -253,7 +253,6 @@ struct Counters {
     oracle_queries: AtomicU64,
     faults_injected: AtomicU64,
     faults_recovered: AtomicU64,
-    sched_morsels: AtomicU64,
     solve_ns: AtomicU64,
 }
 
@@ -392,7 +391,6 @@ impl SolveService {
             oracle_queries: c.oracle_queries.load(Ordering::Relaxed),
             faults_injected: c.faults_injected.load(Ordering::Relaxed),
             faults_recovered: c.faults_recovered.load(Ordering::Relaxed),
-            sched_morsels: c.sched_morsels.load(Ordering::Relaxed),
             solve_time: Duration::from_nanos(c.solve_ns.load(Ordering::Relaxed)),
             cache_bytes: self.inner.cache.live_bytes(),
             cache_entries: self.inner.cache.len(),
@@ -518,8 +516,6 @@ fn serve_one(inner: &ServiceInner, device: &Device, queued: QueuedJob, wait: Dur
                 .fetch_add(result.stats.faults.injected(), Ordering::Relaxed);
             c.faults_recovered
                 .fetch_add(result.stats.faults.recovered(), Ordering::Relaxed);
-            c.sched_morsels
-                .fetch_add(result.stats.sched.morsels, Ordering::Relaxed);
             let cached = Arc::new(CachedSolve {
                 clique_number: result.clique_number,
                 cliques: result.cliques,

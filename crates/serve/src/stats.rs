@@ -1,6 +1,6 @@
-//! Service-level statistics: per-job `SolveStats` / `FaultStats` /
-//! `ScheduleStats` aggregated across the executor pool, plus queue-wait
-//! percentiles from merged per-worker [`LogHistogram`]s.
+//! Service-level statistics: per-job `SolveStats` / `FaultStats`
+//! aggregated across the executor pool, plus queue-wait percentiles from
+//! merged per-worker [`LogHistogram`]s.
 
 use gmc_trace::LogHistogram;
 use std::time::Duration;
@@ -39,8 +39,6 @@ pub struct ServeStats {
     pub faults_injected: u64,
     /// Recovered faults summed over all served solves.
     pub faults_recovered: u64,
-    /// Schedule morsels claimed, summed over all served solves.
-    pub sched_morsels: u64,
     /// Total time workers spent inside `solve()`.
     pub solve_time: Duration,
     /// Bytes currently held by the result cache.

@@ -2,7 +2,7 @@
 //! hit≡miss bit-identity, cancellation hygiene, backpressure under
 //! saturation, and the admission verdicts end to end.
 
-use gmc_dpp::{CancelToken, Device, DeviceMemory, Executor, FaultPlan, Schedule, Tracer};
+use gmc_dpp::{CancelToken, Device, DeviceMemory, Executor, FaultPlan, Tracer};
 use gmc_graph::generators;
 use gmc_heuristic::HeuristicKind;
 use gmc_mce::{
@@ -20,7 +20,6 @@ use std::time::Instant;
 fn pinned_config() -> SolverConfig {
     SolverConfig {
         local_bits: LocalBitsMode::Auto,
-        schedule: Schedule::Auto,
         faults: None,
         ..SolverConfig::default()
     }
@@ -96,10 +95,7 @@ fn fingerprint_flips_on_every_result_affecting_knob() {
     );
 
     // Result-invariant knobs must NOT change the key: a job solved under a
-    // different schedule, fault plan or tracer hits the same cache entry.
-    let mut config = pinned_config();
-    config.schedule = Schedule::Static;
-    assert_eq!(config_fingerprint(&config), base_fp, "schedule is excluded");
+    // different fault plan or tracer hits the same cache entry.
     let mut config = pinned_config();
     config.faults = Some(FaultPlan {
         seed: 7,

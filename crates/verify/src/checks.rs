@@ -636,7 +636,7 @@ mod tests {
                 lane: LaneSpec::baseline()
             }
             .name(),
-            "differential: bfs[fused,auto,auto,w2] vs oracle"
+            "differential: bfs[fused,auto,w2] vs oracle"
         );
         assert_eq!(
             Check::UniversalVertex.name(),

@@ -179,7 +179,7 @@ mod tests {
 
     fn sample_failure(graph: CaseGraph) -> Failure {
         Failure {
-            check: "differential: bfs[fused,auto,auto,w2] vs oracle".into(),
+            check: "differential: bfs[fused,auto,w2] vs oracle".into(),
             category: "planted".into(),
             case_seed: 42,
             graph,

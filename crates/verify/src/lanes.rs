@@ -1,16 +1,16 @@
 //! Differential solver lanes.
 //!
 //! A *lane* is one fully pinned solver configuration — fused or unfused
-//! pipeline, a local-bits mode, a schedule, a worker count, optionally a
-//! window — run on a fresh device. Lane configurations are built from
-//! explicit fields only: [`SolverConfig::default`] reads `GMC_LOCAL_BITS`,
-//! `GMC_SCHED` and `GMC_FAULTS` from the environment, so every
-//! env-sensitive field is overwritten here to keep the harness
-//! deterministic no matter what the surrounding shell exports.
+//! pipeline, a local-bits mode, a worker count, optionally a window — run
+//! on a fresh device. Lane configurations are built from explicit fields
+//! only: [`SolverConfig::default`] reads `GMC_LOCAL_BITS` and `GMC_FAULTS`
+//! from the environment, so every env-sensitive field is overwritten here
+//! to keep the harness deterministic no matter what the surrounding shell
+//! exports.
 
 use crate::Sabotage;
 use gmc_dpp::Rng;
-use gmc_dpp::{Device, FaultPlan, Schedule};
+use gmc_dpp::{Device, FaultPlan};
 use gmc_graph::Csr;
 use gmc_mce::{
     LocalBitsMode, MaxCliqueSolver, SolveError, SolveResult, SolverConfig, WindowConfig,
@@ -35,8 +35,6 @@ pub struct LaneSpec {
     pub fused: bool,
     /// Core-bitmap mode.
     pub local_bits: LocalBitsMode,
-    /// Executor schedule.
-    pub schedule: Schedule,
     /// Device worker count.
     pub workers: usize,
     /// Windowed search, or `None` for the full breadth-first search.
@@ -50,19 +48,17 @@ impl LaneSpec {
         Self {
             fused: true,
             local_bits: LocalBitsMode::Auto,
-            schedule: Schedule::Auto,
             workers: 2,
             window: None,
         }
     }
 
     /// A human-readable lane name for failure reports, e.g.
-    /// `bfs[unfused,on,static,w8,win256]`.
+    /// `bfs[unfused,on,w8,win256-enum]`.
     pub fn name(&self) -> String {
-        let mut parts: Vec<String> = Vec::with_capacity(5);
+        let mut parts: Vec<String> = Vec::with_capacity(4);
         parts.push(if self.fused { "fused" } else { "unfused" }.into());
         parts.push(self.local_bits.to_string());
-        parts.push(self.schedule.to_string());
         parts.push(format!("w{}", self.workers));
         if let Some(w) = &self.window {
             parts.push(format!(
@@ -84,7 +80,6 @@ impl LaneSpec {
     pub fn config(&self) -> SolverConfig {
         let mut config = SolverConfig {
             local_bits: self.local_bits,
-            schedule: self.schedule,
             faults: None,
             fused: self.fused,
             ..SolverConfig::default()
@@ -132,14 +127,11 @@ impl LaneSpec {
 /// Local-bits modes the lane sampler draws from.
 const LOCAL_BITS: [LocalBitsMode; 3] = [LocalBitsMode::Off, LocalBitsMode::On, LocalBitsMode::Auto];
 
-/// Schedules the lane sampler draws from.
-const SCHEDULES: [Schedule; 2] = [Schedule::Static, Schedule::Auto];
-
 /// Worker counts the lane sampler draws from.
 const WORKERS: [usize; 3] = [1, 2, 8];
 
 /// Draws `count` distinct lane variants from the full cross-product
-/// (fused × local-bits × schedule × window × workers). The baseline lane
+/// (fused × local-bits × window × workers). The baseline lane
 /// runs on every case regardless; these are the per-case extras, so over
 /// many cases the whole cross-product gets visited.
 pub fn sample_lanes(rng: &mut Rng, count: usize) -> Vec<LaneSpec> {
@@ -159,7 +151,6 @@ pub fn sample_lanes(rng: &mut Rng, count: usize) -> Vec<LaneSpec> {
         let lane = LaneSpec {
             fused: rng.gen_bool(0.7),
             local_bits: *rng.choose(&LOCAL_BITS).unwrap(),
-            schedule: *rng.choose(&SCHEDULES).unwrap(),
             workers: *rng.choose(&WORKERS).unwrap(),
             window,
         };

@@ -2,7 +2,7 @@
 //!
 //! The workspace's central correctness claim is that every solver variant —
 //! breadth-first expansion under any combination of fused/unfused pipeline,
-//! local-bits mode, launch schedule, windowing mode and worker count, the
+//! local-bits mode, windowing mode and worker count, the
 //! PMC-style depth-first baseline, and the sequential reference oracle —
 //! computes the *same* maximum cliques. The hand-written property tests in
 //! `tests/` spot-check pairs of configurations; this crate turns the claim
@@ -197,8 +197,8 @@ impl VerifyConfig {
 /// One caught (and shrunk) disagreement.
 #[derive(Debug, Clone)]
 pub struct Failure {
-    /// The check that failed, e.g. `differential: bfs[unfused,on,static,w2]
-    /// vs oracle`.
+    /// The check that failed, e.g. `differential: bfs[unfused,on,w2] vs
+    /// oracle`.
     pub check: String,
     /// Generator category (or `regression`/`replay` provenance).
     pub category: String,

@@ -56,7 +56,7 @@ pub use gmc_verify as verify;
 
 /// Commonly used items in one import.
 pub mod prelude {
-    pub use gmc_dpp::{Device, DeviceMemory, Executor, FaultPlan, FaultStats, Launch, Schedule};
+    pub use gmc_dpp::{Device, DeviceMemory, Executor, FaultPlan, FaultStats, Launch};
     pub use gmc_graph::{Csr, EdgeOracle, GraphBuilder};
     pub use gmc_heuristic::HeuristicKind;
     pub use gmc_mce::{

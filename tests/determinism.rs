@@ -2,24 +2,16 @@
 //! counts, and label-invariance under vertex permutation.
 
 use gpu_max_clique::corpus::{corpus, Tier};
-use gpu_max_clique::dpp::DEFAULT_SEQUENTIAL_GRID_LIMIT;
+use gpu_max_clique::dpp::{LaunchStats, DEFAULT_SEQUENTIAL_GRID_LIMIT};
 use gpu_max_clique::graph::generators;
 use gpu_max_clique::heuristic::HeuristicKind;
 use gpu_max_clique::mce::{MaxCliqueSolver, WindowConfig};
-use gpu_max_clique::prelude::{Device, FaultPlan, Schedule};
+use gpu_max_clique::prelude::{Device, FaultPlan};
 
-/// Every launch schedule, each at the default sequential-grid limit and at
-/// limit 0. The latter sends every launch — even the smallest level of a
-/// small graph — to the worker pool, so `Auto` claims cost-cut morsels on
-/// every weighted launch instead of running most of them inline.
-fn all_schedules() -> [(Schedule, usize); 4] {
-    [
-        (Schedule::Static, DEFAULT_SEQUENTIAL_GRID_LIMIT),
-        (Schedule::Static, 0),
-        (Schedule::Auto, DEFAULT_SEQUENTIAL_GRID_LIMIT),
-        (Schedule::Auto, 0),
-    ]
-}
+/// The default sequential-grid limit and limit 0. The latter sends every
+/// launch — even the smallest level of a small graph — to the worker pool
+/// instead of running most of them inline.
+const SEQ_LIMITS: [usize; 2] = [DEFAULT_SEQUENTIAL_GRID_LIMIT, 0];
 
 /// A device with `workers` workers, unlimited memory and the given
 /// sequential-grid limit.
@@ -147,34 +139,34 @@ fn heuristics_are_deterministic_across_workers() {
 }
 
 #[test]
-fn schedules_do_not_change_results_across_worker_counts() {
-    // `Auto` reassigns morsels to workers at runtime, but the decomposition
-    // itself is worker-count independent, so every schedule × worker-count
-    // × pipeline combination must produce bit-identical cliques and
-    // identical deterministic counters.
+fn sequential_limits_do_not_change_results_across_worker_counts() {
+    // Every sequential-limit × worker-count × pipeline combination must
+    // produce bit-identical cliques and identical deterministic counters.
     let graph = generators::barabasi_albert(350, 6, 7);
     for fused in [false, true] {
         let reference = MaxCliqueSolver::new(Device::new(1, usize::MAX))
             .fused(fused)
-            .schedule(Schedule::Static)
             .solve(&graph)
             .unwrap();
-        // Launch counts are structural only at a fixed sequential limit: a
-        // pooled scan records launches the inline one does not. So every
-        // lane matches the static lane at its own limit and worker count
-        // (`all_schedules` lists static first), and at the default limit
-        // also the one-worker reference.
-        let mut static_launches = std::collections::HashMap::new();
-        for (schedule, seq_limit) in all_schedules() {
+        // Launch counters are structural only at a fixed sequential limit:
+        // a pooled scan records launches the inline one does not, and at
+        // limit 0 the scan of a per-chunk array has one virtual thread per
+        // worker. So every multi-worker lane launches each kernel as often
+        // as the first one at its own limit, and at the default limit (or
+        // on one worker) matches the one-worker reference exactly.
+        let per_kernel_launches = |stats: &LaunchStats| -> Vec<(&'static str, u64)> {
+            let rows = stats.per_kernel.iter();
+            rows.map(|(name, kernel)| (*name, kernel.launches))
+                .collect()
+        };
+        let mut pooled_launches = std::collections::HashMap::new();
+        for seq_limit in SEQ_LIMITS {
             for workers in [1, 2, 8] {
                 let result = MaxCliqueSolver::new(device(workers, seq_limit))
                     .fused(fused)
-                    .schedule(schedule)
                     .solve(&graph)
                     .unwrap();
-                let ctx = format!(
-                    "schedule {schedule} seq-limit {seq_limit} workers {workers} fused {fused}"
-                );
+                let ctx = format!("seq-limit {seq_limit} workers {workers} fused {fused}");
                 assert_eq!(result.cliques, reference.cliques, "{ctx}");
                 assert_eq!(
                     result.stats.oracle_queries, reference.stats.oracle_queries,
@@ -184,14 +176,14 @@ fn schedules_do_not_change_results_across_worker_counts() {
                     result.stats.local_bits, reference.stats.local_bits,
                     "{ctx}: core-bitmap counters changed"
                 );
-                let static_lane = static_launches
-                    .entry((seq_limit, workers))
-                    .or_insert_with(|| result.stats.launches.clone());
-                assert_eq!(
-                    &result.stats.launches, static_lane,
-                    "{ctx}: launch counters changed"
-                );
-                if seq_limit == DEFAULT_SEQUENTIAL_GRID_LIMIT {
+                if workers > 1 {
+                    let launches = per_kernel_launches(&result.stats.launches);
+                    let first = pooled_launches
+                        .entry(seq_limit)
+                        .or_insert_with(|| launches.clone());
+                    assert_eq!(&launches, first, "{ctx}: launch counts changed");
+                }
+                if seq_limit == DEFAULT_SEQUENTIAL_GRID_LIMIT || workers == 1 {
                     assert_eq!(
                         result.stats.launches, reference.stats.launches,
                         "{ctx}: launch counters changed"
@@ -203,11 +195,12 @@ fn schedules_do_not_change_results_across_worker_counts() {
 }
 
 #[test]
-fn schedules_preserve_fault_step_semantics() {
-    // Fault rolls are keyed by a per-launch step counter; a schedule must
-    // neither add nor remove launches, so an armed plan injects the *exact*
-    // same fault sequence under every schedule and worker count — and the
-    // recovered output stays bit-identical to the fault-free reference.
+fn sequential_limits_preserve_fault_step_semantics() {
+    // Fault rolls are keyed by a per-launch step counter; neither the
+    // worker count nor the sequential limit may add or remove a fallible
+    // launch, so an armed plan injects the *exact* same fault sequence on
+    // every device — and the recovered output stays bit-identical to the
+    // fault-free reference.
     let graph = generators::gnp(250, 0.25, 11);
     let plan: FaultPlan = "seed=7,alloc=0.05,launch=0.02,retries=256"
         .parse()
@@ -216,7 +209,6 @@ fn schedules_preserve_fault_step_semantics() {
         .solve(&graph)
         .unwrap();
     let reference = MaxCliqueSolver::new(Device::new(1, usize::MAX))
-        .schedule(Schedule::Static)
         .faults(Some(plan))
         .solve(&graph)
         .unwrap();
@@ -225,20 +217,33 @@ fn schedules_preserve_fault_step_semantics() {
         reference.stats.faults.injected() > 0,
         "plan injected nothing — the test proves nothing"
     );
-    for (schedule, seq_limit) in all_schedules() {
+    for seq_limit in SEQ_LIMITS {
         for workers in [1, 2, 8] {
             let result = MaxCliqueSolver::new(device(workers, seq_limit))
-                .schedule(schedule)
                 .faults(Some(plan))
                 .solve(&graph)
                 .unwrap();
-            let ctx = format!("schedule {schedule} seq-limit {seq_limit} workers {workers}");
+            let ctx = format!("seq-limit {seq_limit} workers {workers}");
             assert_eq!(result.cliques, clean.cliques, "{ctx}");
             let f = result.stats.faults;
             assert_eq!(f, reference.stats.faults, "{ctx}: fault counters changed");
             assert_eq!(f.recovered(), f.injected(), "{ctx}: {f:?}");
         }
     }
+}
+
+#[test]
+fn solver_reports_pool_stats_per_solve() {
+    // Dense enough that the level grids clear the sequential-inline limit,
+    // so launches reach the worker pool.
+    let graph = generators::gnp(400, 0.2, 3);
+    let solver = MaxCliqueSolver::new(Device::new(4, usize::MAX));
+    let first = solver.solve(&graph).unwrap().stats.sched;
+    assert!(first.pool_launches > 0, "{first:?}");
+    assert!(first.imbalance() >= 1.0, "{first:?}");
+    // A second solve on the same device reports only its own launches.
+    let second = solver.solve(&graph).unwrap().stats.sched;
+    assert_eq!(second.pool_launches, first.pool_launches);
 }
 
 #[test]
