@@ -16,6 +16,9 @@ fn dataset(name: &str) -> Csr {
         .load()
 }
 
+/// The four heuristics on soc-sphere-05, whose multi-run waves stop most
+/// runs early, and the multi-run ones on road-grid-02, where wave 1's bound
+/// stops none.
 fn bench_heuristics(h: &mut Harness) {
     let device = Device::unlimited();
     let graph = dataset("soc-sphere-05");
@@ -28,6 +31,12 @@ fn bench_heuristics(h: &mut Harness) {
     ] {
         group.bench(kind.name(), |b| {
             b.iter(|| gmc_heuristic::run_heuristic(&device, &graph, kind, None).unwrap());
+        });
+    }
+    let grid = dataset("road-grid-02");
+    for kind in [HeuristicKind::MultiDegree, HeuristicKind::MultiCore] {
+        group.bench(&format!("{}/road-grid-02", kind.name()), |b| {
+            b.iter(|| gmc_heuristic::run_heuristic(&device, &grid, kind, None).unwrap());
         });
     }
     group.finish();

@@ -12,8 +12,8 @@
 //!   per element, a barrier at the end, and deterministic results
 //!   regardless of worker count.
 //! * [`exclusive_scan`], [`reduce`], [`select_if`], [`select_indices`],
-//!   [`remove_empty_segments`], [`sort_pairs_u32`], [`run_starts`] — the
-//!   CUB-style primitives the paper's Algorithms 1 and 2 are built from.
+//!   [`sort_pairs_u32`], [`run_starts`] — the CUB-style primitives the
+//!   paper's Algorithms 1 and 2 are built from.
 //! * [`DeviceMemory`] / [`DeviceBuffer`] — a capacity-bounded accounting
 //!   allocator standing in for the GPU's on-board RAM. Exhausting it yields
 //!   [`DeviceOom`], which is how the reproduction models the paper's
@@ -46,7 +46,6 @@ pub mod prop;
 mod rle;
 pub mod rng;
 mod scan;
-mod segmented;
 mod select;
 mod shared;
 mod sort;
@@ -62,8 +61,7 @@ pub use scan::{
     exclusive_scan, exclusive_scan_by, exclusive_scan_by_into, exclusive_scan_into, reduce,
     reduce_by, try_exclusive_scan, try_exclusive_scan_into,
 };
-pub use segmented::remove_empty_segments;
-pub use select::{select_flagged, select_if, select_if_into, select_indices, try_select_indices};
+pub use select::{select_if, select_if_into, select_indices, try_select_indices};
 pub use shared::{SharedSlice, UninitSlice};
 pub use sort::{sort_pairs_u32, sort_u32};
 pub use stats::{KernelStats, LaunchStats, ScheduleStats};

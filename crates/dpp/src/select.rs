@@ -9,15 +9,6 @@ use crate::fault::LaunchError;
 use crate::scan::exclusive_scan;
 use crate::shared::{SharedSlice, UninitSlice};
 
-/// Keeps `data[i]` where `flags[i]` is true. Panics if lengths differ.
-pub fn select_flagged<T>(exec: &Executor, data: &[T], flags: &[bool]) -> Vec<T>
-where
-    T: Copy + Send + Sync,
-{
-    assert_eq!(data.len(), flags.len(), "data/flags length mismatch");
-    select_if(exec, data, |i, _| flags[i])
-}
-
 /// Keeps `data[i]` where `pred(i, data[i])` is true; stable.
 pub fn select_if<T, P>(exec: &Executor, data: &[T], pred: P) -> Vec<T>
 where
@@ -135,14 +126,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn flagged_select_small() {
-        let exec = Executor::new(4);
-        let data = [10u32, 20, 30, 40, 50];
-        let flags = [true, false, true, false, true];
-        assert_eq!(select_flagged(&exec, &data, &flags), vec![10, 30, 50]);
-    }
 
     #[test]
     fn select_if_large_is_stable() {

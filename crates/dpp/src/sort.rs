@@ -4,7 +4,9 @@
 //! per-chunk digit histograms in parallel, computes stable scatter offsets
 //! from a sequential scan over the (chunks × 256) histogram matrix, and
 //! scatters in parallel. Passes whose digit is constant across all keys are
-//! skipped — degree-like keys rarely need more than two passes.
+//! skipped — degree-like keys rarely need more than two passes. The first
+//! histogram pass also finds which digits vary (the bits in which any key
+//! differs from the first), so a constant digit later on costs no pass.
 //!
 //! The sort is stable, which the clique-list setup relies on when ordering
 //! candidates by (degree, index).
@@ -42,33 +44,44 @@ fn radix_sort(
         return (src_keys, values.map(|_| src_vals));
     }
     let has_values = values.is_some();
+    let digit = BINS as u32 - 1;
+    // The bits in which some key differs from the first. Until the first
+    // histogram pass has seen every key, any bit may.
+    let first = keys[0];
+    let mut varying = u32::MAX;
 
     for pass in 0..(32 / RADIX_BITS) {
         let shift = pass * RADIX_BITS;
+        // Skip passes whose digit is constant.
+        if (varying >> shift) & digit == 0 {
+            continue;
+        }
         let chunks = exec.num_chunks(n);
 
-        // Per-chunk digit histograms.
+        // Per-chunk digit histograms, and the bits that vary.
         let mut hist = vec![0usize; chunks * BINS];
+        let mut differs = vec![0u32; chunks];
         {
             let hist_shared = SharedSlice::new(&mut hist);
+            let differs_shared = SharedSlice::new(&mut differs);
             let src = &src_keys;
             exec.run_chunks("sort_digit_histogram", n, |chunk_id, range| {
                 let mut local = [0usize; BINS];
+                let mut differ = 0;
                 for &k in &src[range] {
-                    local[((k >> shift) & (BINS as u32 - 1)) as usize] += 1;
+                    local[((k >> shift) & digit) as usize] += 1;
+                    differ |= k ^ first;
                 }
                 for (d, &c) in local.iter().enumerate() {
                     // SAFETY: each chunk writes only its own histogram row.
                     unsafe { hist_shared.write(chunk_id * BINS + d, c) };
                 }
+                // SAFETY: one write per chunk id.
+                unsafe { differs_shared.write(chunk_id, differ) };
             });
         }
-
-        // Skip passes with a single occupied bin (constant digit).
-        let occupied = (0..BINS)
-            .filter(|&d| (0..chunks).any(|c| hist[c * BINS + d] > 0))
-            .count();
-        if occupied <= 1 {
+        varying = differs.iter().fold(0, |all, &differ| all | differ);
+        if (varying >> shift) & digit == 0 {
             continue;
         }
 
@@ -93,7 +106,7 @@ fn radix_sort(
                     offsets[chunk_id * BINS..(chunk_id + 1) * BINS].to_vec();
                 for i in range {
                     let k = src[i];
-                    let d = ((k >> shift) & (BINS as u32 - 1)) as usize;
+                    let d = ((k >> shift) & digit) as usize;
                     let pos = cursors[d];
                     cursors[d] += 1;
                     // SAFETY: offsets partition the output across

@@ -136,34 +136,6 @@ fn reduce_matches_sum() {
 }
 
 #[test]
-fn remove_empty_segments_preserves_content() {
-    prop::check(
-        "remove_empty_segments_preserves_content",
-        |rng| gens::vec_usize(rng, 1..200, 0..10),
-        shrinks::vec,
-        |lengths| {
-            let exec = Executor::new(2);
-            let (new_offsets, survivors, total) = gmc_dpp::remove_empty_segments(&exec, lengths);
-            // Survivors are exactly the non-empty segments, in order.
-            let expected: Vec<usize> = (0..lengths.len()).filter(|&i| lengths[i] > 0).collect();
-            prop_assert_eq!(&survivors, &expected);
-            // New offsets describe the same lengths and end at the total,
-            // which is every value.
-            prop_assert_eq!(new_offsets.len(), survivors.len() + 1);
-            for (new_idx, &old_idx) in survivors.iter().enumerate() {
-                prop_assert_eq!(
-                    new_offsets[new_idx + 1] - new_offsets[new_idx],
-                    lengths[old_idx]
-                );
-            }
-            prop_assert_eq!(new_offsets[survivors.len()], total);
-            prop_assert_eq!(total, lengths.iter().sum::<usize>());
-            Ok(())
-        },
-    );
-}
-
-#[test]
 fn memory_accounting_balances() {
     prop::check(
         "memory_accounting_balances",

@@ -15,6 +15,7 @@
 use crate::config::{CandidateOrder, OrientationRule, SublistBound};
 use gmc_dpp::{Executor, Launch, SharedSlice};
 use gmc_graph::Csr;
+use std::mem::MaybeUninit;
 
 /// Counters from the setup phase, reported in [`SolveStats`].
 ///
@@ -159,13 +160,14 @@ pub(crate) fn build_two_clique_list(
             }
             let src = v as u32;
             let src_key = sort_key(graph, src);
-            let mut inline = [0u64; INLINE_SUBLIST];
+            // Write-before-read slots: only the keys written are read back.
+            let mut inline = [MaybeUninit::<u64>::uninit(); INLINE_SUBLIST];
             let mut heap = Vec::new();
-            let keys = if len <= INLINE_SUBLIST {
+            let slots = if len <= INLINE_SUBLIST {
                 &mut inline[..len]
             } else {
-                heap.resize(len, 0);
-                heap.as_mut_slice()
+                heap.reserve_exact(len);
+                &mut heap.spare_capacity_mut()[..len]
             };
             let mut kept = 0;
             for &u in graph.neighbors(src) {
@@ -179,11 +181,14 @@ pub(crate) fn build_two_clique_list(
                     OrientationRule::Index => u > src,
                 };
                 if after {
-                    keys[kept] = key;
+                    slots[kept].write(key);
                     kept += 1;
                 }
             }
             debug_assert_eq!(kept, len, "emission disagrees with the sublist count");
+            // SAFETY: the loop wrote `slots[..kept]`, and `MaybeUninit<u64>`
+            // has the layout of `u64`.
+            let keys = unsafe { &mut *(std::ptr::from_mut(&mut slots[..kept]) as *mut [u64]) };
             match order {
                 CandidateOrder::Index => {} // adjacency lists are id-sorted
                 CandidateOrder::DegreeAscending => keys.sort_unstable(),
